@@ -10,6 +10,7 @@ Every command-line test should start the program through run_cli(), which
 runs ``python -m powershave`` on the same package this suite imported.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -103,6 +104,23 @@ def run_cli(args, cwd, env_extra=None):
                           cwd=str(cwd), env=env, capture_output=True, text=True)
 
 
+# Criterion 8's synth config: 45 s at 5 ms, seed 99.  Its trace is the
+# golden-digest input and the source of short whole-strategy runs.
+SHORT_SYNTH_CONFIG = ps.SynthConfig(
+    n_accelerators=200, iteration_period_s=1.0, burst_duration_s=(0.24, 0.44),
+    burst_power_w=700.0, comm_power_w=295.0, idle_power_w=80.0,
+    jitter_frac=0.99, inference_rate_hz=3.0, seed=99, duration_s=45.0,
+    dt_s=0.005,
+)
+
+STRATEGIES = ("none", "capacitor", "supercap", "battery", "ideal")
+
+
+def strategy_spec(name):
+    """"none", "ideal" or the builtin DeviceSpec of that name."""
+    return name if name in ("none", "ideal") else ps.builtin_device_spec(name)
+
+
 def loose_config(**overrides):
     """SimConfig with the ramp constraint effectively off, for hand examples."""
     base = dict(grid_ramp_limit_w_per_s=1e12)
@@ -127,6 +145,28 @@ def default_trace():
 @pytest.fixture(scope="session")
 def default_config():
     return ps.SimConfig()
+
+
+@pytest.fixture(scope="session")
+def short_trace_text():
+    """trace.csv text of SHORT_SYNTH_CONFIG, as ``powershave synth`` writes it."""
+    buf = io.StringIO()
+    ps.write_trace(ps.synthesize_trace(SHORT_SYNTH_CONFIG), buf)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def short_trace(short_trace_text):
+    """The short trace read back from its CSV, as ``powershave simulate``
+    sees it."""
+    return ps.load_trace(io.StringIO(short_trace_text))
+
+
+@pytest.fixture(scope="session")
+def short_results(short_trace):
+    """Default-config runs of all five strategies on the short trace."""
+    return {name: run_sim(short_trace, strategy_spec(name), ps.SimConfig())
+            for name in STRATEGIES}
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ Covers:
  1. SimConfig validation and JSON round trip
  2. thermal_step fixed point, steady state, monotonicity; derate_factor
  3. simulate_shaving hand examples (ideal grid identity, bare-grid
-    curtailment, restart hold-down timing)
+    curtailment, restart hold-down timing, overlapping holds), and the
+    temperature series replayed through thermal_step
  4. Grid cap and ramp-violation reporting
  5. Dummy-load scheduling under a tight ramp and its thermal effect
  6. computational_gain identity, constructed +100%, preset ordering
@@ -152,6 +153,54 @@ def test_restart_holds_shed_units_down():
     np.testing.assert_allclose(r.curtailed_w,
                                [700.0] + [300.0] * 5 + [0.0] * 4, atol=1e-12)
     assert r.unserved_spike_count == 1
+
+
+@pytest.mark.parametrize("case", ["second_sheds_more", "second_sheds_fewer"])
+def test_restart_holds_overlap_as_window_max(case):
+    # Two shortfall events inside one 0.05 s restart window.  Event 1 sheds
+    # at step 0 and its hold runs from step 1 until t = 0.06 (step 6).
+    # Event 2 sheds at step 3, on top of event 1's held units, and its hold
+    # runs from step 4 until t = 0.09 (step 9).  While both holds are live
+    # the larger one applies, so on the steps just before and after the
+    # first hold expires the served power shows which hold is in force.
+    unit = 700.0
+    base = 1500.0
+    if case == "second_sheds_more":
+        first, second = 1, 2
+        expect_before, expect_after = base - 2 * unit, base - 2 * unit
+    else:
+        first, second = 2, 1
+        expect_before, expect_after = base - 2 * unit, base - 1 * unit
+    samples = [base] * 12
+    samples[0] = 2000.0 + first * unit
+    samples[3] = 2000.0 + (first + second) * unit
+    tr = make_trace(samples, dt=0.01, rack_max=6000.0)
+    cfg = loose_config(threshold=ThresholdSpec(absolute_w=2000.0), p_infra_w=0.0,
+                       gpu_unit_w=unit, restart_penalty_s=0.05)
+    r = run_sim(tr, "none", cfg)
+    assert r.unserved_spike_count == 2
+    # Step 3 curtails event 1's held units plus the ones event 2 sheds.
+    np.testing.assert_allclose(r.curtailed_w[[0, 3]],
+                               [first * unit, (first + second) * unit], atol=1e-9)
+    assert r.p_comp_served[5] == pytest.approx(expect_before, abs=1e-9)
+    assert r.p_comp_served[6] == pytest.approx(expect_after, abs=1e-9)
+    # The second hold alone lasts through step 8; from step 9 every unit
+    # serves again.
+    assert r.p_comp_served[8] == pytest.approx(expect_after, abs=1e-9)
+    np.testing.assert_allclose(r.p_comp_served[9:], base, atol=1e-9)
+
+
+def test_thermal_replay(short_results):
+    # The temperature series is the public Euler step run over the heat of
+    # served compute plus dummy load, bit for bit.
+    for name, r in short_results.items():
+        cfg = r.config
+        temp = cfg.t_ambient_c
+        replay = np.empty(r.n_steps)
+        for i, heat in enumerate(cfg.heat_factor * (r.p_comp_served + r.p_dummy)):
+            temp = ps.thermal_step(temp, float(heat), cfg, r.dt_s)
+            replay[i] = temp
+        assert np.array_equal(replay, r.temperature_c), name
 
 
 def test_restart_zero_recovers_next_step():
