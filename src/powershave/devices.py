@@ -13,6 +13,11 @@ Two families share one step contract:
   switch_latency_s during which it neither delivers nor absorbs.  The
   round-trip efficiency is applied entirely on the charge side.
 
+device_step is the checked entry point over a DeviceState.  The physics
+itself lives in passive_update and battery_update, which take and return
+the state fields as plain values so a simulation loop can keep them in
+local variables.
+
 Energy bookkeeping is exact: stored_j decreases by delivered * dt and
 increases by absorbed * dt * round_trip_efficiency, and stays inside the
 [soc_min_frac, soc_max_frac] window of the capacity.  Devices start full
@@ -35,6 +40,8 @@ __all__ = [
     "capacitor_energy",
     "init_state",
     "device_step",
+    "passive_update",
+    "battery_update",
     "load_device_spec",
     "write_device_spec",
     "builtin_device_spec",
@@ -117,15 +124,6 @@ def init_state(spec: DeviceSpec) -> DeviceState:
     return DeviceState(stored_j=spec.soc_max_frac * spec.energy_capacity_j)
 
 
-def _lag_step(last: float, target: float, dt: float, tau: float) -> float:
-    if tau <= 0.0:
-        return target
-    step = last + (target - last) * (1.0 - math.exp(-dt / tau))
-    # The lag shapes the rise only; a falling target is honoured at once
-    # (output above the target would exceed what was asked for).
-    return min(step, target)
-
-
 def device_step(spec: DeviceSpec, state: DeviceState,
                 requested_discharge_w: float, available_charge_w: float,
                 dt_s: float) -> tuple[float, float, DeviceState]:
@@ -136,6 +134,9 @@ def device_step(spec: DeviceSpec, state: DeviceState,
     request, the discharge limit, or the energy above soc_min; absorbed_w
     never exceeds the offer, the charge limit, or the headroom below
     soc_max (after efficiency).
+
+    A checked wrapper over passive_update / battery_update, which take and
+    return the DeviceState fields as plain values.
     """
     if dt_s <= 0.0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
@@ -145,89 +146,103 @@ def device_step(spec: DeviceSpec, state: DeviceState,
         raise ValueError("cannot request discharge and offer charge in the same step")
 
     if spec.kind in PASSIVE_KINDS:
-        return _passive_step(spec, state, requested_discharge_w, available_charge_w, dt_s)
-    return _battery_step(spec, state, requested_discharge_w, available_charge_w, dt_s)
+        delivered, absorbed, stored, mode, last = passive_update(
+            spec, dt_s, state.stored_j, state.mode, state.last_output_w,
+            requested_discharge_w, available_charge_w)
+        return delivered, absorbed, replace(state, stored_j=stored, mode=mode,
+                                            last_output_w=last)
+    delivered, absorbed, *fields = battery_update(
+        spec, dt_s, state.stored_j, state.mode, state.last_output_w,
+        state.switch_target, state.switch_remaining_s,
+        requested_discharge_w, available_charge_w)
+    return delivered, absorbed, DeviceState(*fields)
 
 
-def _usable_w(spec: DeviceSpec, stored: float, dt: float) -> float:
-    return max(0.0, stored - spec.soc_min_frac * spec.energy_capacity_j) / dt
+def _discharge_target(spec: DeviceSpec, stored: float, request: float, dt: float) -> float:
+    """What the device can deliver this step: the request, capped by the
+    discharge rating and by the energy above soc_min."""
+    usable = stored - spec.soc_min_frac * spec.energy_capacity_j
+    return min(request, spec.max_discharge_w, (usable if usable > 0.0 else 0.0) / dt)
 
 
-def _headroom_w(spec: DeviceSpec, stored: float, dt: float) -> float:
-    room = max(0.0, spec.soc_max_frac * spec.energy_capacity_j - stored)
-    return room / (dt * spec.round_trip_efficiency)
-
-
-def _soc_floor(spec: DeviceSpec, stored: float) -> float:
+def _discharged(spec: DeviceSpec, stored: float, delivered: float, dt: float) -> float:
     # delivered <= usable/dt by construction, so stored - delivered*dt can
     # undershoot the window edge only by rounding; snap it back.
-    return max(stored, spec.soc_min_frac * spec.energy_capacity_j)
+    return max(stored - delivered * dt, spec.soc_min_frac * spec.energy_capacity_j)
 
 
-def _soc_ceil(spec: DeviceSpec, stored: float) -> float:
-    return min(stored, spec.soc_max_frac * spec.energy_capacity_j)
+def _charge(spec: DeviceSpec, stored: float, available: float,
+            dt: float) -> tuple[float, float]:
+    """(absorbed_w, stored_j after): the offer, capped by the charge rating
+    and by the headroom below soc_max after efficiency."""
+    top = spec.soc_max_frac * spec.energy_capacity_j
+    room = top - stored
+    eff = spec.round_trip_efficiency
+    absorbed = min(available, spec.max_charge_w, (room if room > 0.0 else 0.0) / (dt * eff))
+    return absorbed, min(stored + absorbed * dt * eff, top)
 
 
-def _passive_step(spec, state, request, available, dt):
+def passive_update(spec: DeviceSpec, dt: float, stored: float, mode: str,
+                   last: float, request: float, available: float):
+    """One unchecked step of a capacitor or supercapacitor from plain state
+    values; returns (delivered_w, absorbed_w, stored_j, mode, last_output_w)."""
     if request > 0.0:
-        base = state.last_output_w if state.mode == "discharging" else 0.0
-        target = min(request, spec.max_discharge_w, _usable_w(spec, state.stored_j, dt))
-        delivered = _lag_step(base, target, dt, spec.response_tau_s)
-        new = replace(state, stored_j=_soc_floor(spec, state.stored_j - delivered * dt),
-                      mode="discharging", last_output_w=delivered)
-        return delivered, 0.0, new
+        target = _discharge_target(spec, stored, request, dt)
+        delivered = target
+        tau = spec.response_tau_s
+        if tau > 0.0:
+            base = last if mode == "discharging" else 0.0
+            step = base + (target - base) * (1.0 - math.exp(-dt / tau))
+            # The lag shapes the rise only; a falling target is honoured at
+            # once (output above the target would exceed what was asked for).
+            if step <= target:
+                delivered = step
+        return delivered, 0.0, _discharged(spec, stored, delivered, dt), "discharging", delivered
     if available > 0.0:
         # Recharge is a trickle into the element, limited by the charge
         # rating and the headroom; the response lag constrains delivery
         # transients, not the refill.
-        absorbed = min(available, spec.max_charge_w, _headroom_w(spec, state.stored_j, dt))
-        gained = absorbed * dt * spec.round_trip_efficiency
-        new = replace(state, stored_j=_soc_ceil(spec, state.stored_j + gained),
-                      mode="charging", last_output_w=absorbed)
-        return 0.0, absorbed, new
-    return 0.0, 0.0, replace(state, mode="idle", last_output_w=0.0)
+        absorbed, stored = _charge(spec, stored, available, dt)
+        return 0.0, absorbed, stored, "charging", absorbed
+    return 0.0, 0.0, stored, "idle", 0.0
 
 
-def _battery_step(spec, state, request, available, dt):
+def battery_update(spec: DeviceSpec, dt: float, stored: float, mode: str,
+                   last: float, target: str | None, remaining: float,
+                   request: float, available: float):
+    """One unchecked battery step from plain state values; returns
+    (delivered_w, absorbed_w, stored_j, mode, last_output_w, switch_target,
+    switch_remaining_s)."""
     want = "discharging" if request > 0.0 else ("charging" if available > 0.0 else None)
 
-    if state.mode == "switching":
-        if want is not None and want != state.switch_target:
+    if mode == "switching":
+        if want is not None and want != target:
             # Direction changed mid-switch: the turnaround starts over.
-            return 0.0, 0.0, replace(state, switch_target=want,
-                                     switch_remaining_s=spec.switch_latency_s - dt,
-                                     last_output_w=0.0)
-        remaining = state.switch_remaining_s - dt
+            return 0.0, 0.0, stored, mode, 0.0, want, spec.switch_latency_s - dt
+        remaining -= dt
         if remaining > _TIME_EPS:
-            return 0.0, 0.0, replace(state, switch_remaining_s=remaining, last_output_w=0.0)
+            return 0.0, 0.0, stored, mode, 0.0, target, remaining
         # Switch completes at the end of this step; the new mode acts from
         # the next step on.
-        return 0.0, 0.0, replace(state, mode=state.switch_target, switch_target=None,
-                                 switch_remaining_s=0.0, last_output_w=0.0)
+        return 0.0, 0.0, stored, target, 0.0, None, 0.0
 
     if want is None:
-        return 0.0, 0.0, state
+        return 0.0, 0.0, stored, mode, last, target, remaining
 
-    if state.mode != want:
+    if mode != want:
         if spec.switch_latency_s > 0.0:
             remaining = spec.switch_latency_s - dt
             if remaining > _TIME_EPS:
-                return 0.0, 0.0, replace(state, mode="switching", switch_target=want,
-                                         switch_remaining_s=remaining, last_output_w=0.0)
-            return 0.0, 0.0, replace(state, mode=want, switch_target=None,
-                                     switch_remaining_s=0.0, last_output_w=0.0)
-        state = replace(state, mode=want)
+                return 0.0, 0.0, stored, "switching", 0.0, want, remaining
+            return 0.0, 0.0, stored, want, 0.0, None, 0.0
+        mode = want
 
     if want == "discharging":
-        delivered = min(request, spec.max_discharge_w, _usable_w(spec, state.stored_j, dt))
-        new = replace(state, stored_j=_soc_floor(spec, state.stored_j - delivered * dt),
-                      last_output_w=delivered)
-        return delivered, 0.0, new
-    absorbed = min(available, spec.max_charge_w, _headroom_w(spec, state.stored_j, dt))
-    gained = absorbed * dt * spec.round_trip_efficiency
-    new = replace(state, stored_j=_soc_ceil(spec, state.stored_j + gained),
-                  last_output_w=absorbed)
-    return 0.0, absorbed, new
+        delivered = _discharge_target(spec, stored, request, dt)
+        return (delivered, 0.0, _discharged(spec, stored, delivered, dt), mode,
+                delivered, target, remaining)
+    absorbed, stored = _charge(spec, stored, available, dt)
+    return 0.0, absorbed, stored, mode, absorbed, target, remaining
 
 
 # ---------------------------------------------------------------------------

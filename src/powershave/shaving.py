@@ -29,20 +29,30 @@ its end before they may serve again.
 A lumped first-order thermal node integrates the heat of served compute
 plus dummy load; temperatures past t_derate_c de-rate the value of
 served energy in the computational-gain metric (the simulation itself
-never throttles).
+never throttles).  Because nothing in the step loop reads the
+temperature, the node is integrated after the loop, over the finished
+served and dummy series, with the same Euler update as thermal_step.
+
+The step loop keeps the device state in local variables and advances it
+with devices.passive_update / devices.battery_update, the functions
+behind device_step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace, asdict
+from collections import deque
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .trace import PowerTrace
 from .spikes import ThresholdSpec
-from .devices import DeviceSpec, PASSIVE_KINDS, device_step, init_state
+from .devices import (DeviceSpec, PASSIVE_KINDS, battery_update, init_state,
+                      passive_update)
+# Unused here; bench/tracer.py patches shaving.device_step and shaving.thermal_step.
+from .devices import device_step  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -55,7 +65,6 @@ __all__ = [
     "gpus_saved",
     "load_sim_config",
     "write_sim_config",
-    "result_series_dict",
     "result_summary_dict",
     "write_result_csv",
     "write_result_summary_json",
@@ -168,10 +177,11 @@ def thermal_step(temp_c: float, heat_input_w: float, config: SimConfig,
     return temp_c + dt_s * drive / config.thermal_tau_s
 
 
-def derate_factor(temp_c: float, config: SimConfig) -> float:
-    """Capacity factor of served compute at the given rack temperature."""
-    over = max(0.0, temp_c - config.t_derate_c)
-    return max(0.0, 1.0 - config.derate_slope_per_c * over)
+def derate_factor(temp_c, config: SimConfig):
+    """Capacity factor of served compute at the given rack temperature, or
+    elementwise over an array of temperatures."""
+    over = np.maximum(0.0, temp_c - config.t_derate_c)
+    return np.maximum(0.0, 1.0 - config.derate_slope_per_c * over)
 
 
 @dataclass(frozen=True)
@@ -242,75 +252,83 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     cap = p_infra + theta
     dt = trace.dt_s
     r_step = config.grid_ramp_limit_w_per_s * dt
+    r_bound = r_step * (1.0 + 1e-9) + _W_EPS
     gpu_w = config.gpu_unit_w
     n = trace.n_samples
-    samples = trace.samples
 
     ideal = strategy == "ideal"
     device = spec if isinstance(spec, DeviceSpec) else None
+    passive = device is not None and device.kind in PASSIVE_KINDS
+    battery = device is not None and not passive
     # Passive elements ride behind the ramp-following feed; a battery's
     # electronics steer the feed directly, as does the ideal device.
-    if ideal:
-        tracked_feed = False
-    elif device is None:
-        tracked_feed = True
-    else:
-        tracked_feed = device.kind in PASSIVE_KINDS
+    tracked_feed = not ideal and (device is None or passive)
 
-    dstate = None
+    # Device state as plain values, in DeviceState's field order.
+    stored, mode, last, target, remaining = 0.0, "idle", 0.0, None, 0.0
     if device is not None:
-        dstate = init_state(device)
-        if device.kind == "battery":
+        stored = init_state(device).stored_j
+        if battery:
             # The controller arms the inverter before the run starts, so
             # the first discharge needs no turnaround.
-            dstate = replace(dstate, mode="discharging")
+            mode = "discharging"
 
+    demand_a = trace.samples.astype(float, copy=True)
     served_a = np.zeros(n)
     grid_a = np.zeros(n)
     discharge_a = np.zeros(n)
     charge_a = np.zeros(n)
     dummy_a = np.zeros(n)
-    curtailed_a = np.zeros(n)
     stored_a = np.zeros(n)
-    temp_a = np.zeros(n)
+    served_m, grid_m, discharge_m, charge_m, dummy_m, stored_m = (
+        memoryview(a) for a in (served_a, grid_a, discharge_a, charge_a, dummy_a, stored_a))
     violations = []
 
-    # Restart penalties: (expiry time, accelerators held down); the
-    # effective count at any step is the max over active entries.  While a
-    # shortfall event is open, the accelerators it has shed so far stay
-    # down too, so a shed unit is blocked without gaps from the step it
-    # drops until its restart hold expires.
-    penalties = []
+    # Restart holds: (expiry time, accelerators held down); the effective
+    # count at any step is the max over unexpired holds.  Holds expire in
+    # the order they are added (the penalty is constant), and a hold that
+    # expires no later than a newer, larger one never sets the max, so it
+    # is dropped when the newer one is added.  The deque front is then the
+    # max.  While a shortfall event is open, the accelerators it has shed
+    # so far stay down too, so a shed unit is blocked without gaps from the
+    # step it drops until its restart hold expires.
+    holds = deque()
     in_event = False
     event_max_gpus = 0
     unserved_events = 0
 
-    temp = config.t_ambient_c
-    k_heat = config.heat_factor
     c_prev = 0.0
     g_prev = 0.0
     restart = config.restart_penalty_s
 
-    for i in range(n):
-        t_now = i * dt
+    # min() and max() are written out as comparisons that pick the same
+    # operand on ties, which keeps the output bits and saves calls per step.
+    for i, demand in enumerate(memoryview(demand_a)):
         blocked = 0
         if restart > 0.0:
             if in_event:
                 blocked = event_max_gpus
-            if penalties:
-                penalties = [p for p in penalties if p[0] > t_now + 1e-12]
-                for _, g_cnt in penalties:
-                    if g_cnt > blocked:
-                        blocked = g_cnt
+            if holds:
+                t_now = i * dt
+                while holds and holds[0][0] <= t_now + 1e-12:
+                    holds.popleft()
+                if holds and holds[0][1] > blocked:
+                    blocked = holds[0][1]
 
-        demand = float(samples[i])
-        d_eff = demand if not blocked else max(0.0, demand - blocked * gpu_w)
-        if ideal:
+        if ideal or not blocked:
             d_eff = demand
+        else:
+            d_eff = demand - blocked * gpu_w
+            if not d_eff > 0.0:
+                d_eff = 0.0
 
-        need = p_infra + min(d_eff, theta)
+        need = p_infra + (theta if theta < d_eff else d_eff)
         if tracked_feed and i > 0:
-            c = min(max(need, c_prev - r_step), c_prev + r_step)
+            c = c_prev - r_step
+            if not c > need:
+                c = need
+            if c_prev + r_step < c:
+                c = c_prev + r_step
             if c > cap:
                 c = cap
         else:
@@ -325,17 +343,25 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
 
         if ideal:
             delivered, absorbed = deficit, 0.0
-        elif device is not None:
+        elif device is None:
+            delivered, absorbed = 0.0, 0.0
+        else:
             request = deficit if deficit > 0.0 else 0.0
             offer = surplus if deficit <= 0.0 else 0.0
-            delivered, absorbed, dstate = device_step(device, dstate, request, offer, dt)
-        else:
-            delivered, absorbed = 0.0, 0.0
+            if passive:
+                delivered, absorbed, stored, mode, last = passive_update(
+                    device, dt, stored, mode, last, request, offer)
+            else:
+                delivered, absorbed, stored, mode, last, target, remaining = battery_update(
+                    device, dt, stored, mode, last, target, remaining, request, offer)
+            stored_m[i] = stored
 
         shortfall = deficit - delivered
         if shortfall < 0.0:
             shortfall = 0.0
-        escal = min(shortfall, cap - c)
+        escal = cap - c
+        if not escal < shortfall:
+            escal = shortfall
         live_short = shortfall - escal
         if live_short < _W_EPS:
             live_short = 0.0
@@ -346,7 +372,7 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
             dummy = 0.0
         grid = p_infra + served + dummy + absorbed - delivered
 
-        if i > 0 and abs(grid - g_prev) > r_step * (1.0 + 1e-9) + _W_EPS:
+        if i > 0 and abs(grid - g_prev) > r_bound:
             violations.append(i)
 
         if live_short > 0.0:
@@ -366,22 +392,32 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
             # the restart penalty from this step on.
             in_event = False
             if restart > 0.0 and event_max_gpus > 0:
-                penalties.append((t_now + restart, event_max_gpus))
+                while holds and holds[-1][1] <= event_max_gpus:
+                    holds.pop()
+                holds.append((i * dt + restart, event_max_gpus))
 
-        temp = thermal_step(temp, k_heat * (served + dummy), config, dt)
-
-        served_a[i] = served
-        grid_a[i] = grid
-        discharge_a[i] = delivered
-        charge_a[i] = absorbed
-        dummy_a[i] = dummy
-        curtailed_a[i] = demand - served
-        stored_a[i] = dstate.stored_j if dstate is not None else 0.0
-        temp_a[i] = temp
+        served_m[i] = served
+        grid_m[i] = grid
+        discharge_m[i] = delivered
+        charge_m[i] = absorbed
+        dummy_m[i] = dummy
         c_prev = c
         g_prev = grid
 
-    demand_a = samples.astype(float, copy=True)
+    # The simulation never reads the temperature, so the thermal node is
+    # integrated here, with thermal_step's Euler update, over the heat of
+    # served compute plus dummy load.
+    k_scale = config.k_scale_c_per_w
+    t_amb = config.t_ambient_c
+    tau = config.thermal_tau_s
+    temp_a = np.empty(n)
+    temp_m = memoryview(temp_a)
+    temp = t_amb
+    for i, heat in enumerate(memoryview(config.heat_factor * (served_a + dummy_a))):
+        temp = temp + dt * (heat * k_scale - (temp - t_amb)) / tau
+        temp_m[i] = temp
+
+    curtailed_a = demand_a - served_a
     gpu_steps = np.ceil(np.maximum(curtailed_a, 0.0) / gpu_w - 1e-9)
     return ShavingResult(
         strategy=strategy,
@@ -409,9 +445,7 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
 
 def useful_compute_j(result: ShavingResult) -> float:
     """Served energy weighted by the thermal de-rating capacity factor."""
-    cfg = result.config
-    over = np.maximum(0.0, result.temperature_c - cfg.t_derate_c)
-    factor = np.maximum(0.0, 1.0 - cfg.derate_slope_per_c * over)
+    factor = derate_factor(result.temperature_c, result.config)
     return float(np.sum(result.p_comp_served * factor) * result.dt_s)
 
 
@@ -454,10 +488,6 @@ def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
-
-def result_series_dict(result: ShavingResult) -> dict:
-    return {name: getattr(result, name) for name in _SERIES_NAMES}
-
 
 def result_summary_dict(result: ShavingResult) -> dict:
     return {
