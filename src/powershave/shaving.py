@@ -280,6 +280,8 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     charge_a = np.zeros(n)
     dummy_a = np.zeros(n)
     stored_a = np.zeros(n)
+    curtailed_a = np.zeros(n)
+    temp_a = np.zeros(n)
     served_m, grid_m, discharge_m, charge_m, dummy_m, stored_m = (
         memoryview(a) for a in (served_a, grid_a, discharge_a, charge_a, dummy_a, stored_a))
     violations = []
@@ -410,14 +412,17 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     k_scale = config.k_scale_c_per_w
     t_amb = config.t_ambient_c
     tau = config.thermal_tau_s
-    temp_a = np.empty(n)
+    # temp_a holds each step's heat input until that step's temperature
+    # overwrites it.
+    np.add(served_a, dummy_a, out=temp_a)
+    temp_a *= config.heat_factor
     temp_m = memoryview(temp_a)
     temp = t_amb
-    for i, heat in enumerate(memoryview(config.heat_factor * (served_a + dummy_a))):
+    for i, heat in enumerate(temp_m):
         temp = temp + dt * (heat * k_scale - (temp - t_amb)) / tau
         temp_m[i] = temp
 
-    curtailed_a = demand_a - served_a
+    np.subtract(demand_a, served_a, out=curtailed_a)
     gpu_steps = np.ceil(np.maximum(curtailed_a, 0.0) / gpu_w - 1e-9)
     return ShavingResult(
         strategy=strategy,

@@ -172,10 +172,5 @@ def short_results(short_trace):
 @pytest.fixture(scope="session")
 def preset_results(default_trace, default_config):
     """Default-config runs of all five strategies on the calibrated trace."""
-    out = {}
-    for name in ("none", "ideal"):
-        out[name] = run_sim(default_trace, name, default_config)
-    for name in ("capacitor", "supercap", "battery"):
-        spec = ps.builtin_device_spec(name)
-        out[name] = run_sim(default_trace, spec, default_config)
-    return out
+    return {name: run_sim(default_trace, strategy_spec(name), default_config)
+            for name in STRATEGIES}
