@@ -279,8 +279,8 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     discharge_a = np.zeros(n)
     charge_a = np.zeros(n)
     dummy_a = np.zeros(n)
-    stored_a = np.zeros(n)
     curtailed_a = np.zeros(n)
+    stored_a = np.zeros(n)
     temp_a = np.zeros(n)
     served_m, grid_m, discharge_m, charge_m, dummy_m, stored_m = (
         memoryview(a) for a in (served_a, grid_a, discharge_a, charge_a, dummy_a, stored_a))
