@@ -19,14 +19,14 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .trace import (DEFAULT_SYNTH_CONFIG, load_synth_config, load_trace,
                     synthesize_trace, write_synth_config, write_trace)
 from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, detect_spikes,
-                     spike_statistics, stats_to_dict, write_spikes_csv,
-                     write_stats_json)
+                     spike_statistics, write_spikes_csv, write_stats_json)
 from .devices import BUILTIN_DEVICE_NAMES, builtin_device_spec, load_device_spec
 from .shaving import (SimConfig, load_sim_config, simulate_shaving,
                       write_result_csv, write_result_summary_json,
@@ -136,7 +136,6 @@ def _cmd_synth(args) -> int:
         config = load_synth_config(args.config)
         inputs = {args.config: _sha256_file(args.config)}
     if args.seed is not None:
-        from dataclasses import replace
         config = replace(config, seed=args.seed)
     trace = synthesize_trace(config)
     trace_text = _write_via(write_trace, trace)
@@ -198,7 +197,6 @@ def _cmd_simulate(args) -> int:
     else:
         config = SimConfig()
     if args.threshold_w is not None or args.threshold_frac is not None:
-        from dataclasses import replace
         config = replace(config, threshold=_threshold_from_args(args))
     device = _resolve_device(args.device)
     if args.device not in _DEVICE_CHOICES and os.path.exists(args.device):

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from ._textio import check_json_fields
+
 __all__ = [
     "PASSIVE_KINDS",
     "DEVICE_KINDS",
@@ -284,12 +286,9 @@ def load_device_spec(source) -> DeviceSpec:
         raise ValueError(f"bad device spec JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("device spec must be a JSON object")
-    expected = set(DeviceSpec.__dataclass_fields__)
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown device spec fields: {sorted(unknown)}")
     if "kind" not in data:
         raise ValueError("device spec missing 'kind'")
+    check_json_fields(DeviceSpec, data, "device spec")
     return DeviceSpec(**data)
 
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._textio import check_json_fields, write_columns_csv
 from .trace import PowerTrace
 from .spikes import ThresholdSpec
 from .devices import (DeviceSpec, PASSIVE_KINDS, battery_update, init_state,
@@ -155,15 +156,13 @@ def load_sim_config(source) -> SimConfig:
         raise ValueError(f"bad sim config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("sim config must be a JSON object")
-    expected = set(SimConfig.__dataclass_fields__)
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown sim config fields: {sorted(unknown)}")
+    check_json_fields(SimConfig, data, "sim config")
     data = dict(data)
     if "threshold" in data:
         thr = data["threshold"]
         if not isinstance(thr, dict):
             raise ValueError("threshold must be an object")
+        check_json_fields(ThresholdSpec, thr, "threshold")
         data["threshold"] = ThresholdSpec(**thr)
     return SimConfig(**data)
 
@@ -514,17 +513,11 @@ def result_summary_dict(result: ShavingResult) -> dict:
 
 
 def write_result_csv(result: ShavingResult, dest) -> None:
-    """One row per step, columns exactly the series names."""
-    lines = [",".join(_SERIES_NAMES)]
-    cols = [getattr(result, name) for name in _SERIES_NAMES]
-    for i in range(result.n_steps):
-        lines.append(",".join(repr(float(col[i])) for col in cols))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """One row per step, columns exactly the series names, values as float
+    repr."""
+    write_columns_csv(dest, (",".join(_SERIES_NAMES),),
+                      [np.asarray(getattr(result, name), dtype=np.float64)
+                       for name in _SERIES_NAMES])
 
 
 def write_result_summary_json(result: ShavingResult, dest) -> None:

@@ -13,12 +13,13 @@ floor.
 from __future__ import annotations
 
 import json
-import io
 import math
-import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from itertools import repeat
 
 import numpy as np
+
+from ._textio import check_json_fields, is_number, write_columns_csv
 
 __all__ = [
     "TraceFormatError",
@@ -96,6 +97,133 @@ class PowerTrace:
         return float(np.sum(self.samples) * self.dt_s)
 
 
+def _is_header(text: str) -> bool:
+    return [c.strip() for c in text.split(",")] == ["timestamp_s", "power_w"]
+
+
+def _read_comment(meta: dict, text: str, lineno: int) -> None:
+    """Store the metadata of a '#' comment line in meta; later lines win."""
+    body = text.lstrip("#").strip()
+    if "=" not in body:
+        return
+    key, _, value = body.partition("=")
+    key = key.strip()
+    value = value.strip()
+    if key in ("rack_max_w", "dt_s"):
+        try:
+            meta[key] = float(value)
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: bad {key} value {value!r}") from None
+    elif key == "label":
+        meta[key] = value
+
+
+def _parse_lines(raw: str):
+    """Parse trace text line by line, raising at the first line that
+    breaks a rule.  Returns (times, powers, meta, header_seen)."""
+    meta: dict = {}
+    times: list[float] = []
+    powers: list[float] = []
+    header_seen = False
+
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            _read_comment(meta, text, lineno)
+            continue
+        if not header_seen:
+            if not _is_header(text):
+                raise TraceFormatError(
+                    f"line {lineno}: expected header 'timestamp_s,power_w', got {text!r}"
+                )
+            header_seen = True
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t = float(parts[0])
+            p = float(parts[1])
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: non-numeric row {text!r}") from None
+        if not (math.isfinite(t) and math.isfinite(p)):
+            raise TraceFormatError(f"line {lineno}: non-finite row {text!r}")
+        if p < 0.0:
+            raise CorruptTraceError(f"line {lineno}: negative power {p}")
+        times.append(t)
+        powers.append(p)
+    return times, powers, meta, header_seen
+
+
+# Characters of trace text the bulk parse takes at a time; it bounds the
+# token lists held at once.
+_PARSE_BLOCK_CHARS = 1 << 18
+
+
+def _parse_rows(rows: list):
+    """Time and power arrays of stripped data rows, or None if a row does
+    not hold two numbers, a finite time and a finite non-negative power.
+    float() runs once per time token and once per distinct power token."""
+    if list(map(str.count, rows, repeat(","))).count(1) != len(rows):
+        return None
+    tokens = ",".join(rows).split(",")
+    try:
+        t = np.fromiter(map(float, tokens[0::2]), np.float64, len(rows))
+        distinct = dict.fromkeys(tokens[1::2])
+        distinct = dict(zip(distinct, map(float, distinct)))
+    except ValueError:
+        return None
+    p = np.fromiter(map(distinct.__getitem__, tokens[1::2]), np.float64, len(rows))
+    if not (np.isfinite(t).all() and np.isfinite(p).all()) or (p < 0.0).any():
+        return None
+    return t, p
+
+
+def _parse_bulk(raw: str):
+    """_parse_lines' result from array code over blocks of lines, or None
+    where a line breaks a rule; _parse_lines then finds and reports the
+    first such line."""
+    meta: dict = {}
+    t_blocks: list = []
+    p_blocks: list = []
+    header_seen = False
+    pos = 0
+    while pos < len(raw):
+        # A cut just after "\n" is a line end of splitlines(), whatever
+        # line ending the text uses.
+        end = raw.find("\n", pos + _PARSE_BLOCK_CHARS) + 1 or len(raw)
+        chunk = raw[pos:end]
+        pos = end
+        rows = list(map(str.strip, chunk.splitlines()))
+        if "#" in chunk:
+            # A bad metadata value makes _parse_lines report it with its
+            # line number, which this pass does not track.
+            try:
+                for text in [text for text in rows if text.startswith("#")]:
+                    _read_comment(meta, text, 0)
+            except TraceFormatError:
+                return None
+            rows = [text for text in rows if not text.startswith("#")]
+        if "" in rows:
+            rows = list(filter(None, rows))
+        if rows and not header_seen:
+            if not _is_header(rows[0]):
+                return None
+            header_seen = True
+            del rows[0]
+        if rows:
+            parsed = _parse_rows(rows)
+            if parsed is None:
+                return None
+            t_blocks.append(parsed[0])
+            p_blocks.append(parsed[1])
+    if not t_blocks:
+        return [], [], meta, header_seen
+    return np.concatenate(t_blocks), np.concatenate(p_blocks), meta, header_seen
+
+
 def load_trace(source, format: str = "csv", rack_max_w: float | None = None) -> PowerTrace:
     """Parse a trace from a CSV byte/text stream or path.
 
@@ -116,62 +244,10 @@ def load_trace(source, format: str = "csv", rack_max_w: float | None = None) -> 
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
 
-    meta_rack: float | None = None
-    meta_dt: float | None = None
-    label = ""
-    times: list[float] = []
-    powers: list[float] = []
-    header_seen = False
-
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key == "rack_max_w":
-                    try:
-                        meta_rack = float(value)
-                    except ValueError:
-                        raise TraceFormatError(
-                            f"line {lineno}: bad rack_max_w value {value!r}"
-                        ) from None
-                elif key == "dt_s":
-                    try:
-                        meta_dt = float(value)
-                    except ValueError:
-                        raise TraceFormatError(
-                            f"line {lineno}: bad dt_s value {value!r}"
-                        ) from None
-                elif key == "label":
-                    label = value
-            continue
-        if not header_seen:
-            cols = [c.strip() for c in text.split(",")]
-            if cols != ["timestamp_s", "power_w"]:
-                raise TraceFormatError(
-                    f"line {lineno}: expected header 'timestamp_s,power_w', got {text!r}"
-                )
-            header_seen = True
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            t = float(parts[0])
-            p = float(parts[1])
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: non-numeric row {text!r}") from None
-        if not (math.isfinite(t) and math.isfinite(p)):
-            raise TraceFormatError(f"line {lineno}: non-finite row {text!r}")
-        if p < 0.0:
-            raise CorruptTraceError(f"line {lineno}: negative power {p}")
-        times.append(t)
-        powers.append(p)
+    parsed = _parse_bulk(raw)
+    if parsed is None:
+        parsed = _parse_lines(raw)
+    times, powers, meta, header_seen = parsed
 
     if not header_seen:
         raise TraceFormatError("missing 'timestamp_s,power_w' header")
@@ -180,13 +256,14 @@ def load_trace(source, format: str = "csv", rack_max_w: float | None = None) -> 
     if len(times) < 2:
         raise CorruptTraceError("trace needs at least two samples to fix the interval")
 
-    t_arr = np.asarray(times)
+    t_arr = np.asarray(times, dtype=np.float64)
     gaps = np.diff(t_arr)
     if np.any(gaps <= 0.0):
         bad = int(np.argmax(gaps <= 0.0)) + 2  # row index of the offending sample
         raise CorruptTraceError(f"timestamps not strictly increasing at data row {bad}")
     # Prefer the declared interval: timestamps rebuilt as origin + k*dt
     # carry float noise that a span-based estimate inherits.
+    meta_dt = meta.get("dt_s")
     if meta_dt is not None:
         if not (meta_dt > 0.0 and math.isfinite(meta_dt)):
             raise TraceFormatError(f"dt_s metadata must be a positive float, got {meta_dt}")
@@ -200,16 +277,16 @@ def load_trace(source, format: str = "csv", rack_max_w: float | None = None) -> 
             f"{_GAP_RTOL:.1%} from the median interval {dt}"
         )
 
-    rack = rack_max_w if rack_max_w is not None else meta_rack
+    rack = rack_max_w if rack_max_w is not None else meta.get("rack_max_w")
     if rack is None:
         raise TraceFormatError("rack_max_w missing: not in file metadata and no override given")
 
     return PowerTrace(
         dt_s=dt,
-        samples=np.asarray(powers),
+        samples=np.asarray(powers, dtype=np.float64),
         rack_max_w=float(rack),
-        source_label=label,
-        origin_time_s=float(times[0]),
+        source_label=meta.get("label", ""),
+        origin_time_s=float(t_arr[0]),
     )
 
 
@@ -219,26 +296,13 @@ def write_trace(trace: PowerTrace, dest) -> None:
     Floats are emitted with repr so a write/load round trip preserves
     every sample bit for bit.
     """
-    lines = [
+    header = (
         f"# rack_max_w={trace.rack_max_w!r}",
         f"# dt_s={trace.dt_s!r}",
         f"# label={trace.source_label}",
         "timestamp_s,power_w",
-    ]
-    origin = trace.origin_time_s
-    dt = trace.dt_s
-    for k, p in enumerate(trace.samples):
-        lines.append(f"{origin + k * dt!r},{float(p)!r}")
-    text = "\n".join(lines) + "\n"
-
-    if hasattr(dest, "write"):
-        try:
-            dest.write(text)
-        except TypeError:
-            dest.write(text.encode("utf-8"))
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    )
+    write_columns_csv(dest, header, (trace.times(), trace.samples))
 
 
 def resample(trace: PowerTrace, dt_new_s: float) -> PowerTrace:
@@ -358,17 +422,12 @@ def load_synth_config(source) -> SynthConfig:
         raise TraceFormatError(f"bad synth config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise TraceFormatError("synth config must be a JSON object")
-    expected = set(SynthConfig.__dataclass_fields__)
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown synth config fields: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing synth config fields: {sorted(missing)}")
+    check_json_fields(SynthConfig, data, "synth config")
     data = dict(data)
     bd = data["burst_duration_s"]
-    if not (isinstance(bd, (list, tuple)) and len(bd) == 2):
-        raise ValueError("burst_duration_s must be a [low, high] pair")
+    if not (isinstance(bd, (list, tuple)) and len(bd) == 2
+            and all(map(is_number, bd))):
+        raise ValueError("burst_duration_s must be a [low, high] pair of numbers")
     data["burst_duration_s"] = (float(bd[0]), float(bd[1]))
     return SynthConfig(**data)
 

@@ -93,6 +93,17 @@ def test_synth_missing_seed_exit2(work, tmp_path):
     assert "seed" in proc.stderr
 
 
+def test_synth_bad_config_value_exit2(tmp_path):
+    cfg = dict(SHORT_SYNTH, burst_power_w="700")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path)],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "burst_power_w" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_synth_reruns_byte_identical(work, tmp_path):
     dirs = (tmp_path / "a", tmp_path / "b")
     for d in dirs:
@@ -205,6 +216,33 @@ def test_simulate_unknown_device_exit2(work, tmp_path):
     assert proc.returncode == 2
     for name in ("none", "ideal", "capacitor", "supercap", "battery"):
         assert name in proc.stderr
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"p_infra_w": "abc"}, "p_infra_w"),
+    ({"threshold": {"frac": 0.7}}, "frac"),
+    ({"threshold": {"absolute_w": "9e4"}}, "absolute_w"),
+])
+def test_simulate_bad_config_value_exit2(work, tmp_path, config, field):
+    path = tmp_path / "bad_sim.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", "none",
+                    "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_bad_device_spec_value_exit2(work, tmp_path):
+    spec = {"kind": "battery", "energy_capacity_j": "lots", "max_discharge_w": 35000.0,
+            "max_charge_w": 35000.0}
+    path = tmp_path / "bad_device.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", str(path),
+                    "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "energy_capacity_j" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_missing_trace_exit1(tmp_path):

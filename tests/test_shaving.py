@@ -442,6 +442,53 @@ def test_result_csv_layout():
     assert first[0] == 300.0
 
 
+# Values whose repr is easy to get wrong when formatting is shared between
+# cells: signed zeros, subnormals, and both sides of repr's switches to
+# exponent form (above 1e16 and below 1e-4).
+AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                  9999999999999998.0, 1e16, 1.0000000000000002e16, 1.2e17,
+                  1e-4, 9.999999999999999e-05, 1e-5, 1.0000000000000001e-05,
+                  700.0, 0.1, math.inf, -math.inf, math.nan)
+
+
+def naive_result_csv(result):
+    """write_result_csv's text, one repr(float(x)) per cell."""
+    names = ("p_comp_demand", "p_comp_served", "p_grid", "p_ext_discharge",
+             "p_ext_charge", "p_dummy", "curtailed_w", "stored_j", "temperature_c")
+    lines = [",".join(names)]
+    for i in range(result.n_steps):
+        lines.append(",".join(repr(float(getattr(result, name)[i])) for name in names))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])
+def test_result_csv_matches_per_cell_repr(offset):
+    from dataclasses import replace
+    from powershave._textio import CSV_BLOCK_ROWS
+    n = 1 if offset is None else CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    pool = np.array(AWKWARD_FLOATS)
+    tr = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)
+    base = run_sim(tr, "none", loose_config(threshold=ThresholdSpec(absolute_w=600.0)))
+    cols = {name: rng.choice(pool, size=n) for name in (
+        "p_comp_demand", "p_comp_served", "p_grid", "p_ext_discharge",
+        "p_ext_charge", "p_dummy", "curtailed_w")}
+    # A column without repeats, signed zeros at its head.
+    distinct = np.arange(n, dtype=float) * 1e-5
+    distinct[0] = -0.0
+    cols["stored_j"] = distinct
+    # Repeats that straddle the block boundary, among values unique to them.
+    straddle = np.arange(n, dtype=float) + 0.5
+    straddle[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = -0.0
+    straddle[0] = 0.0
+    straddle[1:2] = -0.0
+    cols["temperature_c"] = straddle
+    result = replace(base, **cols)
+    buf = io.StringIO()
+    ps.write_result_csv(result, buf)
+    assert buf.getvalue() == naive_result_csv(result)
+
+
 def test_result_summary_json_fields():
     tr = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)
     r = run_sim(tr, "ideal", loose_config(threshold=ThresholdSpec(absolute_w=600.0),

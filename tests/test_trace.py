@@ -105,6 +105,205 @@ def test_load_rejects_unknown_format():
         ps.load_trace(io.StringIO("x"), format="parquet")
 
 
+def oracle_load_trace(raw: str, rack_max_w=None):
+    """The per-line trace parser load_trace replaced, kept verbatim as the
+    behaviour reference."""
+    meta_rack = None
+    meta_dt = None
+    label = ""
+    times = []
+    powers = []
+    header_seen = False
+
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text.lstrip("#").strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if key == "rack_max_w":
+                    try:
+                        meta_rack = float(value)
+                    except ValueError:
+                        raise TraceFormatError(
+                            f"line {lineno}: bad rack_max_w value {value!r}"
+                        ) from None
+                elif key == "dt_s":
+                    try:
+                        meta_dt = float(value)
+                    except ValueError:
+                        raise TraceFormatError(
+                            f"line {lineno}: bad dt_s value {value!r}"
+                        ) from None
+                elif key == "label":
+                    label = value
+            continue
+        if not header_seen:
+            cols = [c.strip() for c in text.split(",")]
+            if cols != ["timestamp_s", "power_w"]:
+                raise TraceFormatError(
+                    f"line {lineno}: expected header 'timestamp_s,power_w', got {text!r}"
+                )
+            header_seen = True
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t = float(parts[0])
+            p = float(parts[1])
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: non-numeric row {text!r}") from None
+        if not (math.isfinite(t) and math.isfinite(p)):
+            raise TraceFormatError(f"line {lineno}: non-finite row {text!r}")
+        if p < 0.0:
+            raise CorruptTraceError(f"line {lineno}: negative power {p}")
+        times.append(t)
+        powers.append(p)
+
+    if not header_seen:
+        raise TraceFormatError("missing 'timestamp_s,power_w' header")
+    if len(times) == 0:
+        raise TraceFormatError("trace has no samples")
+    if len(times) < 2:
+        raise CorruptTraceError("trace needs at least two samples to fix the interval")
+
+    t_arr = np.asarray(times)
+    gaps = np.diff(t_arr)
+    if np.any(gaps <= 0.0):
+        bad = int(np.argmax(gaps <= 0.0)) + 2
+        raise CorruptTraceError(f"timestamps not strictly increasing at data row {bad}")
+    if meta_dt is not None:
+        if not (meta_dt > 0.0 and math.isfinite(meta_dt)):
+            raise TraceFormatError(f"dt_s metadata must be a positive float, got {meta_dt}")
+        dt = meta_dt
+    else:
+        dt = float(np.median(gaps))
+    if np.any(np.abs(gaps - dt) > 0.005 * dt):
+        bad = int(np.argmax(np.abs(gaps - dt) > 0.005 * dt)) + 2
+        raise CorruptTraceError(
+            f"irregular sampling at data row {bad}: gap deviates more than "
+            f"{0.005:.1%} from the median interval {dt}"
+        )
+
+    rack = rack_max_w if rack_max_w is not None else meta_rack
+    if rack is None:
+        raise TraceFormatError("rack_max_w missing: not in file metadata and no override given")
+
+    return ps.PowerTrace(dt_s=dt, samples=np.asarray(powers), rack_max_w=float(rack),
+                         source_label=label, origin_time_s=float(times[0]))
+
+
+def _number_token(rng, value: float) -> str:
+    """A spelling of value that float() reads back exactly."""
+    text = repr(value)
+    roll = rng.random()
+    if roll < 0.05 and value >= 0.0:
+        text = "+" + text
+    elif roll < 0.10 and value == int(value) and 10.0 <= value < 1e6:
+        digits = str(int(value))
+        text = digits[0] + "_" + digits[1:]
+    if rng.random() < 0.1:
+        text = rng.choice([" ", "\t", "  "]) + text + rng.choice(["", " ", "\t"])
+    return text
+
+
+_FAULTS = ("fields1", "fields3", "non_numeric", "non_finite", "negative",
+           "gap", "backwards", "bad_meta")
+
+
+def _generated_trace_text(rng) -> str:
+    """A small trace file: valid, with odd but legal spellings, or with one
+    or two faults placed at random rows."""
+    dt = float(rng.choice([0.005, 0.01, 1.0 / 3000.0]))
+    origin = float(rng.choice([0.0, 12.5, -3.0]))
+    comments = ["# label=gen trace", "#note without equals", "  # label = spaced ",
+                "## rack_max_w = 6000", "# unknown=1", f"# dt_s={dt!r}"]
+    lines = []
+    if rng.random() < 0.9:
+        lines.append("# rack_max_w=5000.0")
+    for _ in range(int(rng.integers(0, 3))):
+        lines.append(str(rng.choice(comments + ["", "  "])))
+    roll = rng.random()
+    if roll < 0.93:
+        lines.append(str(rng.choice(["timestamp_s,power_w", " timestamp_s , power_w "])))
+    elif roll < 0.97:
+        lines.append(str(rng.choice(["timestamp_s,power_w,extra", "time,power"])))
+    n_rows = int(rng.integers(0, 40))
+    n_faults = int(rng.choice([0, 1, 2], p=[0.5, 0.35, 0.15]))
+    faults = dict(zip(rng.integers(0, max(n_rows, 1), size=n_faults).tolist(),
+                      rng.choice(_FAULTS, size=n_faults).tolist()))
+    skipped = 0
+    for k in range(n_rows):
+        if rng.random() < 0.08:
+            lines.append(str(rng.choice(comments + ["", "   ", "\t"])))
+        fault = faults.get(k)
+        if fault == "gap":
+            skipped += 3
+        t = origin + (k + skipped) * dt
+        if fault == "backwards":
+            t -= 5.0 * dt
+        p = float(rng.choice([0.0, -0.0, 250.0, 1234.5, 5e-324, 1e-5, 3000.0]))
+        fields = [_number_token(rng, t), _number_token(rng, p)]
+        if fault == "fields1":
+            fields = fields[:1]
+        elif fault == "fields3":
+            fields.append("1.0")
+        elif fault == "non_numeric":
+            fields[int(rng.integers(0, 2))] = str(rng.choice(["t0", "1.0.0", "", "0x10"]))
+        elif fault == "non_finite":
+            fields[int(rng.integers(0, 2))] = str(rng.choice(["nan", "inf", "-inf", "Infinity"]))
+        elif fault == "negative":
+            fields[1] = "-" + repr(float(rng.choice([1.0, 250.0, 1e-5])))
+        elif fault == "bad_meta":
+            lines.append(str(rng.choice(["# rack_max_w=lots", "# dt_s=", "# dt_s=-1"])))
+        lines.append(",".join(fields))
+    ending = str(rng.choice(["\n", "\r\n", "\r"], p=[0.6, 0.3, 0.1]))
+    text = ending.join(lines)
+    if rng.random() < 0.8:
+        text += ending
+    return text
+
+
+@pytest.mark.parametrize("block_chars", [None, 16, 100])
+def test_load_trace_matches_per_line_oracle(monkeypatch, block_chars):
+    """load_trace accepts what the per-line parser accepts, with the same
+    bits, and rejects the rest with the same exception and message.  Small
+    parse blocks move block edges onto comments, blanks and the header."""
+    from powershave import trace as trace_mod
+    if block_chars is not None:
+        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+    rng = np.random.default_rng(2024 + (block_chars or 0))
+    accepted = rejected = 0
+    for case in range(300):
+        text = _generated_trace_text(rng)
+        override = 4000.0 if case % 7 == 0 else None
+        try:
+            want = oracle_load_trace(text, rack_max_w=override)
+        except ValueError as exc:
+            rejected += 1
+            with pytest.raises(type(exc)) as err:
+                ps.load_trace(io.StringIO(text), rack_max_w=override)
+            assert str(err.value) == str(exc), text
+            continue
+        accepted += 1
+        # A valid file never needs the per-line parser.
+        assert trace_mod._parse_bulk(text) is not None, text
+        source = io.BytesIO(text.encode("utf-8")) if case % 2 else io.StringIO(text)
+        got = ps.load_trace(source, rack_max_w=override)
+        assert got.samples.tobytes() == want.samples.tobytes(), text
+        assert got.dt_s == want.dt_s
+        assert got.origin_time_s == want.origin_time_s
+        assert got.source_label == want.source_label
+        assert got.rack_max_w == want.rack_max_w
+    # Both verdicts are well represented.
+    assert accepted >= 80 and rejected >= 80, (accepted, rejected)
+
+
 # ---------------------------------------------------------------------------
 # 3. Round trip
 # ---------------------------------------------------------------------------
@@ -144,6 +343,45 @@ def test_round_trip_many_random_traces():
         assert back.dt_s == tr.dt_s
         np.testing.assert_array_equal(back.samples, tr.samples)
     print("round-trip identity held on 25 random traces")
+
+
+def naive_trace_csv(tr):
+    """write_trace's text, one repr per cell and origin + k * dt per row."""
+    lines = [f"# rack_max_w={tr.rack_max_w!r}", f"# dt_s={tr.dt_s!r}",
+             f"# label={tr.source_label}", "timestamp_s,power_w"]
+    for k, p in enumerate(tr.samples.tolist()):
+        lines.append(f"{tr.origin_time_s + k * tr.dt_s!r},{p!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])
+def test_write_trace_matches_per_cell_repr(offset):
+    from powershave._textio import CSV_BLOCK_ROWS
+    n = 1 if offset is None else CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    pool = np.array([0.0, -0.0, 5e-324, 1e-310, 9999999999999998.0, 1e16,
+                     1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1e-5,
+                     1.0000000000000001e-05, 700.0, 0.1])
+    samples = rng.choice(pool, size=n)
+    # Repeats that straddle the block boundary.
+    samples[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = -0.0
+    tr = ps.PowerTrace(dt_s=1.0 / 3000.0, samples=samples, rack_max_w=2e16,
+                       source_label="awkward", origin_time_s=12.345)
+    buf = io.StringIO()
+    ps.write_trace(tr, buf)
+    assert buf.getvalue() == naive_trace_csv(tr)
+    if n > 1:
+        back = ps.load_trace(io.StringIO(buf.getvalue()))
+        assert back.samples.tobytes() == tr.samples.tobytes()
+
+
+def test_write_trace_to_binary_stream_and_path(tmp_path):
+    tr = make_trace([1.0, -0.0, 3.5], dt=0.25, rack_max=10.0)
+    buf = io.BytesIO()
+    ps.write_trace(tr, buf)
+    ps.write_trace(tr, tmp_path / "t.csv")
+    assert buf.getvalue().decode("utf-8") == naive_trace_csv(tr)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == naive_trace_csv(tr)
 
 
 # ---------------------------------------------------------------------------
