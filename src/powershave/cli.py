@@ -63,6 +63,41 @@ def _write_via(writer, *args) -> str:
     return buf.getvalue()
 
 
+class _HashingSink:
+    """Text stream that writes UTF-8 to a binary file and hashes the bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8")
+        self.sha.update(data)
+        self.fh.write(data)
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        for text in lines:
+            self.write(text)
+
+    def tell(self) -> int:
+        # Bytes written so far; bench/tracer.py reads it after
+        # write_result_csv to count shaving.csv_bytes.
+        return self.fh.tell()
+
+
+def _write_output(path: str, writer, *args) -> str:
+    """Atomically write writer's text to path, chunk by chunk as the writer
+    yields it, so the whole file is never held in memory; returns its
+    sha256 digest."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        sink = _HashingSink(fh)
+        writer(*args, sink)
+    os.replace(tmp, path)
+    return "sha256:" + sink.sha.hexdigest()
+
+
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("POWERSHAVE_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -138,13 +173,12 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     trace = synthesize_trace(config)
-    trace_text = _write_via(write_trace, trace)
     trace_path = os.path.join(out, "trace.csv")
-    _atomic_write(trace_path, trace_text)
+    trace_digest = _write_output(trace_path, write_trace, trace)
     _write_manifest(
         out, "synth", inputs,
         {"synth_config": _sha256_text(_write_via(write_synth_config, config))},
-        config.seed, {"trace.csv": _sha256_text(trace_text)})
+        config.seed, {"trace.csv": trace_digest})
     print(f"wrote {trace_path} ({trace.n_samples} samples, "
           f"{trace.duration_s:.1f} s at {trace.dt_s * 1e3:.1f} ms)")
     return 0
@@ -160,20 +194,17 @@ def _cmd_analyze(args) -> int:
     spikes = detect_spikes(trace, threshold)
     stats = spike_statistics(spikes, energy_bin_edges=edges)
 
-    spikes_text = _write_via(write_spikes_csv, spikes)
-    stats_text = _write_via(write_stats_json, stats)
     spikes_path = os.path.join(out, "spikes.csv")
     stats_path = os.path.join(out, "spike_stats.json")
-    _atomic_write(spikes_path, spikes_text)
-    _atomic_write(stats_path, stats_text)
+    spikes_digest = _write_output(spikes_path, write_spikes_csv, spikes)
+    stats_digest = _write_output(stats_path, write_stats_json, stats)
     _write_manifest(
         out, "analyze", {args.trace: _sha256_file(args.trace)},
         {"threshold": _sha256_text(json.dumps(
             {"absolute_w": threshold.absolute_w,
              "fraction_of_max": threshold.fraction_of_max}, sort_keys=True))},
         None,
-        {"spikes.csv": _sha256_text(spikes_text),
-         "spike_stats.json": _sha256_text(stats_text)})
+        {"spikes.csv": spikes_digest, "spike_stats.json": stats_digest})
 
     pct = stats.duration_percentiles
     print(f"spikes above {threshold.resolve(trace.rack_max_w):.0f} W: {stats.count}")
@@ -203,18 +234,15 @@ def _cmd_simulate(args) -> int:
         inputs[args.device] = _sha256_file(args.device)
 
     result = simulate_shaving(trace, device, config)
-    csv_text = _write_via(write_result_csv, result)
-    summary_text = _write_via(write_result_summary_json, result)
     csv_path = os.path.join(out, "shaving.csv")
     summary_path = os.path.join(out, "shaving_summary.json")
-    _atomic_write(csv_path, csv_text)
-    _atomic_write(summary_path, summary_text)
+    csv_digest = _write_output(csv_path, write_result_csv, result)
+    summary_digest = _write_output(summary_path, write_result_summary_json, result)
     _write_manifest(
         out, "simulate", inputs,
         {"sim_config": _sha256_text(_write_via(write_sim_config, config))},
         None,
-        {"shaving.csv": _sha256_text(csv_text),
-         "shaving_summary.json": _sha256_text(summary_text)})
+        {"shaving.csv": csv_digest, "shaving_summary.json": summary_digest})
 
     print(f"strategy {result.strategy}: unserved {result.total_unserved_energy_j:.1f} J, "
           f"dummy {result.total_dummy_energy_j:.1f} J, "
@@ -274,13 +302,12 @@ def _cmd_compare(args) -> int:
             inputs[token] = _sha256_file(token)
     rows = compare_strategies(trace, strategies, config)
 
-    csv_text = _write_via(write_comparison_csv, rows)
     csv_path = os.path.join(out, "comparison.csv")
-    _atomic_write(csv_path, csv_text)
+    csv_digest = _write_output(csv_path, write_comparison_csv, rows)
     _write_manifest(
         out, "compare", inputs,
         {"sim_config": _sha256_text(_write_via(write_sim_config, config))},
-        None, {"comparison.csv": _sha256_text(csv_text)})
+        None, {"comparison.csv": csv_digest})
 
     for row in rows:
         print(f"  {row.strategy_name:<12} gain {row.computational_gain_pct:+7.2f}%  "

@@ -335,6 +335,23 @@ def test_manifest_digests_recompute(work, tmp_path):
         assert sha256_file(tmp_path / name) == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--device", "supercap"],
+    ["compare"],
+])
+def test_streamed_output_digests_recompute(work, tmp_path, argv):
+    # The 12000-row shaving.csv is written and hashed in two blocks.
+    proc = run_cli([*argv, "--trace", str(work["trace"]),
+                    "--config", str(work["loose"]), "--out", str(tmp_path)],
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = read_json(tmp_path / f"{argv[0]}_manifest.json")
+    for name, digest in manifest["outputs"].items():
+        assert sha256_file(tmp_path / name) == digest
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*manifest["outputs"], f"{argv[0]}_manifest.json"])
+
+
 def test_env_out_dir(work, tmp_path):
     dest = tmp_path / "via_env"
     proc = run_cli(["analyze", "--trace", str(work["trace"]),
