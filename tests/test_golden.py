@@ -6,6 +6,7 @@ in process through the same writers the CLI uses, on the short trace (the
 SimConfig:
 
 * trace.csv;
+* spikes.csv and spike_stats.json at fraction_of_max=0.7;
 * shaving.csv and shaving_summary.json for each of the five strategies;
 * comparison.csv for the CLI's default strategy list;
 * grid.csv for the default sweep axes.
@@ -25,6 +26,8 @@ from conftest import STRATEGIES, strategy_spec
 
 TRACE_CSV = "eb6500b37fb0f5b584f25575afd6675c794ad4dbc12beecb3f9e6a6fabea5548"
 GRID_CSV = "53dddf34d5b92dc2fad0abb2657635f07bc5a02bb16d6e05a67580fb88fd453a"
+SPIKES_CSV = "76f2eb14c4cf45b3bb2a0f76639f0864db50832d37b56efaafef1848e93b1494"
+SPIKE_STATS_JSON = "ca788985687f19a24a24cb982fe7a5ee9bb82049cbecf884b1c2f7af367492e2"
 COMPARISON_CSV = "f9e179d90cb972fc83abce546f1c534374c9b64aa22bc2d12eb79b263f48360b"
 
 # strategy: (shaving.csv, shaving_summary.json)
@@ -54,6 +57,13 @@ def _render(writer, *args) -> str:
 
 def test_trace_csv_digest(short_trace_text):
     assert _sha256(short_trace_text) == TRACE_CSV
+
+
+def test_spike_digests(short_trace):
+    spikes = ps.detect_spikes(short_trace, ps.ThresholdSpec(fraction_of_max=0.7))
+    got = (_sha256(_render(ps.write_spikes_csv, spikes)),
+           _sha256(_render(ps.write_stats_json, ps.spike_statistics(spikes))))
+    assert got == (SPIKES_CSV, SPIKE_STATS_JSON)
 
 
 @pytest.mark.parametrize("name", STRATEGIES)
