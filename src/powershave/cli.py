@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -127,17 +128,29 @@ def _threshold_from_args(args) -> ThresholdSpec:
     return ThresholdSpec(fraction_of_max=0.7)
 
 
+# Most values one sweep axis may hold.
+_MAX_AXIS_VALUES = 1000
+
+
 def _parse_axis(text: str, name: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must look like start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"{name} parts must be numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"{name} parts must be finite, got {text!r}")
     if step <= 0.0:
         raise ValueError(f"{name} step must be positive")
     if stop < start:
         raise ValueError(f"{name} stop must not precede start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return tuple(round(start + k * step, 10) for k in range(count))
+    # Checked before int(): the quotient of finite parts may still be inf.
+    steps = (stop - start) / step + 1e-9
+    if not (steps < _MAX_AXIS_VALUES):
+        raise ValueError(f"{name} must hold at most {_MAX_AXIS_VALUES} values")
+    return tuple(round(start + k * step, 10) for k in range(int(steps) + 1))
 
 
 def _resolve_device(token: str):
@@ -257,13 +270,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = _out_dir(args)
-    trace = load_trace(args.trace)
     fracs = DEFAULT_THRESHOLD_FRACS
     bursts = DEFAULT_BURST_LENGTHS_S
     if args.axes_threshold is not None:
         fracs = _parse_axis(args.axes_threshold, "--axes-threshold")
     if args.axes_burst is not None:
         bursts = _parse_axis(args.axes_burst, "--axes-burst")
+    trace = load_trace(args.trace)
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
 
     csv_text = export_grid(grid, "csv")

@@ -293,6 +293,21 @@ def test_sweep_custom_axes(work, tmp_path):
     assert grid["burst_lengths_s"] == [0.0, 0.02, 0.04]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--axes-burst", "0:0.2:inf"),          # one nan burst, written as NaN
+    ("--axes-threshold", "0.5:inf:0.1"),    # int() of inf
+    ("--axes-threshold", "0.5:0.9:nan"),
+    ("--axes-burst", "0:1:1e-9"),           # 10^9 values
+])
+def test_sweep_bad_axis_exit2(work, tmp_path, flag, value):
+    proc = run_cli(["sweep", "--trace", str(work["trace"]), flag, value,
+                    "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "grid.json").exists()
+
+
 def test_compare_preset_dummy_pattern(default_trace_dir, tmp_path):
     proc = run_cli(["compare", "--trace", str(default_trace_dir / "trace.csv"),
                     "--device", "capacitor", "--device", "supercap",
