@@ -49,7 +49,7 @@ import numpy as np
 
 from ._textio import check_json_fields, write_columns_csv
 from .trace import PowerTrace
-from .spikes import ThresholdSpec
+from .spikes import ThresholdSpec, _runs_above
 from .devices import (DeviceSpec, PASSIVE_KINDS, battery_update, init_state,
                       passive_update)
 # Unused here; bench/tracer.py patches shaving.device_step and shaving.thermal_step.
@@ -471,22 +471,35 @@ def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,
     """Accelerators spared from shutdown if spikes longer than min_burst_s
     above the threshold could be absorbed: ceil of the worst qualifying
     peak excess over the per-unit draw."""
-    from .spikes import detect_spikes
+    return int(_gpus_saved_grid(trace, (threshold_frac,), (min_burst_s,),
+                                gpu_unit_w)[0, 0])
 
-    if not (0.0 < threshold_frac <= 1.0):
-        raise ValueError(f"threshold_frac must be in (0, 1], got {threshold_frac}")
-    if min_burst_s < 0.0:
-        raise ValueError("min_burst_s must be non-negative")
+
+def _gpus_saved_grid(trace: PowerTrace, threshold_fracs, min_bursts_s,
+                     gpu_unit_w: float) -> np.ndarray:
+    """gpus_saved for every (threshold, burst length) pair, rows by
+    threshold.  Every argument is checked before any work; then one scan
+    for runs above each threshold serves its whole row."""
+    for frac in threshold_fracs:
+        if not (0.0 < frac <= 1.0):
+            raise ValueError(f"threshold_frac must be in (0, 1], got {frac}")
+    for burst in min_bursts_s:
+        if not (burst >= 0.0):
+            raise ValueError("min_burst_s must be non-negative")
     if not (gpu_unit_w > 0.0):
         raise ValueError("gpu_unit_w must be positive")
-    theta = threshold_frac * trace.rack_max_w
-    worst = 0.0
-    for spike in detect_spikes(trace, ThresholdSpec(absolute_w=theta)):
-        if spike.duration_s + 1e-12 >= min_burst_s and spike.peak_excess_w > worst:
-            worst = spike.peak_excess_w
-    if worst <= 0.0:
-        return 0
-    return math.ceil(worst / gpu_unit_w - 1e-9)
+    values = np.zeros((len(threshold_fracs), len(min_bursts_s)), dtype=np.int64)
+    for i, frac in enumerate(threshold_fracs):
+        theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)
+        starts, stops, peaks = _runs_above(trace.samples, theta)
+        # A run qualifies when its duration reaches the burst length; the
+        # whisker keeps durations that are whole multiples of dt in.
+        reach = (stops - starts) * trace.dt_s + 1e-12
+        for j, burst in enumerate(min_bursts_s):
+            worst = peaks[reach >= burst].max(initial=0.0)
+            if worst > 0.0:
+                values[i, j] = math.ceil(worst / gpu_unit_w - 1e-9)
+    return values
 
 
 # ---------------------------------------------------------------------------

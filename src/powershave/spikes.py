@@ -83,6 +83,23 @@ class SpikeStats:
     empty: bool
 
 
+def _runs_above(samples: np.ndarray, theta: float):
+    """Maximal runs of samples strictly above theta: start indices, stop
+    indices (exclusive) and each run's peak excess over theta.
+
+    Peaks come from one reduceat over the run starts.  Its segment from
+    one start to the next is a run and the gap after it, whose samples are
+    at most theta, so the segment maximum is the run's.  max(seg) - theta
+    equals max(seg - theta) bit for bit, because rounding is monotone.
+    """
+    above = samples > theta
+    # Run boundaries from the sign changes of the indicator.
+    padded = np.concatenate(([False], above, [False]))
+    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    starts, stops = edges[0::2], edges[1::2]
+    return starts, stops, np.maximum.reduceat(samples, starts) - theta
+
+
 def detect_spikes(trace: PowerTrace, threshold: ThresholdSpec) -> list[Spike]:
     """Find maximal runs of consecutive samples strictly above threshold.
 
@@ -92,23 +109,18 @@ def detect_spikes(trace: PowerTrace, threshold: ThresholdSpec) -> list[Spike]:
     """
     theta = threshold.resolve(trace.rack_max_w)
     s = trace.samples
-    above = s > theta
-    if not above.any():
-        return []
-    # Run boundaries from the sign changes of the indicator.
-    padded = np.concatenate(([False], above, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    starts, stops = edges[0::2], edges[1::2]
+    starts, stops, peaks = _runs_above(s, theta)
     dt = trace.dt_s
     spikes = []
-    for i0, i1 in zip(starts, stops):
+    for i0, i1, peak in zip(starts, stops, peaks):
         seg = s[i0:i1]
-        excess = seg - theta
         spikes.append(Spike(
             start_s=float(trace.origin_time_s + i0 * dt),
             duration_s=float((i1 - i0) * dt),
-            peak_excess_w=float(excess.max()),
-            energy_above_j=float(excess.sum() * dt),
+            peak_excess_w=float(peak),
+            # Summed run by run, so the bits do not hang on the order in
+            # which a reduceat over the whole trace would add.
+            energy_above_j=float((seg - theta).sum() * dt),
             peak_frac=float(seg.max() / trace.rack_max_w),
         ))
     return spikes

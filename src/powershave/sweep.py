@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .trace import PowerTrace
-from .shaving import SimConfig, computational_gain, gpus_saved, simulate_shaving
+from .shaving import SimConfig, _gpus_saved_grid, computational_gain, simulate_shaving
+# Unused here; bench/tracer.py patches sweep.gpus_saved.
+from .shaving import gpus_saved  # noqa: F401
 
 __all__ = [
     "DEFAULT_THRESHOLD_FRACS",
@@ -44,6 +47,8 @@ def _check_axis(name: str, values, lo=None, hi=None) -> tuple:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError(f"{name} must be non-empty")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{name} values must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError(f"{name} must be strictly increasing")
     if lo is not None and vals[0] < lo or hi is not None and vals[-1] > hi:
@@ -80,13 +85,12 @@ class SweepGrid:
 def sweep_gpus_saved(trace: PowerTrace, threshold_fracs=DEFAULT_THRESHOLD_FRACS,
                      burst_lengths_s=DEFAULT_BURST_LENGTHS_S,
                      gpu_unit_w: float = 700.0) -> SweepGrid:
-    """Evaluate gpus_saved cell by cell; cells are independent."""
+    """gpus_saved over both axes.  Each cell equals gpus_saved of its
+    threshold and burst length; one scan for runs above a threshold
+    serves its whole row."""
     fracs = _check_axis("threshold_fracs", threshold_fracs, lo=0.0, hi=1.0)
     bursts = _check_axis("burst_lengths_s", burst_lengths_s, lo=0.0)
-    values = np.zeros((len(fracs), len(bursts)), dtype=np.int64)
-    for i, frac in enumerate(fracs):
-        for j, burst in enumerate(bursts):
-            values[i, j] = gpus_saved(trace, frac, burst, gpu_unit_w)
+    values = _gpus_saved_grid(trace, fracs, bursts, gpu_unit_w)
     return SweepGrid(threshold_fracs=fracs, burst_lengths_s=bursts,
                      values=values, trace_label=trace.source_label)
 

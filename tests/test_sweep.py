@@ -1,7 +1,8 @@
 """Batch experiments: GPUs-saved grids and strategy comparison tables.
 
 Covers:
- 1. sweep_gpus_saved cell consistency, default-axes shape, monotonicity
+ 1. sweep_gpus_saved cell consistency, default-axes shape, monotonicity,
+    argument checks, and equality with the per-cell oracle
  2. All-zero grid on a sub-threshold constant trace
  3. Grid determinism and cell independence
  4. export_grid CSV / JSON round trips and shape arithmetic
@@ -10,6 +11,7 @@ Covers:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +94,127 @@ def test_axes_validation(spiky_trace):
         ps.sweep_gpus_saved(spiky_trace, [0.7, 0.5], [0.0])
     with pytest.raises(ValueError):
         ps.sweep_gpus_saved(spiky_trace, [0.5], [-0.1, 0.0])
+
+
+def test_sweep_checks_every_argument_before_work(spiky_trace):
+    with pytest.raises(ValueError, match="finite"):
+        ps.sweep_gpus_saved(spiky_trace, (math.nan,), (0.0,))
+    with pytest.raises(ValueError, match="finite"):
+        ps.sweep_gpus_saved(spiky_trace, (0.5,), (0.0, math.inf))
+    with pytest.raises(ValueError, match=r"threshold_frac must be in \(0, 1\], got 0.0"):
+        ps.sweep_gpus_saved(spiky_trace, (0.0, 0.5), (0.0,))
+    with pytest.raises(ValueError, match="gpu_unit_w must be positive"):
+        ps.sweep_gpus_saved(spiky_trace, (0.5,), (0.0,), gpu_unit_w=0.0)
+    with pytest.raises(ValueError, match="min_burst_s must be non-negative"):
+        ps.gpus_saved(spiky_trace, 0.5, math.nan)
+
+
+# The sweep as it was before it scanned each threshold once: one
+# gpus_saved call per cell, each a detect_spikes call and a scan of its
+# Spike list.
+
+def oracle_detect_spikes(trace, threshold):
+    theta = threshold.resolve(trace.rack_max_w)
+    s = trace.samples
+    above = s > theta
+    if not above.any():
+        return []
+    # Run boundaries from the sign changes of the indicator.
+    padded = np.concatenate(([False], above, [False]))
+    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    starts, stops = edges[0::2], edges[1::2]
+    dt = trace.dt_s
+    spikes = []
+    for i0, i1 in zip(starts, stops):
+        seg = s[i0:i1]
+        excess = seg - theta
+        spikes.append(ps.Spike(
+            start_s=float(trace.origin_time_s + i0 * dt),
+            duration_s=float((i1 - i0) * dt),
+            peak_excess_w=float(excess.max()),
+            energy_above_j=float(excess.sum() * dt),
+            peak_frac=float(seg.max() / trace.rack_max_w),
+        ))
+    return spikes
+
+
+def oracle_gpus_saved(trace, threshold_frac, min_burst_s, gpu_unit_w=700.0):
+    if not (0.0 < threshold_frac <= 1.0):
+        raise ValueError(f"threshold_frac must be in (0, 1], got {threshold_frac}")
+    if min_burst_s < 0.0:
+        raise ValueError("min_burst_s must be non-negative")
+    if not (gpu_unit_w > 0.0):
+        raise ValueError("gpu_unit_w must be positive")
+    theta = threshold_frac * trace.rack_max_w
+    worst = 0.0
+    for spike in oracle_detect_spikes(trace, ThresholdSpec(absolute_w=theta)):
+        if spike.duration_s + 1e-12 >= min_burst_s and spike.peak_excess_w > worst:
+            worst = spike.peak_excess_w
+    if worst <= 0.0:
+        return 0
+    return math.ceil(worst / gpu_unit_w - 1e-9)
+
+
+ORACLE_RACK_W = 10000.0
+ORACLE_FRACS = (0.3, 0.5, 0.55, 0.7, 0.9, 1.0)
+# Run lengths k with k * dt one spacing below the decimal burst length
+# round(k * dt, 10): only the 1e-12 whisker lets such a run qualify.
+SHORT_BY_ONE_ULP = {0.03: 11, 0.09: 5}
+
+
+def _oracle_case(rng, style):
+    """(trace, burst lengths) for one generated case."""
+    dt = float(rng.choice([0.001, 0.005, 0.03, 0.09]))
+    n = int(rng.integers(1, 400))
+    levels = np.array(ORACLE_FRACS) * ORACLE_RACK_W
+    if style == "none-above":
+        samples = rng.uniform(0.0, levels[0], size=n)
+    elif style == "all-above":
+        samples = rng.uniform(levels[-2], ORACLE_RACK_W, size=n)
+        samples[rng.random(n) < 0.2] = levels[-2] + 1.0
+    else:
+        # Runs of constant or noisy levels, some exactly at a threshold,
+        # some one sample long, the first and last touching the ends.
+        parts = []
+        while sum(map(len, parts)) < n:
+            width = int(rng.choice([1, 1, 2, 5, 11, 30, SHORT_BY_ONE_ULP.get(dt, 3)]))
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                parts.append(np.full(width, rng.choice(levels)))
+            elif kind == 1:
+                parts.append(rng.uniform(0.0, ORACLE_RACK_W, size=width))
+            else:
+                parts.append(np.full(width, rng.choice(levels) + rng.choice([-1.0, 1.0])))
+        samples = np.concatenate(parts)[:n]
+        if style == "ends":
+            samples[0] = samples[-1] = ORACLE_RACK_W
+    ks = sorted({0, 1, 2, 3, 7, SHORT_BY_ONE_ULP.get(dt, 4), int(rng.integers(8, 40))})
+    bursts = sorted({round(k * dt, 10) for k in ks} | {k * dt for k in ks})
+    return make_trace(samples, dt=dt, rack_max=ORACLE_RACK_W), bursts
+
+
+@pytest.mark.parametrize("style", ["mixed", "ends", "none-above", "all-above"])
+def test_sweep_matches_per_cell_oracle(style):
+    rng = np.random.default_rng(["mixed", "ends", "none-above", "all-above"].index(style))
+    whisker_cells = 0
+    for _ in range(40):
+        tr, bursts = _oracle_case(rng, style)
+        unit = float(rng.choice([1.0, 700.0, 2500.0]))
+        want = np.array([[oracle_gpus_saved(tr, f, b, unit) for b in bursts]
+                         for f in ORACLE_FRACS])
+        got = ps.sweep_gpus_saved(tr, ORACLE_FRACS, bursts, unit)
+        np.testing.assert_array_equal(got.values, want)
+        for i, f in enumerate(ORACLE_FRACS):
+            theta = f * ORACLE_RACK_W
+            assert (ps.detect_spikes(tr, ThresholdSpec(absolute_w=theta))
+                    == oracle_detect_spikes(tr, ThresholdSpec(absolute_w=theta)))
+            for j, b in enumerate(bursts):
+                assert ps.gpus_saved(tr, f, b, unit) == want[i, j]
+                k = SHORT_BY_ONE_ULP.get(tr.dt_s)
+                if k is not None and b == round(k * tr.dt_s, 10) and want[i, j] > 0:
+                    whisker_cells += 1
+    if style == "mixed":
+        assert whisker_cells > 0
 
 
 # ---------------------------------------------------------------------------
