@@ -453,10 +453,35 @@ _INFER_PLATEAU_S = (0.006, 0.095)    # short-burst plateau length bounds
 _BASE_REF_QUANTILE = 0.85
 
 
-def _accelerator_profile(t: np.ndarray, period: float, burst_s: float,
-                         burst_w: float, comm_w: float, idle_w: float,
-                         phase: float) -> np.ndarray:
-    """Piecewise-linear periodic cycle: burst, comm, idle, back to burst."""
+def _cycle_tile(t: np.ndarray, dt: float, period: float) -> tuple[int, float]:
+    """Samples per repeat of the cycle, and how far a sample's cycle
+    position may drift from that of its copy in the first tile.
+
+    The tile is period/dt samples when that is an integer within rounding,
+    and the whole trace otherwise.  Sample k + j*tile sits j*(tile*dt -
+    period) further into the cycle than sample k (the product rounds by
+    less than a spacing of the period), and rounding k*dt and adding the
+    phase moves each sample by less than a spacing of the last time stamp
+    plus a period.
+    """
+    n = t.size
+    tile = round(period / dt)
+    if not (1 <= tile < n and abs(tile * dt - period) <= 4 * math.ulp(period)):
+        tile = n
+    drift = ((n - 1) // tile) * (abs(tile * dt - period) + math.ulp(period))
+    return tile, drift + 4 * math.ulp(float(t[-1]) + period)
+
+
+def _accelerator_profile(t: np.ndarray, tile: int, margin: float, period: float,
+                         burst_s: float, burst_w: float, comm_w: float,
+                         idle_w: float, phase: float) -> np.ndarray:
+    """Piecewise-linear periodic cycle: burst, comm, idle, back to burst.
+
+    On a flat segment np.interp returns the knot value exactly.  So the
+    first tile is classified once: a sample more than margin inside a flat
+    segment takes its constant in every tile, and only the others go
+    through np.mod and np.interp, at each of their positions in the trace.
+    """
     edge = min(_TRAIN_EDGE_S, 0.2 * burst_s, 0.04 * period)
     idle_s = _IDLE_TAIL_FRAC * period
     # Knots of one cycle in [0, period].
@@ -470,8 +495,23 @@ def _accelerator_profile(t: np.ndarray, period: float, burst_s: float,
         period,
     ])
     fp = np.array([burst_w, burst_w, comm_w, comm_w, idle_w, idle_w, burst_w])
-    u = np.mod(t + phase, period)
-    return np.interp(u, xp, fp)
+    u = np.mod(t[:tile] + phase, period)
+    flat = np.zeros(tile)
+    exact = np.ones(tile, dtype=bool)
+    # A burst that leaves no room for the comm phase folds the knots back;
+    # then every sample goes through np.interp.
+    if (np.diff(xp) > 0.0).all():
+        seg = np.searchsorted(xp, u, side="right") - 1
+        exact = ((fp[seg] != fp[seg + 1]) | (u - xp[seg] < margin)
+                 | (xp[seg + 1] - u < margin))
+        flat[~exact] = fp[seg[~exact]]
+    n = t.size
+    reps = -(-n // tile)
+    profile = np.tile(flat, reps)[:n]
+    idx = (np.flatnonzero(exact) + tile * np.arange(reps)[:, None]).ravel()
+    idx = idx[idx < n]
+    profile[idx] = np.interp(np.mod(t[idx] + phase, period), xp, fp)
+    return profile
 
 
 def synthesize_trace(config: SynthConfig) -> PowerTrace:
@@ -486,6 +526,7 @@ def synthesize_trace(config: SynthConfig) -> PowerTrace:
     agg = np.zeros(n_steps)
 
     period = config.iteration_period_s
+    tile, margin = _cycle_tile(t, config.dt_s, period)
     lo, hi = config.burst_duration_s
     for _ in range(config.n_accelerators):
         burst_s = rng.uniform(lo, hi)
@@ -493,8 +534,8 @@ def synthesize_trace(config: SynthConfig) -> PowerTrace:
         wobble = 1.0 + config.jitter_frac * rng.uniform(-0.06, 0.06)
         burst_w = min(config.burst_power_w, config.burst_power_w * wobble)
         comm_w = min(config.comm_power_w * wobble, burst_w)
-        agg += _accelerator_profile(t, period, burst_s, burst_w, comm_w,
-                                    config.idle_power_w, phase)
+        agg += _accelerator_profile(t, tile, margin, period, burst_s, burst_w,
+                                    comm_w, config.idle_power_w, phase)
 
     # The typical crowd level of base fluctuations; edge-time estimates
     # below measure burst rises against it rather than against the mean.

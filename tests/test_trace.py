@@ -5,7 +5,8 @@ Covers:
  2. load_trace on well-formed and malformed CSV (row index in errors)
  3. write_trace -> load_trace round trip, including dt and metadata
  4. resample hand examples, identity, and the energy-conservation bound
- 5. synthesize_trace determinism, bounds, and config validation
+ 5. synthesize_trace determinism, bounds, config validation, and
+    tiled accelerator profiles equal to the full-length oracle
  6. SynthConfig JSON round trip and field checking
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 import powershave as ps
 from powershave import CorruptTraceError, TraceFormatError
+from powershave import trace as trace_mod
 
 from conftest import make_trace
 
@@ -274,7 +276,6 @@ def test_load_trace_matches_per_line_oracle(monkeypatch, block_chars):
     """load_trace accepts what the per-line parser accepts, with the same
     bits, and rejects the rest with the same exception and message.  Small
     parse blocks move block edges onto comments, blanks and the header."""
-    from powershave import trace as trace_mod
     if block_chars is not None:
         monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
     rng = np.random.default_rng(2024 + (block_chars or 0))
@@ -493,6 +494,125 @@ def test_synth_expected_shape(default_trace):
     cfg = ps.DEFAULT_SYNTH_CONFIG
     assert default_trace.dt_s == cfg.dt_s
     assert default_trace.samples.shape[0] == round(cfg.duration_s / cfg.dt_s)
+
+
+def oracle_accelerator_profile(t, period, burst_s, burst_w, comm_w, idle_w, phase):
+    """The accelerator profile as it was before tiling: np.mod and
+    np.interp over every sample of the trace."""
+    edge = min(trace_mod._TRAIN_EDGE_S, 0.2 * burst_s, 0.04 * period)
+    idle_s = trace_mod._IDLE_TAIL_FRAC * period
+    # Knots of one cycle in [0, period].
+    xp = np.array([
+        0.0,
+        burst_s,
+        burst_s + edge,
+        period - idle_s - edge,
+        period - idle_s,
+        period - edge,
+        period,
+    ])
+    fp = np.array([burst_w, burst_w, comm_w, comm_w, idle_w, idle_w, burst_w])
+    u = np.mod(t + phase, period)
+    return np.interp(u, xp, fp)
+
+
+def _profile_case_config(rng, style) -> ps.SynthConfig:
+    dt = float(rng.choice([0.001, 0.005, 0.01]))
+    period = float(rng.choice([0.5, 1.0, 1.2]))
+    lo = float(rng.uniform(0.1, 0.5)) * period
+    hi = lo + float(rng.uniform(0.0, 0.3)) * period
+    jitter = float(rng.uniform(0.0, 0.99))
+    burst_w, comm_w, idle_w = 700.0, 295.0, 80.0
+    if style == "lockstep":
+        # Phase 0 and a burst of whole samples: knots land on samples.
+        dt, period, jitter = 0.005, 1.0, 0.0
+        lo = hi = float(rng.choice([0.25, 0.3, 0.44]))
+    elif style == "short-bursts":
+        # Edges clipped to 0.2 * burst_s (and to 0.04 * period at 0.5 s).
+        lo = float(rng.uniform(0.02, 0.1))
+        hi = lo + float(rng.uniform(0.0, 0.1))
+    elif style == "non-integral":
+        # period / dt is not an integer: the tile is the whole trace.
+        dt = float(rng.choice([0.003, 0.0047, 0.0071]))
+    elif style == "folded":
+        # The burst leaves no room for the comm phase; knots fold back.
+        lo = float(rng.uniform(0.8, 0.9)) * period
+        hi = float(rng.uniform(0.9, 0.97)) * period
+    elif style == "flat-levels":
+        comm_w = burst_w
+        idle_w = float(rng.choice([comm_w, 80.0]))
+    return ps.SynthConfig(
+        n_accelerators=int(rng.integers(1, 5)), iteration_period_s=period,
+        burst_duration_s=(lo, min(hi, 0.97 * period)), burst_power_w=burst_w,
+        comm_power_w=comm_w, idle_power_w=idle_w, jitter_frac=jitter,
+        inference_rate_hz=0.5, seed=int(rng.integers(0, 2**31)),
+        duration_s=float(rng.integers(10, 40)) * period, dt_s=dt)
+
+
+PROFILE_STYLES = ("random", "lockstep", "short-bursts", "non-integral", "folded",
+                  "flat-levels")
+
+
+@pytest.mark.parametrize("style", PROFILE_STYLES)
+def test_synth_profiles_match_full_length_oracle(monkeypatch, style):
+    tiled = trace_mod._accelerator_profile
+    seen = []
+
+    def checked(t, tile, margin, period, burst_s, burst_w, comm_w, idle_w, phase):
+        got = tiled(t, tile, margin, period, burst_s, burst_w, comm_w, idle_w, phase)
+        want = oracle_accelerator_profile(t, period, burst_s, burst_w, comm_w,
+                                          idle_w, phase)
+        assert np.array_equal(got, want)
+        seen.append(tile < t.size)
+        return got
+
+    monkeypatch.setattr(trace_mod, "_accelerator_profile", checked)
+    rng = np.random.default_rng(PROFILE_STYLES.index(style))
+    for _ in range(6):
+        ps.synthesize_trace(_profile_case_config(rng, style))
+    assert seen and all(seen) == (style != "non-integral")
+
+
+# (samples, dt, period, burst_s, phase).  In each, a margin that does
+# not cover the drift puts a sample that reaches a sloped segment in a
+# flat class: the first drifts by more than 1e-9 s over a 1e8 s trace;
+# the next two start exactly on knot 0; in the last, period/dt is four
+# spacings short of 1, and the drift of tile*dt alone carries the sample
+# 8e-11 s after knot 0 back across it.
+DRIFT_CASES = (
+    (46089, 15000.0 / 7, 15000.0, 4492.5, 7.388523937106747e-09),
+    (46089, 15000.0 / 7, 15000.0, 4492.5, 0.0),
+    (66051, 1500.0 / 9, 1500.0, 530.0, 0.0),
+    (2**17 - 1, 1.0 - 8 * 2.0**-53, 1.0, 0.3, 8e-11),
+)
+
+
+@pytest.mark.parametrize("n, dt, period, burst_s, phase", DRIFT_CASES)
+def test_tiled_profile_margin_covers_drift(n, dt, period, burst_s, phase):
+    t = np.arange(n) * dt
+    tile, margin = trace_mod._cycle_tile(t, dt, period)
+    assert tile == round(period / dt) < n
+    got = trace_mod._accelerator_profile(t, tile, margin, period, burst_s,
+                                         700.0, 295.0, 80.0, phase)
+    want = oracle_accelerator_profile(t, period, burst_s, 700.0, 295.0, 80.0, phase)
+    assert np.array_equal(got, want)
+
+
+def test_synth_default_profiles_match_oracle(monkeypatch):
+    # The shipped config: 200 samples per tile over 120,000 samples.
+    from dataclasses import replace
+    tiled = trace_mod._accelerator_profile
+    calls = []
+
+    def checked(t, tile, margin, period, *rest):
+        got = tiled(t, tile, margin, period, *rest)
+        assert np.array_equal(got, oracle_accelerator_profile(t, period, *rest))
+        calls.append(tile)
+        return got
+
+    monkeypatch.setattr(trace_mod, "_accelerator_profile", checked)
+    ps.synthesize_trace(replace(ps.DEFAULT_SYNTH_CONFIG, n_accelerators=20))
+    assert calls == [200] * 20
 
 
 # ---------------------------------------------------------------------------
