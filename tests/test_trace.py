@@ -553,25 +553,31 @@ PROFILE_STYLES = ("random", "lockstep", "short-bursts", "non-integral", "folded"
                   "flat-levels")
 
 
-@pytest.mark.parametrize("style", PROFILE_STYLES)
-def test_synth_profiles_match_full_length_oracle(monkeypatch, style):
+def _check_profiles_against_oracle(monkeypatch) -> list:
+    """Make every _accelerator_profile call also run the oracle and require
+    equal bits.  Returns the (tile, samples) of each call, as it is made."""
     tiled = trace_mod._accelerator_profile
-    seen = []
+    calls = []
 
-    def checked(t, tile, margin, period, burst_s, burst_w, comm_w, idle_w, phase):
-        got = tiled(t, tile, margin, period, burst_s, burst_w, comm_w, idle_w, phase)
-        want = oracle_accelerator_profile(t, period, burst_s, burst_w, comm_w,
-                                          idle_w, phase)
-        assert np.array_equal(got, want)
-        seen.append(tile < t.size)
+    def checked(t, tile, margin, period, *rest):
+        got = tiled(t, tile, margin, period, *rest)
+        assert np.array_equal(got, oracle_accelerator_profile(t, period, *rest))
+        calls.append((tile, t.size))
         return got
 
     monkeypatch.setattr(trace_mod, "_accelerator_profile", checked)
+    return calls
+
+
+@pytest.mark.parametrize("style", PROFILE_STYLES)
+def test_synth_profiles_match_full_length_oracle(monkeypatch, style):
+    calls = _check_profiles_against_oracle(monkeypatch)
     rng = np.random.default_rng(PROFILE_STYLES.index(style))
     for _ in range(6):
         ps.synthesize_trace(_profile_case_config(rng, style))
-    assert seen
-    assert not any(seen) if style == "non-integral" else all(seen)
+    repeats = [tile < n for tile, n in calls]
+    assert repeats
+    assert not any(repeats) if style == "non-integral" else all(repeats)
 
 
 # (samples, dt, period, burst_s, phase).  In each, a margin that does
@@ -602,18 +608,9 @@ def test_tiled_profile_margin_covers_drift(n, dt, period, burst_s, phase):
 def test_synth_default_profiles_match_oracle(monkeypatch):
     # The shipped config: 200 samples per tile over 120,000 samples.
     from dataclasses import replace
-    tiled = trace_mod._accelerator_profile
-    calls = []
-
-    def checked(t, tile, margin, period, *rest):
-        got = tiled(t, tile, margin, period, *rest)
-        assert np.array_equal(got, oracle_accelerator_profile(t, period, *rest))
-        calls.append(tile)
-        return got
-
-    monkeypatch.setattr(trace_mod, "_accelerator_profile", checked)
+    calls = _check_profiles_against_oracle(monkeypatch)
     ps.synthesize_trace(replace(ps.DEFAULT_SYNTH_CONFIG, n_accelerators=20))
-    assert calls == [200] * 20
+    assert calls == [(200, 120_000)] * 20
 
 
 # ---------------------------------------------------------------------------
