@@ -14,9 +14,11 @@ Two families share one step contract:
   round-trip efficiency is applied entirely on the charge side.
 
 device_step is the checked entry point over a DeviceState.  The physics
-itself lives in passive_update and battery_update, which take and return
-the state fields as plain values so a simulation loop can keep them in
-local variables.
+itself lives in steppers that passive_stepper and battery_stepper build
+once per (spec, dt), with the spec's constants bound in; a stepper takes
+and returns the state fields as plain values, so a simulation loop can
+keep them in local variables.  The discharge limit, the SOC floor snap
+and the charge limit are written once and shared by both kinds.
 
 Energy bookkeeping is exact: stored_j decreases by delivered * dt and
 increases by absorbed * dt * round_trip_efficiency, and stays inside the
@@ -42,8 +44,8 @@ __all__ = [
     "capacitor_energy",
     "init_state",
     "device_step",
-    "passive_update",
-    "battery_update",
+    "passive_stepper",
+    "battery_stepper",
     "load_device_spec",
     "write_device_spec",
     "builtin_device_spec",
@@ -137,8 +139,8 @@ def device_step(spec: DeviceSpec, state: DeviceState,
     never exceeds the offer, the charge limit, or the headroom below
     soc_max (after efficiency).
 
-    A checked wrapper over passive_update / battery_update, which take and
-    return the DeviceState fields as plain values.
+    A checked wrapper that binds passive_stepper / battery_stepper for this
+    one step.
     """
     if dt_s <= 0.0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
@@ -148,103 +150,138 @@ def device_step(spec: DeviceSpec, state: DeviceState,
         raise ValueError("cannot request discharge and offer charge in the same step")
 
     if spec.kind in PASSIVE_KINDS:
-        delivered, absorbed, stored, mode, last = passive_update(
-            spec, dt_s, state.stored_j, state.mode, state.last_output_w,
+        delivered, absorbed, stored, mode, last = passive_stepper(spec, dt_s)(
+            state.stored_j, state.mode, state.last_output_w,
             requested_discharge_w, available_charge_w)
         return delivered, absorbed, replace(state, stored_j=stored, mode=mode,
                                             last_output_w=last)
-    delivered, absorbed, *fields = battery_update(
-        spec, dt_s, state.stored_j, state.mode, state.last_output_w,
+    delivered, absorbed, *fields = battery_stepper(spec, dt_s)(
+        state.stored_j, state.mode, state.last_output_w,
         state.switch_target, state.switch_remaining_s,
         requested_discharge_w, available_charge_w)
     return delivered, absorbed, DeviceState(*fields)
 
 
-def _discharge_target(spec: DeviceSpec, stored: float, request: float, dt: float) -> float:
-    """What the device can deliver this step: the request, capped by the
-    discharge rating and by the energy above soc_min."""
-    usable = stored - spec.soc_min_frac * spec.energy_capacity_j
-    return min(request, spec.max_discharge_w, (usable if usable > 0.0 else 0.0) / dt)
+# The rules both kinds share, bound to one (spec, dt).  min() and max() are
+# written out as comparisons that pick the same operand on ties (the first
+# minimal or maximal one), which keeps the output bits and saves calls.
 
-
-def _discharged(spec: DeviceSpec, stored: float, delivered: float, dt: float) -> float:
-    # delivered <= usable/dt by construction, so stored - delivered*dt can
-    # undershoot the window edge only by rounding; snap it back.
-    return max(stored - delivered * dt, spec.soc_min_frac * spec.energy_capacity_j)
-
-
-def _charge(spec: DeviceSpec, stored: float, available: float,
-            dt: float) -> tuple[float, float]:
-    """(absorbed_w, stored_j after): the offer, capped by the charge rating
-    and by the headroom below soc_max after efficiency."""
+def _bind_rules(spec: DeviceSpec, dt: float):
+    """(discharge_limit, drain, charge) for one spec and step length."""
+    floor = spec.soc_min_frac * spec.energy_capacity_j
     top = spec.soc_max_frac * spec.energy_capacity_j
-    room = top - stored
+    max_out = spec.max_discharge_w
+    max_in = spec.max_charge_w
     eff = spec.round_trip_efficiency
-    absorbed = min(available, spec.max_charge_w, (room if room > 0.0 else 0.0) / (dt * eff))
-    return absorbed, min(stored + absorbed * dt * eff, top)
+    dt_eff = dt * eff
+
+    def discharge_limit(stored: float, request: float) -> float:
+        """The request, capped by the discharge rating and by the energy
+        above soc_min."""
+        usable = stored - floor
+        out = request
+        if max_out < out:
+            out = max_out
+        usable = (usable if usable > 0.0 else 0.0) / dt
+        if usable < out:
+            out = usable
+        return out
+
+    def drain(stored: float, delivered: float) -> float:
+        # delivered <= usable/dt by construction, so stored - delivered*dt
+        # can undershoot the window edge only by rounding; snap it back.
+        stored = stored - delivered * dt
+        return floor if floor > stored else stored
+
+    def charge(stored: float, available: float) -> tuple[float, float]:
+        """(absorbed_w, stored_j after): the offer, capped by the charge
+        rating and by the headroom below soc_max after efficiency."""
+        room = top - stored
+        absorbed = available
+        if max_in < absorbed:
+            absorbed = max_in
+        room = (room if room > 0.0 else 0.0) / dt_eff
+        if room < absorbed:
+            absorbed = room
+        stored = stored + absorbed * dt * eff
+        return absorbed, (top if top < stored else stored)
+
+    return discharge_limit, drain, charge
 
 
-def passive_update(spec: DeviceSpec, dt: float, stored: float, mode: str,
-                   last: float, request: float, available: float):
-    """One unchecked step of a capacitor or supercapacitor from plain state
-    values; returns (delivered_w, absorbed_w, stored_j, mode, last_output_w)."""
-    if request > 0.0:
-        target = _discharge_target(spec, stored, request, dt)
-        delivered = target
-        tau = spec.response_tau_s
-        if tau > 0.0:
-            base = last if mode == "discharging" else 0.0
-            step = base + (target - base) * (1.0 - math.exp(-dt / tau))
-            # The lag shapes the rise only; a falling target is honoured at
-            # once (output above the target would exceed what was asked for).
-            if step <= target:
-                delivered = step
-        return delivered, 0.0, _discharged(spec, stored, delivered, dt), "discharging", delivered
-    if available > 0.0:
-        # Recharge is a trickle into the element, limited by the charge
-        # rating and the headroom; the response lag constrains delivery
-        # transients, not the refill.
-        absorbed, stored = _charge(spec, stored, available, dt)
-        return 0.0, absorbed, stored, "charging", absorbed
-    return 0.0, 0.0, stored, "idle", 0.0
+def passive_stepper(spec: DeviceSpec, dt: float):
+    """Unchecked step of a capacitor or supercapacitor, bound to spec and
+    dt: step(stored_j, mode, last_output_w, request_w, available_w) returns
+    (delivered_w, absorbed_w, stored_j, mode, last_output_w)."""
+    discharge_limit, drain, charge = _bind_rules(spec, dt)
+    tau = spec.response_tau_s
+    lag = 1.0 - math.exp(-dt / tau) if tau > 0.0 else None
+
+    def step(stored, mode, last, request, available):
+        if request > 0.0:
+            target = delivered = discharge_limit(stored, request)
+            if lag is not None:
+                base = last if mode == "discharging" else 0.0
+                rise = base + (target - base) * lag
+                # The lag shapes the rise only; a falling target is honoured
+                # at once (output above the target would exceed what was
+                # asked for).
+                if rise <= target:
+                    delivered = rise
+            return delivered, 0.0, drain(stored, delivered), "discharging", delivered
+        if available > 0.0:
+            # Recharge is a trickle into the element, limited by the charge
+            # rating and the headroom; the response lag constrains delivery
+            # transients, not the refill.
+            absorbed, stored = charge(stored, available)
+            return 0.0, absorbed, stored, "charging", absorbed
+        return 0.0, 0.0, stored, "idle", 0.0
+
+    return step
 
 
-def battery_update(spec: DeviceSpec, dt: float, stored: float, mode: str,
-                   last: float, target: str | None, remaining: float,
-                   request: float, available: float):
-    """One unchecked battery step from plain state values; returns
-    (delivered_w, absorbed_w, stored_j, mode, last_output_w, switch_target,
-    switch_remaining_s)."""
-    want = "discharging" if request > 0.0 else ("charging" if available > 0.0 else None)
+def battery_stepper(spec: DeviceSpec, dt: float):
+    """Unchecked battery step, bound to spec and dt: step(stored_j, mode,
+    last_output_w, switch_target, switch_remaining_s, request_w,
+    available_w) returns (delivered_w, absorbed_w, stored_j, mode,
+    last_output_w, switch_target, switch_remaining_s)."""
+    discharge_limit, drain, charge = _bind_rules(spec, dt)
+    latency = spec.switch_latency_s
+    # Left of the turnaround after the step that starts it.
+    restart = latency - dt
 
-    if mode == "switching":
-        if want is not None and want != target:
-            # Direction changed mid-switch: the turnaround starts over.
-            return 0.0, 0.0, stored, mode, 0.0, want, spec.switch_latency_s - dt
-        remaining -= dt
-        if remaining > _TIME_EPS:
-            return 0.0, 0.0, stored, mode, 0.0, target, remaining
-        # Switch completes at the end of this step; the new mode acts from
-        # the next step on.
-        return 0.0, 0.0, stored, target, 0.0, None, 0.0
+    def step(stored, mode, last, target, remaining, request, available):
+        want = "discharging" if request > 0.0 else ("charging" if available > 0.0 else None)
 
-    if want is None:
-        return 0.0, 0.0, stored, mode, last, target, remaining
-
-    if mode != want:
-        if spec.switch_latency_s > 0.0:
-            remaining = spec.switch_latency_s - dt
+        if mode == "switching":
+            if want is not None and want != target:
+                # Direction changed mid-switch: the turnaround starts over.
+                return 0.0, 0.0, stored, mode, 0.0, want, restart
+            remaining -= dt
             if remaining > _TIME_EPS:
-                return 0.0, 0.0, stored, "switching", 0.0, want, remaining
-            return 0.0, 0.0, stored, want, 0.0, None, 0.0
-        mode = want
+                return 0.0, 0.0, stored, mode, 0.0, target, remaining
+            # Switch completes at the end of this step; the new mode acts
+            # from the next step on.
+            return 0.0, 0.0, stored, target, 0.0, None, 0.0
 
-    if want == "discharging":
-        delivered = _discharge_target(spec, stored, request, dt)
-        return (delivered, 0.0, _discharged(spec, stored, delivered, dt), mode,
-                delivered, target, remaining)
-    absorbed, stored = _charge(spec, stored, available, dt)
-    return 0.0, absorbed, stored, mode, absorbed, target, remaining
+        if want is None:
+            return 0.0, 0.0, stored, mode, last, target, remaining
+
+        if mode != want:
+            if latency > 0.0:
+                if restart > _TIME_EPS:
+                    return 0.0, 0.0, stored, "switching", 0.0, want, restart
+                return 0.0, 0.0, stored, want, 0.0, None, 0.0
+            mode = want
+
+        if want == "discharging":
+            delivered = discharge_limit(stored, request)
+            return (delivered, 0.0, drain(stored, delivered), mode,
+                    delivered, target, remaining)
+        absorbed, stored = charge(stored, available)
+        return 0.0, absorbed, stored, mode, absorbed, target, remaining
+
+    return step
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ never throttles).  Because nothing in the step loop reads the
 temperature, the node is integrated after the loop, over the finished
 served and dummy series, with the same Euler update as thermal_step.
 
-The step loop keeps the device state in local variables and advances it
-with devices.passive_update / devices.battery_update, the functions
-behind device_step.
+The step loop does only the work that is truly sequential.  It keeps the
+device state in local variables and advances it with a stepper that
+devices.passive_stepper / devices.battery_stepper build once per run, the
+same physics as device_step.  Nothing in a step reads the grid feed it
+draws, so p_grid and the ramp check are array post-passes over the
+finished series.  The ideal device reads no device state and no restart
+hold, so its series are array code and it runs no loop at all.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ import numpy as np
 from ._textio import check_json_fields, write_columns_csv
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
-from .devices import (DeviceSpec, PASSIVE_KINDS, battery_update, init_state,
-                      passive_update)
+from .devices import (DeviceSpec, PASSIVE_KINDS, battery_stepper, init_state,
+                      passive_stepper)
 # Unused here; bench/tracer.py patches shaving.device_step and shaving.thermal_step.
 from .devices import device_step  # noqa: F401
 
@@ -248,29 +252,9 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
 
     theta = config.threshold.resolve(trace.rack_max_w)
     p_infra = config.p_infra_w
-    cap = p_infra + theta
     dt = trace.dt_s
-    r_step = config.grid_ramp_limit_w_per_s * dt
-    r_bound = r_step * (1.0 + 1e-9) + _W_EPS
     gpu_w = config.gpu_unit_w
     n = trace.n_samples
-
-    ideal = strategy == "ideal"
-    device = spec if isinstance(spec, DeviceSpec) else None
-    passive = device is not None and device.kind in PASSIVE_KINDS
-    battery = device is not None and not passive
-    # Passive elements ride behind the ramp-following feed; a battery's
-    # electronics steer the feed directly, as does the ideal device.
-    tracked_feed = not ideal and (device is None or passive)
-
-    # Device state as plain values, in DeviceState's field order.
-    stored, mode, last, target, remaining = 0.0, "idle", 0.0, None, 0.0
-    if device is not None:
-        stored = init_state(device).stored_j
-        if battery:
-            # The controller arms the inverter before the run starts, so
-            # the first discharge needs no turnaround.
-            mode = "discharging"
 
     demand_a = trace.samples.astype(float, copy=True)
     served_a = np.zeros(n)
@@ -281,129 +265,29 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     curtailed_a = np.zeros(n)
     stored_a = np.zeros(n)
     temp_a = np.zeros(n)
-    served_m, grid_m, discharge_m, charge_m, dummy_m, stored_m = (
-        memoryview(a) for a in (served_a, grid_a, discharge_a, charge_a, dummy_a, stored_a))
-    violations = []
 
-    # Restart holds: (expiry time, accelerators held down); the effective
-    # count at any step is the max over unexpired holds.  Holds expire in
-    # the order they are added (the penalty is constant), and a hold that
-    # expires no later than a newer, larger one never sets the max, so it
-    # is dropped when the newer one is added.  The deque front is then the
-    # max.  While a shortfall event is open, the accelerators it has shed
-    # so far stay down too, so a shed unit is blocked without gaps from the
-    # step it drops until its restart hold expires.
-    holds = deque()
-    in_event = False
-    event_max_gpus = 0
-    unserved_events = 0
+    if strategy == "ideal":
+        _ideal_series(demand_a, served_a, discharge_a, grid_a, p_infra, theta)
+        unserved_events = 0
+    else:
+        unserved_events = _step_loop(
+            demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
+            spec if isinstance(spec, DeviceSpec) else None, config, theta, dt)
 
-    c_prev = 0.0
-    g_prev = 0.0
-    restart = config.restart_penalty_s
-
-    # min() and max() are written out as comparisons that pick the same
-    # operand on ties, which keeps the output bits and saves calls per step.
-    for i, demand in enumerate(memoryview(demand_a)):
-        blocked = 0
-        if restart > 0.0:
-            if in_event:
-                blocked = event_max_gpus
-            if holds:
-                t_now = i * dt
-                while holds and holds[0][0] <= t_now + 1e-12:
-                    holds.popleft()
-                if holds and holds[0][1] > blocked:
-                    blocked = holds[0][1]
-
-        if ideal or not blocked:
-            d_eff = demand
-        else:
-            d_eff = demand - blocked * gpu_w
-            if not d_eff > 0.0:
-                d_eff = 0.0
-
-        need = p_infra + (theta if theta < d_eff else d_eff)
-        if tracked_feed and i > 0:
-            c = c_prev - r_step
-            if not c > need:
-                c = need
-            if c_prev + r_step < c:
-                c = c_prev + r_step
-            if c > cap:
-                c = cap
-        else:
-            c = need
-
-        deficit = p_infra + d_eff - c
-        if deficit < 0.0:
-            deficit = 0.0
-        surplus = c - need
-        if surplus < 0.0:
-            surplus = 0.0
-
-        if ideal:
-            delivered, absorbed = deficit, 0.0
-        elif device is None:
-            delivered, absorbed = 0.0, 0.0
-        else:
-            request = deficit if deficit > 0.0 else 0.0
-            offer = surplus if deficit <= 0.0 else 0.0
-            if passive:
-                delivered, absorbed, stored, mode, last = passive_update(
-                    device, dt, stored, mode, last, request, offer)
-            else:
-                delivered, absorbed, stored, mode, last, target, remaining = battery_update(
-                    device, dt, stored, mode, last, target, remaining, request, offer)
-            stored_m[i] = stored
-
-        shortfall = deficit - delivered
-        if shortfall < 0.0:
-            shortfall = 0.0
-        escal = cap - c
-        if not escal < shortfall:
-            escal = shortfall
-        live_short = shortfall - escal
-        if live_short < _W_EPS:
-            live_short = 0.0
-
-        served = d_eff - live_short
-        dummy = surplus - absorbed
-        if dummy < 0.0:
-            dummy = 0.0
-        grid = p_infra + served + dummy + absorbed - delivered
-
-        if i > 0 and abs(grid - g_prev) > r_bound:
-            violations.append(i)
-
-        if live_short > 0.0:
-            if not in_event:
-                in_event = True
-                event_max_gpus = 0
-                unserved_events += 1
-            shed = math.ceil(live_short / gpu_w - 1e-9)
-            if restart > 0.0:
-                # Residual shortfall past the units already held down
-                # sheds that many more.
-                event_max_gpus += shed
-            elif shed > event_max_gpus:
-                event_max_gpus = shed
-        elif in_event:
-            # Shedding has ended the shortfall; the downed units hold for
-            # the restart penalty from this step on.
-            in_event = False
-            if restart > 0.0 and event_max_gpus > 0:
-                while holds and holds[-1][1] <= event_max_gpus:
-                    holds.pop()
-                holds.append((i * dt + restart, event_max_gpus))
-
-        served_m[i] = served
-        grid_m[i] = grid
-        discharge_m[i] = delivered
-        charge_m[i] = absorbed
-        dummy_m[i] = dummy
-        c_prev = c
-        g_prev = grid
+    # Nothing in the step reads the grid feed it draws, so the feed and the
+    # ramp check follow here, in the step's own order of operations:
+    # p_infra + served + dummy + absorbed - delivered.
+    np.add(p_infra, served_a, out=grid_a)
+    grid_a += dummy_a
+    grid_a += charge_a
+    grid_a -= discharge_a
+    r_bound = config.grid_ramp_limit_w_per_s * dt * (1.0 + 1e-9) + _W_EPS
+    # temp_a[1:] holds |grid[i] - grid[i-1]| until the thermal pass below
+    # overwrites it.
+    jumps = temp_a[1:]
+    np.subtract(grid_a[1:], grid_a[:-1], out=jumps)
+    np.abs(jumps, out=jumps)
+    violations = np.flatnonzero(jumps > r_bound) + 1
 
     # The simulation never reads the temperature, so the thermal node is
     # integrated here, with thermal_step's Euler update, over the heat of
@@ -443,8 +327,166 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
         curtailed_gpu_seconds=float(gpu_steps.sum() * dt),
         unserved_spike_count=unserved_events,
         device_energy_throughput_j=float((discharge_a.sum() + charge_a.sum()) * dt),
-        ramp_violation_steps=np.asarray(violations, dtype=np.int64),
+        ramp_violation_steps=violations,
     )
+
+
+def _ideal_series(demand_a, served_a, discharge_a, scratch, p_infra, theta):
+    """The ideal device's step over the whole trace at once.  It reads no
+    device state and no restart hold: the feed takes p_infra plus demand up
+    to theta, the device delivers the rest, and nothing is curtailed."""
+    # need = p_infra + min(demand, theta), with the step's tie rule
+    # (theta if theta < demand else demand).
+    need = scratch
+    np.copyto(need, demand_a)
+    need[theta < demand_a] = theta
+    np.add(p_infra, need, out=need)
+    np.add(p_infra, demand_a, out=discharge_a)
+    discharge_a -= need
+    discharge_a[discharge_a < 0.0] = 0.0
+    # demand - 0.0 keeps a -0.0 demand sample as -0.0, as the step does.
+    np.subtract(demand_a, 0.0, out=served_a)
+
+
+def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
+               device, config, theta, dt) -> int:
+    """The sequential part of the simulation, for "none" (device None) and
+    for devices: fills served, discharge, charge, dummy and stored in place
+    and returns the number of shortfall events."""
+    p_infra = config.p_infra_w
+    cap = p_infra + theta
+    r_step = config.grid_ramp_limit_w_per_s * dt
+    gpu_w = config.gpu_unit_w
+    passive = device is not None and device.kind in PASSIVE_KINDS
+    # Passive elements ride behind the ramp-following feed; a battery's
+    # electronics steer the feed directly.
+    tracked_feed = device is None or passive
+
+    # Device state as plain values, in DeviceState's field order.
+    stored, mode, last, target, remaining = 0.0, "idle", 0.0, None, 0.0
+    if passive:
+        step = passive_stepper(device, dt)
+        stored = init_state(device).stored_j
+    elif device is not None:
+        step = battery_stepper(device, dt)
+        stored = init_state(device).stored_j
+        # The controller arms the inverter before the run starts, so the
+        # first discharge needs no turnaround.
+        mode = "discharging"
+
+    served_m, discharge_m, charge_m, dummy_m, stored_m = (
+        memoryview(a) for a in (served_a, discharge_a, charge_a, dummy_a, stored_a))
+
+    # Restart holds: (expiry time, accelerators held down); the effective
+    # count at any step is the max over unexpired holds.  Holds expire in
+    # the order they are added (the penalty is constant), and a hold that
+    # expires no later than a newer, larger one never sets the max, so it
+    # is dropped when the newer one is added.  The deque front is then the
+    # max.  While a shortfall event is open, the accelerators it has shed
+    # so far stay down too, so a shed unit is blocked without gaps from the
+    # step it drops until its restart hold expires.
+    holds = deque()
+    in_event = False
+    event_max_gpus = 0
+    unserved_events = 0
+
+    c_prev = 0.0
+    restart = config.restart_penalty_s
+
+    # min() and max() are written out as comparisons that pick the same
+    # operand on ties, which keeps the output bits and saves calls per step.
+    for i, demand in enumerate(memoryview(demand_a)):
+        blocked = 0
+        if restart > 0.0:
+            if in_event:
+                blocked = event_max_gpus
+            if holds:
+                t_now = i * dt
+                while holds and holds[0][0] <= t_now + 1e-12:
+                    holds.popleft()
+                if holds and holds[0][1] > blocked:
+                    blocked = holds[0][1]
+
+        if not blocked:
+            d_eff = demand
+        else:
+            d_eff = demand - blocked * gpu_w
+            if not d_eff > 0.0:
+                d_eff = 0.0
+
+        need = p_infra + (theta if theta < d_eff else d_eff)
+        if tracked_feed and i > 0:
+            c = c_prev - r_step
+            if not c > need:
+                c = need
+            if c_prev + r_step < c:
+                c = c_prev + r_step
+            if c > cap:
+                c = cap
+        else:
+            c = need
+
+        deficit = p_infra + d_eff - c
+        if deficit < 0.0:
+            deficit = 0.0
+        surplus = c - need
+        if surplus < 0.0:
+            surplus = 0.0
+
+        if device is None:
+            delivered, absorbed = 0.0, 0.0
+        else:
+            request = deficit if deficit > 0.0 else 0.0
+            offer = surplus if deficit <= 0.0 else 0.0
+            if passive:
+                delivered, absorbed, stored, mode, last = step(
+                    stored, mode, last, request, offer)
+            else:
+                delivered, absorbed, stored, mode, last, target, remaining = step(
+                    stored, mode, last, target, remaining, request, offer)
+            stored_m[i] = stored
+
+        shortfall = deficit - delivered
+        if shortfall < 0.0:
+            shortfall = 0.0
+        escal = cap - c
+        if not escal < shortfall:
+            escal = shortfall
+        live_short = shortfall - escal
+        if live_short < _W_EPS:
+            live_short = 0.0
+
+        dummy = surplus - absorbed
+        if dummy < 0.0:
+            dummy = 0.0
+
+        if live_short > 0.0:
+            if not in_event:
+                in_event = True
+                event_max_gpus = 0
+                unserved_events += 1
+            shed = math.ceil(live_short / gpu_w - 1e-9)
+            if restart > 0.0:
+                # Residual shortfall past the units already held down
+                # sheds that many more.
+                event_max_gpus += shed
+            elif shed > event_max_gpus:
+                event_max_gpus = shed
+        elif in_event:
+            # Shedding has ended the shortfall; the downed units hold for
+            # the restart penalty from this step on.
+            in_event = False
+            if restart > 0.0 and event_max_gpus > 0:
+                while holds and holds[-1][1] <= event_max_gpus:
+                    holds.pop()
+                holds.append((i * dt + restart, event_max_gpus))
+
+        served_m[i] = d_eff - live_short
+        discharge_m[i] = delivered
+        charge_m[i] = absorbed
+        dummy_m[i] = dummy
+        c_prev = c
+    return unserved_events
 
 
 def useful_compute_j(result: ShavingResult) -> float:
