@@ -3,6 +3,7 @@ for numeric columns and the field checks of the JSON config loaders."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -69,7 +70,8 @@ def is_number(value) -> bool:
 def check_json_fields(cls, data: dict, what: str) -> None:
     """Raise ValueError naming the fields of a JSON object that the
     dataclass cls does not declare or requires and lacks, or the first
-    field whose value is not the JSON number its annotation asks for."""
+    field whose value is not the JSON number its annotation asks for.
+    Float fields must also be finite."""
     declared = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(declared)
     if unknown:
@@ -82,6 +84,10 @@ def check_json_fields(cls, data: dict, what: str) -> None:
         kind = declared[name].type
         if kind == "int" and not (is_number(value) and isinstance(value, int)):
             raise ValueError(f"{what} field {name!r} must be an integer, got {value!r}")
-        if ((kind == "float" or (kind == "float | None" and value is not None))
-                and not is_number(value)):
-            raise ValueError(f"{what} field {name!r} must be a number, got {value!r}")
+        if kind == "float" or (kind == "float | None" and value is not None):
+            if not is_number(value):
+                raise ValueError(f"{what} field {name!r} must be a number, got {value!r}")
+            # json reads NaN and Infinity, and NaN passes every one-sided
+            # bound a dataclass checks.
+            if not math.isfinite(value):
+                raise ValueError(f"{what} field {name!r} must be finite, got {value!r}")

@@ -26,8 +26,9 @@ from datetime import datetime, timezone
 from . import __version__
 from .trace import (DEFAULT_SYNTH_CONFIG, load_synth_config, load_trace,
                     synthesize_trace, write_synth_config, write_trace)
-from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, detect_spikes,
-                     spike_statistics, write_spikes_csv, write_stats_json)
+from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, _check_bin_edges,
+                     detect_spikes, spike_statistics, write_spikes_csv,
+                     write_stats_json)
 from .devices import BUILTIN_DEVICE_NAMES, builtin_device_spec, load_device_spec
 from .shaving import (SimConfig, load_sim_config, simulate_shaving,
                       write_result_csv, write_result_summary_json,
@@ -153,6 +154,14 @@ def _parse_axis(text: str, name: str) -> tuple:
     return tuple(round(start + k * step, 10) for k in range(int(steps) + 1))
 
 
+def _parse_bins(text: str):
+    try:
+        edges = tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"--bins edges must be numbers, got {text!r}") from None
+    return _check_bin_edges(edges, "--bins")
+
+
 def _resolve_device(token: str):
     if token in ("none", "ideal"):
         return token
@@ -203,7 +212,7 @@ def _cmd_analyze(args) -> int:
     threshold = _threshold_from_args(args)
     edges = DEFAULT_ENERGY_BIN_EDGES
     if args.bins is not None:
-        edges = tuple(float(tok) for tok in args.bins.split(","))
+        edges = _parse_bins(args.bins)
     spikes = detect_spikes(trace, threshold)
     stats = spike_statistics(spikes, energy_bin_edges=edges)
 

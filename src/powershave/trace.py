@@ -426,8 +426,8 @@ def load_synth_config(source) -> SynthConfig:
     data = dict(data)
     bd = data["burst_duration_s"]
     if not (isinstance(bd, (list, tuple)) and len(bd) == 2
-            and all(map(is_number, bd))):
-        raise ValueError("burst_duration_s must be a [low, high] pair of numbers")
+            and all(is_number(v) and math.isfinite(v) for v in bd)):
+        raise ValueError("burst_duration_s must be a [low, high] pair of finite numbers")
     data["burst_duration_s"] = (float(bd[0]), float(bd[1]))
     return SynthConfig(**data)
 

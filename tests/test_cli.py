@@ -163,6 +163,16 @@ def test_analyze_threshold_flags_exclusive(work, tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("bins", ["0,nan,5", "0,inf", "0,5,abc"])
+def test_analyze_bad_bins_exit2(work, tmp_path, bins):
+    proc = run_cli(["analyze", "--trace", str(work["trace"]), "--bins", bins,
+                    "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--bins" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "spike_stats.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # 3. simulate
 # ---------------------------------------------------------------------------
@@ -243,6 +253,48 @@ def test_simulate_bad_device_spec_value_exit2(work, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "energy_capacity_j" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# json reads NaN and Infinity; every loader must refuse them by field name.
+NON_FINITE = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_simulate_non_finite_config_exit2(work, tmp_path, value):
+    path = tmp_path / "bad_sim.json"
+    path.write_text(json.dumps({"p_infra_w": value}))
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", "none",
+                    "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "p_infra_w" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "shaving_summary.json").exists()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_simulate_non_finite_device_spec_exit2(work, tmp_path, value):
+    spec = {"kind": "capacitor", "energy_capacity_j": value, "max_discharge_w": 12000.0,
+            "max_charge_w": 12000.0}
+    path = tmp_path / "bad_device.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", str(path),
+                    "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "energy_capacity_j" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "shaving_summary.json").exists()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_synth_non_finite_config_exit2(tmp_path, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(SHORT_SYNTH, burst_power_w=value)))
+    proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path)],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "burst_power_w" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_simulate_missing_trace_exit1(tmp_path):

@@ -260,6 +260,10 @@ def test_histogram_rejects_bad_edges():
         ps.spike_statistics([_spike(0.01)], energy_bin_edges=[0.0, 5.0, 5.0])
     with pytest.raises(ValueError):
         ps.spike_statistics([_spike(0.01)], energy_bin_edges=[10.0])
+    # NaN passes the increasing check, and inf would land in the JSON.
+    for edges in ([0.0, np.nan, 5.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            ps.spike_statistics([_spike(0.01)], energy_bin_edges=edges)
 
 
 def test_frac_leq_100ms():
