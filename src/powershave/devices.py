@@ -248,7 +248,7 @@ def battery_stepper(spec: DeviceSpec, dt: float):
     discharge_limit, drain, charge = _bind_rules(spec, dt)
     latency = spec.switch_latency_s
     # Left of the turnaround after the step that starts it.
-    restart = latency - dt
+    first_left = latency - dt
 
     def step(stored, mode, last, target, remaining, request, available):
         want = "discharging" if request > 0.0 else ("charging" if available > 0.0 else None)
@@ -256,7 +256,7 @@ def battery_stepper(spec: DeviceSpec, dt: float):
         if mode == "switching":
             if want is not None and want != target:
                 # Direction changed mid-switch: the turnaround starts over.
-                return 0.0, 0.0, stored, mode, 0.0, want, restart
+                return 0.0, 0.0, stored, mode, 0.0, want, first_left
             remaining -= dt
             if remaining > _TIME_EPS:
                 return 0.0, 0.0, stored, mode, 0.0, target, remaining
@@ -269,8 +269,8 @@ def battery_stepper(spec: DeviceSpec, dt: float):
 
         if mode != want:
             if latency > 0.0:
-                if restart > _TIME_EPS:
-                    return 0.0, 0.0, stored, "switching", 0.0, want, restart
+                if first_left > _TIME_EPS:
+                    return 0.0, 0.0, stored, "switching", 0.0, want, first_left
                 return 0.0, 0.0, stored, want, 0.0, None, 0.0
             mode = want
 
