@@ -287,7 +287,8 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     jumps = temp_a[1:]
     np.subtract(grid_a[1:], grid_a[:-1], out=jumps)
     np.abs(jumps, out=jumps)
-    violations = np.flatnonzero(jumps > r_bound) + 1
+    violations = np.flatnonzero(jumps > r_bound)
+    violations += 1
 
     # The simulation never reads the temperature, so the thermal node is
     # integrated here, with thermal_step's Euler update, over the heat of
