@@ -5,7 +5,8 @@ the kernel was flattened: it calls a checked device step and the thermal
 step every step and rescans a list of restart holds.  It keeps its own
 copy of that era's device physics (reference_device_step and its helpers),
 so it never reaches the kernel's device code.  Only the data classes
-(DeviceSpec, DeviceState, SimConfig, ShavingResult, PowerTrace) are shared.
+(DeviceSpec, DeviceState, SimConfig, ShavingResult, PowerTrace) and
+init_state, which gives a device's starting state, are shared.
 
 Seeded cases cover short traces with plateaus, samples exactly at the
 threshold and -0.0 samples, dt from 1 ms to 50 ms, restart penalties zero
