@@ -6,7 +6,9 @@ accelerators would escape a protective shutdown?  The count is sized by
 the worst instantaneous excess, in whole 700 W units.
 """
 
-from powershave import DEFAULT_SYNTH_CONFIG, export_grid, sweep_gpus_saved, synthesize_trace
+import sys
+
+from powershave import DEFAULT_SYNTH_CONFIG, sweep_gpus_saved, synthesize_trace, write_grid_csv
 
 trace = synthesize_trace(DEFAULT_SYNTH_CONFIG)
 grid = sweep_gpus_saved(trace)
@@ -24,4 +26,4 @@ print("or requiring longer bursts can only shrink the qualifying spike set")
 
 print()
 print("CSV form (paste into a spreadsheet):")
-print(export_grid(grid, "csv"))
+write_grid_csv(grid, sys.stdout)

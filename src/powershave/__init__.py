@@ -64,11 +64,12 @@ from .sweep import (
     DEFAULT_THRESHOLD_FRACS,
     SweepGrid,
     compare_strategies,
-    export_grid,
     load_grid_csv,
     load_grid_json,
     sweep_gpus_saved,
     write_comparison_csv,
+    write_grid_csv,
+    write_grid_json,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +90,7 @@ __all__ = [
     "thermal_step", "useful_compute_j", "write_result_csv",
     "write_result_summary_json", "write_sim_config",
     "ComparisonRow", "DEFAULT_BURST_LENGTHS_S", "DEFAULT_THRESHOLD_FRACS",
-    "SweepGrid", "compare_strategies", "export_grid", "load_grid_csv",
-    "load_grid_json", "sweep_gpus_saved", "write_comparison_csv",
+    "SweepGrid", "compare_strategies", "load_grid_csv", "load_grid_json",
+    "sweep_gpus_saved", "write_comparison_csv", "write_grid_csv",
+    "write_grid_json",
 ]

@@ -1,8 +1,15 @@
-"""Text I/O shared by the trace, shaving and device modules: the CSV writer
-for numeric columns and the field checks of the JSON config loaders."""
+"""Text I/O shared by every powershave file format, and the field checks
+shared by the config dataclasses and their JSON loaders.
+
+Every writer has the shape writer(obj, dest) and every loader takes a
+source; dest and source are a path or a stream, and write_text and
+read_text are the only code that tells them apart.  A path is opened with
+newline="", so it gets the same bytes as a text or binary stream.
+"""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import MISSING, fields
 
@@ -35,11 +42,11 @@ def _csv_chunks(header_lines, columns):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _write_text(dest, chunks) -> None:
+def write_text(dest, chunks) -> None:
     """Write text chunks to a text stream, a binary stream (UTF-8) or the
     file at path dest."""
     if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8") as fh:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
     chunks = iter(chunks)
@@ -59,7 +66,37 @@ def write_columns_csv(dest, header_lines, columns) -> None:
     value as its repr.  The columns are 1-D, of equal length and of an
     8-byte numeric dtype (float64, or int64 for an integer column)."""
     columns = [np.ascontiguousarray(col) for col in columns]
-    _write_text(dest, _csv_chunks(header_lines, columns))
+    write_text(dest, _csv_chunks(header_lines, columns))
+
+
+def write_json(obj, dest, sort_keys: bool = True) -> None:
+    """obj as JSON indented by 2, with a trailing newline.  NaN and the
+    infinities raise ValueError: they are not JSON."""
+    write_text(dest, (json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
+                      + "\n",))
+
+
+def read_text(source) -> str:
+    """The text of a stream or of the file at path source; bytes are
+    decoded as UTF-8."""
+    if hasattr(source, "read"):
+        raw = source.read()
+    else:
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+
+def read_json_object(source, what: str, error=ValueError) -> dict:
+    """The JSON object in source (see read_text).  Raises error, naming
+    what, for text that is not JSON or whose value is not an object."""
+    try:
+        data = json.loads(read_text(source))
+    except json.JSONDecodeError as exc:
+        raise error(f"bad {what} JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object")
+    return data
 
 
 def is_number(value) -> bool:
@@ -67,11 +104,22 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_finite(obj) -> None:
+    """Raise ValueError naming the first float field of the dataclass obj
+    that holds NaN or an infinity.  NaN passes every one-sided bound, so
+    each config dataclass calls this before its own checks."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (f.type in ("float", "float | None") and value is not None
+                and not math.isfinite(value)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 def check_json_fields(cls, data: dict, what: str) -> None:
     """Raise ValueError naming the fields of a JSON object that the
     dataclass cls does not declare or requires and lacks, or the first
     field whose value is not the JSON number its annotation asks for.
-    Float fields must also be finite."""
+    Finiteness is the dataclass's own check."""
     declared = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(declared)
     if unknown:
@@ -87,7 +135,3 @@ def check_json_fields(cls, data: dict, what: str) -> None:
         if kind == "float" or (kind == "float | None" and value is not None):
             if not is_number(value):
                 raise ValueError(f"{what} field {name!r} must be a number, got {value!r}")
-            # json reads NaN and Infinity, and NaN passes every one-sided
-            # bound a dataclass checks.
-            if not math.isfinite(value):
-                raise ValueError(f"{what} field {name!r} must be finite, got {value!r}")

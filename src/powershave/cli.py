@@ -5,7 +5,8 @@ Every command writes its primary outputs plus a run manifest into the
 output directory (--out, or the POWERSHAVE_OUT environment variable,
 defaulting to the working directory).  Outputs are byte-identical for
 identical inputs; the manifest's created_utc field is the only thing
-that changes between reruns.
+that changes between reruns.  Every file goes through _write_output, and
+every config digest through _digest, which hashes the same bytes.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error,
 3 run completed but the grid ramp constraint was violated.
@@ -24,6 +25,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
+from ._textio import write_json
 from .trace import (DEFAULT_SYNTH_CONFIG, load_synth_config, load_trace,
                     synthesize_trace, write_synth_config, write_trace)
 from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, _check_bin_edges,
@@ -34,8 +36,8 @@ from .shaving import (SimConfig, load_sim_config, simulate_shaving,
                       write_result_csv, write_result_summary_json,
                       write_sim_config)
 from .sweep import (DEFAULT_BURST_LENGTHS_S, DEFAULT_THRESHOLD_FRACS,
-                    compare_strategies, export_grid, sweep_gpus_saved,
-                    write_comparison_csv)
+                    compare_strategies, sweep_gpus_saved, write_comparison_csv,
+                    write_grid_csv, write_grid_json)
 
 _DEVICE_CHOICES = ("none", "ideal") + BUILTIN_DEVICE_NAMES
 
@@ -46,23 +48,6 @@ def _sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
-
-
-def _sha256_text(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_via(writer, *args) -> str:
-    buf = io.StringIO()
-    writer(*args, buf)
-    return buf.getvalue()
 
 
 class _HashingSink:
@@ -88,16 +73,33 @@ class _HashingSink:
         return self.fh.tell()
 
 
+def _hash_into(fh, writer, *args) -> str:
+    sink = _HashingSink(fh)
+    writer(*args, sink)
+    return "sha256:" + sink.sha.hexdigest()
+
+
 def _write_output(path: str, writer, *args) -> str:
     """Atomically write writer's text to path, chunk by chunk as the writer
     yields it, so the whole file is never held in memory; returns its
     sha256 digest."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        sink = _HashingSink(fh)
-        writer(*args, sink)
+        digest = _hash_into(fh, writer, *args)
     os.replace(tmp, path)
-    return "sha256:" + sink.sha.hexdigest()
+    return digest
+
+
+def _digest(writer, *args) -> str:
+    """The digest _write_output would return for writer's text, with the
+    text kept in memory instead of a file.  For the small config texts the
+    manifests digest."""
+    return _hash_into(io.BytesIO(), writer, *args)
+
+
+def _write_compact_json(obj, dest) -> None:
+    # The threshold and axes digests hash this form of their values.
+    dest.write(json.dumps(obj, sort_keys=True))
 
 
 def _out_dir(args) -> str:
@@ -117,8 +119,7 @@ def _write_manifest(out: str, command: str, inputs: dict, config_digests: dict,
         "config_digests": config_digests,
         "outputs": outputs,
     }
-    path = os.path.join(out, f"{command}_manifest.json")
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_output(os.path.join(out, f"{command}_manifest.json"), write_json, manifest)
 
 
 def _threshold_from_args(args) -> ThresholdSpec:
@@ -199,7 +200,7 @@ def _cmd_synth(args) -> int:
     trace_digest = _write_output(trace_path, write_trace, trace)
     _write_manifest(
         out, "synth", inputs,
-        {"synth_config": _sha256_text(_write_via(write_synth_config, config))},
+        {"synth_config": _digest(write_synth_config, config)},
         config.seed, {"trace.csv": trace_digest})
     print(f"wrote {trace_path} ({trace.n_samples} samples, "
           f"{trace.duration_s:.1f} s at {trace.dt_s * 1e3:.1f} ms)")
@@ -222,9 +223,9 @@ def _cmd_analyze(args) -> int:
     stats_digest = _write_output(stats_path, write_stats_json, stats)
     _write_manifest(
         out, "analyze", {args.trace: _sha256_file(args.trace)},
-        {"threshold": _sha256_text(json.dumps(
-            {"absolute_w": threshold.absolute_w,
-             "fraction_of_max": threshold.fraction_of_max}, sort_keys=True))},
+        {"threshold": _digest(_write_compact_json,
+                              {"absolute_w": threshold.absolute_w,
+                               "fraction_of_max": threshold.fraction_of_max})},
         None,
         {"spikes.csv": spikes_digest, "spike_stats.json": stats_digest})
 
@@ -262,7 +263,7 @@ def _cmd_simulate(args) -> int:
     summary_digest = _write_output(summary_path, write_result_summary_json, result)
     _write_manifest(
         out, "simulate", inputs,
-        {"sim_config": _sha256_text(_write_via(write_sim_config, config))},
+        {"sim_config": _digest(write_sim_config, config)},
         None,
         {"shaving.csv": csv_digest, "shaving_summary.json": summary_digest})
 
@@ -288,19 +289,16 @@ def _cmd_sweep(args) -> int:
     trace = load_trace(args.trace)
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
 
-    csv_text = export_grid(grid, "csv")
-    json_text = export_grid(grid, "json")
     csv_path = os.path.join(out, "grid.csv")
     json_path = os.path.join(out, "grid.json")
-    _atomic_write(csv_path, csv_text)
-    _atomic_write(json_path, json_text)
+    csv_digest = _write_output(csv_path, write_grid_csv, grid)
+    json_digest = _write_output(json_path, write_grid_json, grid)
     _write_manifest(
         out, "sweep", {args.trace: _sha256_file(args.trace)},
-        {"axes": _sha256_text(json.dumps(
-            {"threshold_fracs": list(fracs), "burst_lengths_s": list(bursts),
-             "gpu_unit_w": args.gpu_unit_w}, sort_keys=True))},
-        None,
-        {"grid.csv": _sha256_text(csv_text), "grid.json": _sha256_text(json_text)})
+        {"axes": _digest(_write_compact_json,
+                         {"threshold_fracs": list(fracs), "burst_lengths_s": list(bursts),
+                          "gpu_unit_w": args.gpu_unit_w})},
+        None, {"grid.csv": csv_digest, "grid.json": json_digest})
     print(f"swept {len(fracs)}x{len(bursts)} grid; "
           f"max gpus_saved = {int(grid.values.max())}")
     print(f"wrote {csv_path}, {json_path}")
@@ -328,7 +326,7 @@ def _cmd_compare(args) -> int:
     csv_digest = _write_output(csv_path, write_comparison_csv, rows)
     _write_manifest(
         out, "compare", inputs,
-        {"sim_config": _sha256_text(_write_via(write_sim_config, config))},
+        {"sim_config": _digest(write_sim_config, config)},
         None, {"comparison.csv": csv_digest})
 
     for row in rows:

@@ -28,12 +28,11 @@ at soc_max_frac.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
-from ._textio import check_json_fields
+from ._textio import check_finite, check_json_fields, read_json_object, write_json
 
 __all__ = [
     "PASSIVE_KINDS",
@@ -85,6 +84,7 @@ class DeviceSpec:
     soc_max_frac: float = 1.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.kind not in DEVICE_KINDS:
             raise ValueError(f"kind must be one of {DEVICE_KINDS}, got {self.kind!r}")
         if not (self.energy_capacity_j > 0.0):
@@ -288,41 +288,14 @@ def battery_stepper(spec: DeviceSpec, dt: float):
 # Spec files
 # ---------------------------------------------------------------------------
 
-def _spec_to_dict(spec: DeviceSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "energy_capacity_j": spec.energy_capacity_j,
-        "max_discharge_w": spec.max_discharge_w,
-        "max_charge_w": spec.max_charge_w,
-        "response_tau_s": spec.response_tau_s,
-        "switch_latency_s": spec.switch_latency_s,
-        "round_trip_efficiency": spec.round_trip_efficiency,
-        "soc_min_frac": spec.soc_min_frac,
-        "soc_max_frac": spec.soc_max_frac,
-    }
-
-
 def write_device_spec(spec: DeviceSpec, dest) -> None:
-    text = json.dumps(_spec_to_dict(spec), indent=2) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """The spec's fields in declaration order, as the shipped presets list
+    them."""
+    write_json(asdict(spec), dest, sort_keys=False)
 
 
 def load_device_spec(source) -> DeviceSpec:
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad device spec JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("device spec must be a JSON object")
+    data = read_json_object(source, "device spec")
     if "kind" not in data:
         raise ValueError("device spec missing 'kind'")
     check_json_fields(DeviceSpec, data, "device spec")

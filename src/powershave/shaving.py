@@ -44,14 +44,14 @@ hold, so its series are array code and it runs no loop at all.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._textio import check_json_fields, write_columns_csv
+from ._textio import (check_finite, check_json_fields, read_json_object,
+                      write_columns_csv, write_json)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .devices import (DeviceSpec, PASSIVE_KINDS, battery_stepper, init_state,
@@ -102,6 +102,7 @@ class SimConfig:
     thermal_ref_power_w: float = 140000.0
 
     def __post_init__(self):
+        check_finite(self)
         if not isinstance(self.threshold, ThresholdSpec):
             raise ValueError("threshold must be a ThresholdSpec")
         if self.p_infra_w < 0.0:
@@ -132,34 +133,15 @@ class SimConfig:
         return (self.t_max_c - self.t_ambient_c) / self.thermal_ref_power_w
 
 
-def _config_to_dict(config: SimConfig) -> dict:
-    d = asdict(config)
-    thr = d.pop("threshold")
-    d["threshold"] = {k: v for k, v in thr.items() if v is not None}
-    return d
-
-
 def write_sim_config(config: SimConfig, dest) -> None:
-    text = json.dumps(_config_to_dict(config), indent=2, sort_keys=True) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Sorted fields; the threshold holds only the field that is set."""
+    d = asdict(config)
+    d["threshold"] = {k: v for k, v in d["threshold"].items() if v is not None}
+    write_json(d, dest)
 
 
 def load_sim_config(source) -> SimConfig:
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad sim config JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("sim config must be a JSON object")
+    data = read_json_object(source, "sim config")
     check_json_fields(SimConfig, data, "sim config")
     data = dict(data)
     if "threshold" in data:
@@ -577,9 +559,6 @@ def write_result_csv(result: ShavingResult, dest) -> None:
 
 
 def write_result_summary_json(result: ShavingResult, dest) -> None:
-    text = json.dumps(result_summary_dict(result), indent=2, sort_keys=True) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """result_summary_dict as JSON.  A summary holding NaN or an infinity
+    raises ValueError: it is not JSON."""
+    write_json(result_summary_dict(result), dest)

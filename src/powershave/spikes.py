@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import check_finite, write_json, write_text
 from .trace import PowerTrace
 
 __all__ = [
@@ -38,6 +37,7 @@ class ThresholdSpec:
     fraction_of_max: float | None = None
 
     def __post_init__(self):
+        check_finite(self)
         has_abs = self.absolute_w is not None
         has_frac = self.fraction_of_max is not None
         if has_abs == has_frac:
@@ -200,19 +200,12 @@ def threshold_sweep(trace: PowerTrace,
 
 
 def write_spikes_csv(spikes: list[Spike], dest) -> None:
-    """One spike per row: start_s,duration_s,peak_excess_w,energy_above_j,peak_frac."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["start_s", "duration_s", "peak_excess_w", "energy_above_j", "peak_frac"])
-        for sp in spikes:
-            writer.writerow([repr(float(sp.start_s)), repr(float(sp.duration_s)),
-                             repr(float(sp.peak_excess_w)), repr(float(sp.energy_above_j)),
-                             repr(float(sp.peak_frac))])
-    finally:
-        if own:
-            fh.close()
+    """One spike per row: start_s,duration_s,peak_excess_w,energy_above_j,peak_frac.
+    Rows end with CRLF, which the golden digest of spikes.csv pins."""
+    header = "start_s,duration_s,peak_excess_w,energy_above_j,peak_frac\r\n"
+    write_text(dest, [header] + [
+        f"{float(sp.start_s)!r},{float(sp.duration_s)!r},{float(sp.peak_excess_w)!r},"
+        f"{float(sp.energy_above_j)!r},{float(sp.peak_frac)!r}\r\n" for sp in spikes])
 
 
 def stats_to_dict(stats: SpikeStats) -> dict:
@@ -229,9 +222,4 @@ def stats_to_dict(stats: SpikeStats) -> dict:
 
 
 def write_stats_json(stats: SpikeStats, dest) -> None:
-    text = json.dumps(stats_to_dict(stats), indent=2, sort_keys=True) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_json(stats_to_dict(stats), dest)

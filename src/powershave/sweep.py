@@ -5,17 +5,21 @@ minimum-burst-length axis; raising either axis can only shrink the set
 of qualifying spikes, so every valid grid is nonincreasing along both.
 compare_strategies runs the shaving simulation once per named strategy
 on one trace and reports each against the device-free baseline.
+
+write_grid_csv, write_grid_json and write_comparison_csv write through
+_textio, to a path or a stream; load_grid_csv and load_grid_json read
+back the text of the first two.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import write_json, write_text
 from .trace import PowerTrace
 from .shaving import SimConfig, _gpus_saved_grid, computational_gain, simulate_shaving
 # Unused here; bench/tracer.py patches sweep.gpus_saved.
@@ -28,10 +32,11 @@ __all__ = [
     "sweep_gpus_saved",
     "ComparisonRow",
     "compare_strategies",
-    "export_grid",
     "load_grid_csv",
     "load_grid_json",
     "write_comparison_csv",
+    "write_grid_csv",
+    "write_grid_json",
 ]
 
 DEFAULT_THRESHOLD_FRACS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
@@ -152,26 +157,22 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
 # Export / import
 # ---------------------------------------------------------------------------
 
-def export_grid(grid: SweepGrid, format: str = "csv") -> str:
-    """Serialize a grid; CSV puts burst lengths across the header row and
-    threshold fractions down the first column."""
-    if format == "csv":
-        out = io.StringIO()
-        header = ["threshold_frac/burst_s"] + [repr(b) for b in grid.burst_lengths_s]
-        out.write(",".join(header) + "\n")
-        for i, frac in enumerate(grid.threshold_fracs):
-            row = [repr(frac)] + [str(int(v)) for v in grid.values[i]]
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
-    if format == "json":
-        payload = {
-            "trace_label": grid.trace_label,
-            "threshold_fracs": list(grid.threshold_fracs),
-            "burst_lengths_s": list(grid.burst_lengths_s),
-            "values": [[int(v) for v in row] for row in grid.values],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unsupported grid format {format!r}")
+def write_grid_csv(grid: SweepGrid, dest) -> None:
+    """Burst lengths across the header row, threshold fractions down the
+    first column."""
+    header = ["threshold_frac/burst_s"] + [repr(b) for b in grid.burst_lengths_s]
+    write_text(dest, [",".join(header) + "\n"] + [
+        ",".join([repr(frac)] + [str(int(v)) for v in row]) + "\n"
+        for frac, row in zip(grid.threshold_fracs, grid.values)])
+
+
+def write_grid_json(grid: SweepGrid, dest) -> None:
+    write_json({
+        "trace_label": grid.trace_label,
+        "threshold_fracs": list(grid.threshold_fracs),
+        "burst_lengths_s": list(grid.burst_lengths_s),
+        "values": [[int(v) for v in row] for row in grid.values],
+    }, dest)
 
 
 def load_grid_json(text: str, trace_label=None) -> SweepGrid:
@@ -208,19 +209,7 @@ def load_grid_csv(text: str, trace_label: str = "") -> SweepGrid:
 
 
 def write_comparison_csv(rows, dest) -> None:
-    lines = [",".join(_COMPARISON_FIELDS)]
-    for row in rows:
-        lines.append(",".join([
-            row.strategy_name,
-            repr(row.computational_gain_pct),
-            repr(row.dummy_energy_j),
-            repr(row.total_unserved_energy_j),
-            repr(row.device_energy_throughput_j),
-            repr(row.peak_grid_w),
-        ]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(dest, [",".join(_COMPARISON_FIELDS) + "\n"] + [
+        ",".join([row.strategy_name] + [repr(getattr(row, name))
+                                        for name in _COMPARISON_FIELDS[1:]]) + "\n"
+        for row in rows])

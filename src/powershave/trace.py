@@ -1,5 +1,9 @@
 """Rack power-draw traces: container type, CSV round-trip, resampling, synthesis.
 
+load_trace reads a trace through _textio.read_text and write_trace writes
+one through _textio.write_columns_csv, so both take a path or a stream;
+the synth config has the same pair, over _textio's JSON helpers.
+
 A trace is a uniformly sampled power series for one accelerator rack.  The
 synthetic generator builds a rack trace as the sum of per-accelerator
 training cycles (compute burst, communication phase, idle tail, with
@@ -12,14 +16,14 @@ floor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from itertools import repeat
 
 import numpy as np
 
-from ._textio import check_json_fields, is_number, write_columns_csv
+from ._textio import (check_finite, check_json_fields, is_number, read_json_object,
+                      read_text, write_columns_csv, write_json)
 
 __all__ = [
     "TraceFormatError",
@@ -224,7 +228,7 @@ def _parse_bulk(raw: str):
     return np.concatenate(t_blocks), np.concatenate(p_blocks), meta, header_seen
 
 
-def load_trace(source, format: str = "csv", rack_max_w: float | None = None) -> PowerTrace:
+def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     """Parse a trace from a CSV byte/text stream or path.
 
     Expected layout: optional '#' comment lines carrying 'rack_max_w=<float>'
@@ -233,17 +237,7 @@ def load_trace(source, format: str = "csv", rack_max_w: float | None = None) -> 
     0.5% of the median interval.  rack_max_w may be supplied as an override
     when the file carries no metadata.
     """
-    if format != "csv":
-        raise TraceFormatError(f"unsupported trace format: {format!r}")
-
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-
+    raw = read_text(source)
     parsed = _parse_bulk(raw)
     if parsed is None:
         parsed = _parse_lines(raw)
@@ -365,6 +359,7 @@ class SynthConfig:
     dt_s: float
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_accelerators < 1:
             raise ValueError("n_accelerators must be at least 1")
         if not (self.iteration_period_s > 0.0):
@@ -395,33 +390,14 @@ class SynthConfig:
         return self.n_accelerators * self.burst_power_w
 
 
-def _synth_to_dict(config: SynthConfig) -> dict:
-    d = asdict(config)
-    d["burst_duration_s"] = list(config.burst_duration_s)
-    return d
-
-
 def write_synth_config(config: SynthConfig, dest) -> None:
-    text = json.dumps(_synth_to_dict(config), indent=2) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """The fields in declaration order, unsorted: the synth manifest's
+    config digest pins these bytes."""
+    write_json(asdict(config), dest, sort_keys=False)
 
 
 def load_synth_config(source) -> SynthConfig:
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"bad synth config JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise TraceFormatError("synth config must be a JSON object")
+    data = read_json_object(source, "synth config", TraceFormatError)
     check_json_fields(SynthConfig, data, "synth config")
     data = dict(data)
     bd = data["burst_duration_s"]

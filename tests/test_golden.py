@@ -13,6 +13,9 @@ SimConfig:
 * the config_digests of the CLI manifests, and the output digests those
   manifests record, from in-process CLI runs on the same trace.
 
+It also checks that every writer gives the same bytes to a path, a text
+stream and a binary stream.
+
 A change that moves any digest on purpose says why in CHANGES.md and
 updates the value here.
 """
@@ -20,6 +23,7 @@ updates the value here.
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -110,12 +114,12 @@ def test_comparison_csv_digest(short_trace):
 
 def test_grid_csv_digest(short_trace):
     grid = ps.sweep_gpus_saved(short_trace)
-    assert _sha256(ps.export_grid(grid, "csv")) == GRID_CSV
+    assert _sha256(_render(ps.write_grid_csv, grid)) == GRID_CSV
 
 
 def test_grid_json_digest(short_trace):
     grid = ps.sweep_gpus_saved(short_trace)
-    assert _sha256(ps.export_grid(grid, "json")) == GRID_JSON
+    assert _sha256(_render(ps.write_grid_json, grid)) == GRID_JSON
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +150,47 @@ def test_manifest_digests(manifests, command):
     assert manifest["config_digests"] == CONFIG_DIGESTS[command]
     assert manifest["outputs"] == {name: "sha256:" + digest
                                    for name, digest in CLI_OUTPUTS[command].items()}
+
+
+WRITERS = (ps.write_trace, ps.write_synth_config, ps.write_spikes_csv,
+           ps.write_stats_json, ps.write_result_csv, ps.write_result_summary_json,
+           ps.write_sim_config, ps.write_device_spec, ps.write_comparison_csv,
+           ps.write_grid_csv, ps.write_grid_json)
+
+
+@pytest.fixture(scope="module")
+def written(short_trace, short_results):
+    """writer: the object it writes, for every writer in WRITERS."""
+    spikes = ps.detect_spikes(short_trace, ps.ThresholdSpec(fraction_of_max=0.7))
+    rows = ps.compare_strategies(
+        short_trace, [(name, strategy_spec(name)) for name in STRATEGIES],
+        ps.SimConfig())
+    grid = ps.sweep_gpus_saved(short_trace)
+    return {
+        ps.write_trace: short_trace,
+        ps.write_synth_config: SHORT_SYNTH_CONFIG,
+        ps.write_spikes_csv: spikes,
+        ps.write_stats_json: ps.spike_statistics(spikes),
+        ps.write_result_csv: short_results["supercap"],
+        ps.write_result_summary_json: short_results["supercap"],
+        ps.write_sim_config: ps.SimConfig(),
+        ps.write_device_spec: ps.builtin_device_spec("supercap"),
+        ps.write_comparison_csv: rows,
+        ps.write_grid_csv: grid,
+        ps.write_grid_json: grid,
+    }
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=lambda writer: writer.__name__)
+def test_writer_bytes_same_for_path_and_streams(written, tmp_path, writer):
+    obj = written[writer]
+    path = os.path.join(tmp_path, "out")
+    writer(obj, path)
+    with open(path, "rb") as fh:
+        from_path = fh.read()
+    text, binary = io.StringIO(), io.BytesIO()
+    writer(obj, text)
+    writer(obj, binary)
+    assert from_path
+    assert text.getvalue().encode("utf-8") == from_path
+    assert binary.getvalue() == from_path

@@ -17,6 +17,7 @@ Every simulation here goes through conftest.run_sim, which asserts the
 per-step power balance, the grid cap, and exact device bookkeeping.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -28,7 +29,7 @@ import powershave as ps
 from powershave import SimConfig, ThresholdSpec
 from powershave.devices import builtin_device_spec
 
-from conftest import loose_config, make_trace, run_sim
+from conftest import SHORT_SYNTH_CONFIG, loose_config, make_trace, run_sim
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,33 @@ def test_config_validation():
         SimConfig(gpu_unit_w=0.0)
     with pytest.raises(ValueError):
         SimConfig(thermal_tau_s=0.0)
+
+
+_CAPACITOR = ps.DeviceSpec(kind="capacitor", energy_capacity_j=50.0,
+                           max_discharge_w=12000.0, max_charge_w=12000.0)
+
+
+_NON_FINITE_CASES = [
+    (SimConfig(), "p_infra_w", math.nan),
+    (SimConfig(), "restart_penalty_s", math.nan),
+    (SimConfig(), "t_derate_c", math.nan),
+    (SimConfig(), "grid_ramp_limit_w_per_s", math.inf),
+    (SimConfig(), "t_ambient_c", -math.inf),
+    (_CAPACITOR, "energy_capacity_j", math.inf),
+    (_CAPACITOR, "max_charge_w", math.nan),
+    (SHORT_SYNTH_CONFIG, "inference_rate_hz", math.nan),
+    (SHORT_SYNTH_CONFIG, "duration_s", math.inf),
+    (ThresholdSpec(absolute_w=600.0), "absolute_w", math.inf),
+]
+
+
+@pytest.mark.parametrize("base, field, value", _NON_FINITE_CASES,
+                         ids=[f"{type(b).__name__}.{f}" for b, f, _ in _NON_FINITE_CASES])
+def test_config_dataclasses_reject_non_finite(base, field, value):
+    # Each of these passes the field's one-sided bound, so only the finite
+    # check can stop it.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        dataclasses.replace(base, **{field: value})
 
 
 def test_config_json_round_trip():
@@ -504,6 +532,16 @@ def test_result_summary_json_fields():
         assert key in doc
     assert doc["strategy"] == "ideal"
     assert doc["total_unserved_energy_j"] == 0.0
+
+
+def test_result_summary_json_rejects_nan():
+    tr = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)
+    r = run_sim(tr, "ideal", loose_config(threshold=ThresholdSpec(absolute_w=600.0)))
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        ps.write_result_summary_json(dataclasses.replace(r, total_dummy_energy_j=math.nan),
+                                     buf)
+    assert buf.getvalue() == ""
 
 
 if __name__ == "__main__":

@@ -5,11 +5,12 @@ Covers:
     argument checks, and equality with the per-cell oracle
  2. All-zero grid on a sub-threshold constant trace
  3. Grid determinism and cell independence
- 4. export_grid CSV / JSON round trips and shape arithmetic
+ 4. write_grid_csv / write_grid_json round trips and shape arithmetic
  5. compare_strategies ordering, baseline, duplicate rejection
  6. Comparison CSV layout
 """
 
+import io
 import json
 import math
 
@@ -218,12 +219,14 @@ def test_sweep_matches_per_cell_oracle(style):
 
 
 # ---------------------------------------------------------------------------
-# 4. export_grid
+# 4. write_grid_csv / write_grid_json
 # ---------------------------------------------------------------------------
 
 def test_export_json_round_trip(spiky_trace):
     grid = ps.sweep_gpus_saved(spiky_trace, [0.55, 0.75], [0.0, 0.02, 0.1], 700.0)
-    text = ps.export_grid(grid, "json")
+    buf = io.StringIO()
+    ps.write_grid_json(grid, buf)
+    text = buf.getvalue()
     back = ps.load_grid_json(text)
     assert back.threshold_fracs == grid.threshold_fracs
     assert back.burst_lengths_s == grid.burst_lengths_s
@@ -233,7 +236,9 @@ def test_export_json_round_trip(spiky_trace):
 
 def test_export_csv_round_trip(spiky_trace):
     grid = ps.sweep_gpus_saved(spiky_trace, [0.55, 0.75], [0.0, 0.02, 0.1], 700.0)
-    text = ps.export_grid(grid, "csv")
+    buf = io.StringIO()
+    ps.write_grid_csv(grid, buf)
+    text = buf.getvalue()
     back = ps.load_grid_csv(text, trace_label=grid.trace_label)
     assert back.threshold_fracs == grid.threshold_fracs
     assert back.burst_lengths_s == grid.burst_lengths_s
@@ -245,16 +250,12 @@ def test_export_csv_shape():
     values = np.array([[5, 3, 1], [2, 1, 0]])
     grid = ps.SweepGrid(threshold_fracs=(0.5, 0.7), burst_lengths_s=(0.0, 0.05, 0.1),
                         values=values, trace_label="shape")
-    lines = ps.export_grid(grid, "csv").strip().splitlines()
+    buf = io.StringIO()
+    ps.write_grid_csv(grid, buf)
+    lines = buf.getvalue().strip().splitlines()
     assert len(lines) == 3
     for line in lines:
         assert len(line.split(",")) == 4
-
-
-def test_export_rejects_unknown_format(spiky_trace):
-    grid = ps.sweep_gpus_saved(spiky_trace, [0.55], [0.0], 700.0)
-    with pytest.raises(ValueError):
-        ps.export_grid(grid, "parquet")
 
 
 def test_grid_type_rejects_violations():

@@ -102,11 +102,6 @@ def test_load_rejects_irregular_grid():
         ps.load_trace(io.StringIO(text))
 
 
-def test_load_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        ps.load_trace(io.StringIO("x"), format="parquet")
-
-
 def oracle_load_trace(raw: str, rack_max_w=None):
     """The per-line trace parser load_trace replaced, kept verbatim as the
     behaviour reference."""
