@@ -104,14 +104,22 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:      # an int beyond the float range
+        return False
+
+
 def check_finite(obj) -> None:
     """Raise ValueError naming the first float field of the dataclass obj
-    that holds NaN or an infinity.  NaN passes every one-sided bound, so
-    each config dataclass calls this before its own checks."""
+    that holds NaN, an infinity or an int too large for a float.  NaN
+    passes every one-sided bound, so each config dataclass calls this
+    before its own checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if (f.type in ("float", "float | None") and value is not None
-                and not math.isfinite(value)):
+                and not _is_finite(value)):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 

@@ -59,6 +59,7 @@ _NON_FINITE_CASES = [
     (SimConfig(), "t_derate_c", math.nan),
     (SimConfig(), "grid_ramp_limit_w_per_s", math.inf),
     (SimConfig(), "t_ambient_c", -math.inf),
+    (SimConfig(), "thermal_tau_s", 10 ** 400),     # JSON reads it as an int
     (_CAPACITOR, "energy_capacity_j", math.inf),
     (_CAPACITOR, "max_charge_w", math.nan),
     (SHORT_SYNTH_CONFIG, "inference_rate_hz", math.nan),
