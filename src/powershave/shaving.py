@@ -511,8 +511,8 @@ def _gpus_saved_grid(trace: PowerTrace, threshold_fracs, min_bursts_s,
     for burst in min_bursts_s:
         if not (burst >= 0.0):
             raise ValueError("min_burst_s must be non-negative")
-    if not (gpu_unit_w > 0.0):
-        raise ValueError("gpu_unit_w must be positive")
+    if not (0.0 < gpu_unit_w < math.inf):
+        raise ValueError("gpu_unit_w must be positive and finite")
     values = np.zeros((len(threshold_fracs), len(min_bursts_s)), dtype=np.int64)
     for i, frac in enumerate(threshold_fracs):
         theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)

@@ -402,6 +402,8 @@ def test_gpus_saved_validation():
         ps.gpus_saved(tr, 0.5, -0.1, 700.0)
     with pytest.raises(ValueError):
         ps.gpus_saved(tr, 0.5, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ps.gpus_saved(tr, 0.5, 0.0, math.inf)     # every cell would read 0
 
 
 def test_gpus_saved_monotone_random():
