@@ -1,10 +1,11 @@
 """Text I/O shared by every powershave file format, and the field checks
 shared by the config dataclasses and their JSON loaders.
 
-Every writer has the shape writer(obj, dest) and every loader takes a
-source; dest and source are a path or a stream, and write_text and
-read_text are the only code that tells them apart.  A path is opened with
-newline="", so it gets the same bytes as a text or binary stream.
+Every writer has the shape writer(obj, dest), and every trace or config
+loader takes a source; dest and source are a path or a stream, and
+write_text and read_text are the only code that tells them apart.  A path
+is opened with newline="", so it gets the same bytes as a text or binary
+stream.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def write_columns_csv(dest, header_lines, columns) -> None:
 def write_json(obj, dest, sort_keys: bool = True) -> None:
     """obj as JSON indented by 2, with a trailing newline.  NaN and the
     infinities raise ValueError: they are not JSON."""
-    write_text(dest, (json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
-                      + "\n",))
+    text = json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
+    write_text(dest, [text + "\n"])
 
 
 def read_text(source) -> str:
