@@ -286,6 +286,8 @@ def _cmd_sweep(args) -> int:
         fracs = _parse_axis(args.axes_threshold, "--axes-threshold")
     if args.axes_burst is not None:
         bursts = _parse_axis(args.axes_burst, "--axes-burst")
+    if not (0.0 < args.gpu_unit_w < math.inf):
+        raise ValueError(f"--gpu-unit-w must be positive and finite, got {args.gpu_unit_w!r}")
     trace = load_trace(args.trace)
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
 

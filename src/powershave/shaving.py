@@ -33,13 +33,21 @@ never throttles).  Because nothing in the step loop reads the
 temperature, the node is integrated after the loop, over the finished
 served and dummy series, with the same Euler update as thermal_step.
 
-The step loop does only the work that is truly sequential.  It keeps the
-device state in local variables and advances it with a stepper that
-devices.passive_stepper / devices.battery_stepper build once per run, the
-same physics as device_step.  Nothing in a step reads the grid feed it
-draws, so p_grid and the ramp check are array post-passes over the
-finished series.  The ideal device reads no device state and no restart
-hold, so its series are array code and it runs no loop at all.
+Only the steps that can change state run as scalar code:
+
+* The direct feed (battery, ideal) is array code.  The ideal device
+  delivers the whole deficit, so it runs no loop.  A battery is walked
+  step by step only where demand exceeds the threshold and while a
+  shortfall event is open or a restart hold is live; on any other step
+  it is asked for nothing, so its state stays as it is.
+* The tracked feed ("none", passive devices) carries the feed from one
+  step to the next, so its loop visits every step.
+
+Both keep the device state in local variables and advance it with a
+stepper that devices.passive_stepper / devices.battery_stepper build once
+per run, the same physics as device_step.  Nothing in a step reads the
+grid feed it draws, so p_grid and the ramp check are array post-passes
+over the finished series.
 """
 
 from __future__ import annotations
@@ -54,8 +62,7 @@ from ._textio import (check_finite, check_json_fields, read_json_object,
                       write_columns_csv, write_json)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
-from .devices import (DeviceSpec, PASSIVE_KINDS, battery_stepper, init_state,
-                      passive_stepper)
+from .devices import DeviceSpec, battery_stepper, init_state, passive_stepper
 # Unused here; bench/tracer.py patches shaving.device_step and shaving.thermal_step.
 from .devices import device_step  # noqa: F401
 
@@ -248,13 +255,15 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     stored_a = np.zeros(n)
     temp_a = np.zeros(n)
 
-    if strategy == "ideal":
-        _ideal_series(demand_a, served_a, discharge_a, grid_a, p_infra, theta)
-        unserved_events = 0
+    if strategy in ("ideal", "battery"):
+        # grid_a holds each step's need until the post-pass below.
+        unserved_events = _direct_feed(
+            demand_a, served_a, discharge_a, stored_a, grid_a,
+            spec if strategy == "battery" else None, config, theta, dt)
     else:
         unserved_events = _step_loop(
             demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
-            spec if isinstance(spec, DeviceSpec) else None, config, theta, dt)
+            spec if strategy != "none" else None, config, theta, dt)
 
     # Nothing in the step reads the grid feed it draws, so the feed and the
     # ramp check follow here, in the step's own order of operations:
@@ -314,82 +323,193 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     )
 
 
-def _ideal_series(demand_a, served_a, discharge_a, scratch, p_infra, theta):
-    """The ideal device's step over the whole trace at once.  It reads no
-    device state and no restart hold: the feed takes p_infra plus demand up
-    to theta, the device delivers the rest, and nothing is curtailed."""
+# Restart holds: (expiry step, accelerators held down); the effective count
+# at any step is the max over unexpired holds.  Holds expire in the order
+# they are added (the penalty is constant), and a hold that expires no later
+# than a newer, larger one never sets the max, so it is dropped when the
+# newer one is added.  The deque front is then the max.  The loops keep the
+# front in locals and touch the deque only when the front expires or a hold
+# is added.  While a shortfall event is open, the accelerators it has shed
+# so far stay down too, so a shed unit is blocked without gaps from the step
+# it drops until its restart hold expires.
+
+def _expire_holds(holds, i, n):
+    """Drop the holds expired at step i; return the front, or (n, 0) when
+    none is left."""
+    while holds and holds[0][0] <= i:
+        holds.popleft()
+    return holds[0] if holds else (n, 0)
+
+
+def _add_hold(holds, i, gpus, dt, restart, n):
+    """Hold gpus down for restart seconds from the end of step i; return
+    the front.  The hold expires at the first step j > i with
+    i*dt + restart <= j*dt + 1e-12, or at n if none is left; j*dt is
+    monotone in j, so j is found once, from an estimate."""
+    t_end = i * dt + restart
+    j = max(i + 1, math.ceil(min((t_end - 1e-12) / dt, n)))
+    while j > i + 1 and t_end <= (j - 1) * dt + 1e-12:
+        j -= 1
+    while j < n and not t_end <= j * dt + 1e-12:
+        j += 1
+    while holds and holds[-1][1] <= gpus:
+        holds.pop()
+    holds.append((j, gpus))
+    return holds[0]
+
+
+def _shed(event_gpus, live_short, gpu_w, restart):
+    """Accelerators an open event holds down after a step that leaves
+    live_short watts unserved."""
+    shed = math.ceil(live_short / gpu_w - 1e-9)
+    if restart > 0.0:
+        # Residual shortfall past the units already held down sheds that
+        # many more.
+        return event_gpus + shed
+    return shed if shed > event_gpus else event_gpus
+
+
+def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
+                 config, theta, dt) -> int:
+    """The direct feed, for the ideal device (battery None) and a battery:
+    fills served, discharge and stored in place and returns the number of
+    shortfall events.  need_a is scratch.
+
+    The feed takes p_infra plus demand up to theta and the device is asked
+    for the rest, so the step is array code.  The ideal device delivers the
+    whole deficit.  A battery is walked in scalar code only on the steps
+    where the array values may not hold: those with demand above theta,
+    and every step while a shortfall event is open or a restart hold is
+    live.  On any other step it is asked for nothing, so its state stays
+    as it is and nothing is shed."""
+    p_infra = config.p_infra_w
     # need = p_infra + min(demand, theta), with the step's tie rule
     # (theta if theta < demand else demand).
-    need = scratch
-    np.copyto(need, demand_a)
-    need[theta < demand_a] = theta
-    np.add(p_infra, need, out=need)
+    above = theta < demand_a
+    np.copyto(need_a, demand_a)
+    need_a[above] = theta
+    np.add(p_infra, need_a, out=need_a)
     np.add(p_infra, demand_a, out=discharge_a)
-    discharge_a -= need
+    discharge_a -= need_a
     discharge_a[discharge_a < 0.0] = 0.0
     # demand - 0.0 keeps a -0.0 demand sample as -0.0, as the step does.
     np.subtract(demand_a, 0.0, out=served_a)
+    if battery is None:
+        return 0
+
+    cap = p_infra + theta
+    gpu_w = config.gpu_unit_w
+    restart = config.restart_penalty_s
+    n = demand_a.shape[0]
+    step = battery_stepper(battery, dt)
+    # Battery state as plain values, in DeviceState's field order.  The
+    # controller arms the inverter before the run starts, so the first
+    # discharge needs no turnaround.
+    stored, mode, last, target, remaining = (
+        init_state(battery).stored_j, "discharging", 0.0, None, 0.0)
+    demand_m, served_m, discharge_m, stored_m = (
+        memoryview(a) for a in (demand_a, served_a, discharge_a, stored_a))
+
+    holds = deque()
+    hold_end, hold_gpus = n, 0
+    in_event = False
+    event_gpus = 0
+    unserved_events = 0
+
+    i = 0      # the first step not yet walked
+    for hot in np.flatnonzero(above).tolist():
+        if hot < i:
+            continue
+        stored_a[i:hot] = stored
+        i = hot
+        while True:
+            if i >= hold_end:
+                hold_end, hold_gpus = _expire_holds(holds, i, n)
+            blocked = hold_gpus
+            if in_event and restart > 0.0 and event_gpus > blocked:
+                blocked = event_gpus
+            d_eff = demand_m[i]
+            if blocked:
+                d_eff = d_eff - blocked * gpu_w
+                if not d_eff > 0.0:
+                    d_eff = 0.0
+
+            c = p_infra + (theta if theta < d_eff else d_eff)
+            deficit = p_infra + d_eff - c
+            if deficit < 0.0:
+                deficit = 0.0
+            # The feed stops at the need, so it has no surplus to offer.
+            delivered, _, stored, mode, last, target, remaining = step(
+                stored, mode, last, target, remaining, deficit, 0.0)
+
+            shortfall = deficit - delivered
+            if shortfall < 0.0:
+                shortfall = 0.0
+            escal = cap - c
+            if not escal < shortfall:
+                escal = shortfall
+            live_short = shortfall - escal
+            if live_short < _W_EPS:
+                live_short = 0.0
+
+            if live_short > 0.0:
+                if not in_event:
+                    in_event = True
+                    event_gpus = 0
+                    unserved_events += 1
+                event_gpus = _shed(event_gpus, live_short, gpu_w, restart)
+            elif in_event:
+                in_event = False
+                if restart > 0.0 and event_gpus > 0:
+                    hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
+                                                    restart, n)
+
+            served_m[i] = d_eff - live_short
+            discharge_m[i] = delivered
+            stored_m[i] = stored
+            i += 1
+            if i == n or not (in_event or holds):
+                break
+    stored_a[i:] = stored
+    return unserved_events
 
 
 def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
                device, config, theta, dt) -> int:
-    """The sequential part of the simulation, for "none" (device None) and
-    for devices: fills served, discharge, charge, dummy and stored in place
-    and returns the number of shortfall events."""
+    """The ramp-following feed, step by step, for "none" (device None) and
+    passive devices: fills served, discharge, charge, dummy and stored in
+    place and returns the number of shortfall events."""
     p_infra = config.p_infra_w
     cap = p_infra + theta
     r_step = config.grid_ramp_limit_w_per_s * dt
     gpu_w = config.gpu_unit_w
-    passive = device is not None and device.kind in PASSIVE_KINDS
-    # Passive elements ride behind the ramp-following feed; a battery's
-    # electronics steer the feed directly.
-    tracked_feed = device is None or passive
+    restart = config.restart_penalty_s
+    n = demand_a.shape[0]
 
     # Device state as plain values, in DeviceState's field order.
-    stored, mode, last, target, remaining = 0.0, "idle", 0.0, None, 0.0
-    if passive:
+    stored, mode, last = 0.0, "idle", 0.0
+    if device is not None:
         step = passive_stepper(device, dt)
         stored = init_state(device).stored_j
-    elif device is not None:
-        step = battery_stepper(device, dt)
-        stored = init_state(device).stored_j
-        # The controller arms the inverter before the run starts, so the
-        # first discharge needs no turnaround.
-        mode = "discharging"
 
     served_m, discharge_m, charge_m, dummy_m, stored_m = (
         memoryview(a) for a in (served_a, discharge_a, charge_a, dummy_a, stored_a))
 
-    # Restart holds: (expiry time, accelerators held down); the effective
-    # count at any step is the max over unexpired holds.  Holds expire in
-    # the order they are added (the penalty is constant), and a hold that
-    # expires no later than a newer, larger one never sets the max, so it
-    # is dropped when the newer one is added.  The deque front is then the
-    # max.  While a shortfall event is open, the accelerators it has shed
-    # so far stay down too, so a shed unit is blocked without gaps from the
-    # step it drops until its restart hold expires.
     holds = deque()
+    hold_end, hold_gpus = n, 0
     in_event = False
-    event_max_gpus = 0
+    event_gpus = 0
     unserved_events = 0
-
     c_prev = 0.0
-    restart = config.restart_penalty_s
 
     # min() and max() are written out as comparisons that pick the same
     # operand on ties, which keeps the output bits and saves calls per step.
     for i, demand in enumerate(memoryview(demand_a)):
-        blocked = 0
-        if restart > 0.0:
-            if in_event:
-                blocked = event_max_gpus
-            if holds:
-                t_now = i * dt
-                while holds and holds[0][0] <= t_now + 1e-12:
-                    holds.popleft()
-                if holds and holds[0][1] > blocked:
-                    blocked = holds[0][1]
-
+        if i >= hold_end:
+            hold_end, hold_gpus = _expire_holds(holds, i, n)
+        blocked = hold_gpus
+        if in_event and restart > 0.0 and event_gpus > blocked:
+            blocked = event_gpus
         if not blocked:
             d_eff = demand
         else:
@@ -398,7 +518,7 @@ def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
                 d_eff = 0.0
 
         need = p_infra + (theta if theta < d_eff else d_eff)
-        if tracked_feed and i > 0:
+        if i > 0:
             c = c_prev - r_step
             if not c > need:
                 c = need
@@ -421,12 +541,8 @@ def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
         else:
             request = deficit if deficit > 0.0 else 0.0
             offer = surplus if deficit <= 0.0 else 0.0
-            if passive:
-                delivered, absorbed, stored, mode, last = step(
-                    stored, mode, last, request, offer)
-            else:
-                delivered, absorbed, stored, mode, last, target, remaining = step(
-                    stored, mode, last, target, remaining, request, offer)
+            delivered, absorbed, stored, mode, last = step(
+                stored, mode, last, request, offer)
             stored_m[i] = stored
 
         shortfall = deficit - delivered
@@ -446,23 +562,16 @@ def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
         if live_short > 0.0:
             if not in_event:
                 in_event = True
-                event_max_gpus = 0
+                event_gpus = 0
                 unserved_events += 1
-            shed = math.ceil(live_short / gpu_w - 1e-9)
-            if restart > 0.0:
-                # Residual shortfall past the units already held down
-                # sheds that many more.
-                event_max_gpus += shed
-            elif shed > event_max_gpus:
-                event_max_gpus = shed
+            event_gpus = _shed(event_gpus, live_short, gpu_w, restart)
         elif in_event:
             # Shedding has ended the shortfall; the downed units hold for
             # the restart penalty from this step on.
             in_event = False
-            if restart > 0.0 and event_max_gpus > 0:
-                while holds and holds[-1][1] <= event_max_gpus:
-                    holds.pop()
-                holds.append((i * dt + restart, event_max_gpus))
+            if restart > 0.0 and event_gpus > 0:
+                hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
+                                                restart, n)
 
         served_m[i] = d_eff - live_short
         discharge_m[i] = delivered

@@ -7,19 +7,18 @@ compare_strategies runs the shaving simulation once per named strategy
 on one trace and reports each against the device-free baseline.
 
 write_grid_csv, write_grid_json and write_comparison_csv write through
-_textio, to a path or a stream; load_grid_csv and load_grid_json read
-back the text of the first two.
+_textio, to a path or a stream; load_grid_csv and load_grid_json read the
+first two back from a path or a stream.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_json, write_text
+from ._textio import read_json_object, read_text, write_json, write_text
 from .trace import PowerTrace
 from .shaving import SimConfig, _gpus_saved_grid, computational_gain, simulate_shaving
 # Unused here; bench/tracer.py patches sweep.gpus_saved.
@@ -175,10 +174,8 @@ def write_grid_json(grid: SweepGrid, dest) -> None:
     }, dest)
 
 
-def load_grid_json(text: str, trace_label=None) -> SweepGrid:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("grid JSON must be an object")
+def load_grid_json(source, trace_label=None) -> SweepGrid:
+    data = read_json_object(source, "grid")
     missing = {"threshold_fracs", "burst_lengths_s", "values"} - set(data)
     if missing:
         raise ValueError(f"grid JSON missing fields: {sorted(missing)}")
@@ -190,8 +187,8 @@ def load_grid_json(text: str, trace_label=None) -> SweepGrid:
     )
 
 
-def load_grid_csv(text: str, trace_label: str = "") -> SweepGrid:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def load_grid_csv(source, trace_label: str = "") -> SweepGrid:
+    lines = [ln for ln in read_text(source).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("grid CSV needs a header and at least one row")
     header = lines[0].split(",")

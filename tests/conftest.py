@@ -63,6 +63,12 @@ def check_result_invariants(result, spec=None):
     gap = result.p_comp_demand - result.p_comp_served
     assert np.allclose(result.curtailed_w, gap, rtol=0.0, atol=1e-9)
 
+    # The direct feed (battery, ideal) stops at the need, so it never has
+    # surplus to offer a device or to burn as dummy load.
+    if result.strategy in ("battery", "ideal"):
+        assert not result.p_ext_charge.any()
+        assert not result.p_dummy.any()
+
     # Whole-run device bookkeeping, exact up to float accumulation.
     if isinstance(spec, DeviceSpec):
         start = spec.soc_max_frac * spec.energy_capacity_j

@@ -360,6 +360,16 @@ def test_sweep_bad_axis_exit2(work, tmp_path, flag, value):
     assert not (tmp_path / "grid.json").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "inf"])
+def test_sweep_bad_gpu_unit_w_exit2(work, tmp_path, value):
+    proc = run_cli(["sweep", "--trace", str(work["trace"]), "--gpu-unit-w", value,
+                    "--out", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--gpu-unit-w" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "grid.json").exists()
+
+
 def test_compare_preset_dummy_pattern(default_trace_dir, tmp_path):
     proc = run_cli(["compare", "--trace", str(default_trace_dir / "trace.csv"),
                     "--device", "capacitor", "--device", "supercap",

@@ -432,7 +432,8 @@ def test_cases_reach_every_branch(cases):
     # The cases are only as good as what they exercise: shortfall with
     # restart holds, ramp violations, empty devices, lagged and switching
     # devices, and threshold and -0.0 samples.
-    seen = dict(holds=0, violations=0, empty=0, neg_zero=0, at_theta=0)
+    seen = dict(holds=0, violations=0, empty=0, neg_zero=0, at_theta=0,
+                battery_holds=0, battery_quiet_gaps=0)
     for trace, config, devices in cases:
         theta = config.threshold.resolve(trace.rack_max_w)
         seen["neg_zero"] += bool(np.any(np.signbit(trace.samples)))
@@ -442,6 +443,15 @@ def test_cases_reach_every_branch(cases):
         seen["empty"] += bool(np.any(r.stored_j <= spec.soc_min_frac * spec.energy_capacity_j))
         seen["violations"] += r.ramp_violation_count > 0
         seen["holds"] += config.restart_penalty_s > 0.0 and r.unserved_spike_count > 1
+        # The battery kernel walks only the steps that can change state, in
+        # two modes: step by step through a live restart hold, and jumping
+        # over the quiet steps between steps with demand above theta.
+        above = trace.samples > theta
+        for name in ("battery", "random-battery"):
+            r = reference_simulate_shaving(trace, devices[name], config)
+            seen["battery_holds"] += (config.restart_penalty_s > 0.0
+                                      and r.unserved_spike_count > 1)
+            seen["battery_quiet_gaps"] += bool(above.any() and not above.all())
     assert min(seen.values()) >= 10, seen
 
 

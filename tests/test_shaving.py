@@ -219,6 +219,32 @@ def test_restart_holds_overlap_as_window_max(case):
     np.testing.assert_allclose(r.p_comp_served[9:], base, atol=1e-9)
 
 
+@pytest.mark.parametrize("i0, dt, restart", [
+    (3504, 0.003, 1.470000000001),     # restart/dt estimates one step late
+    (703, 0.005, 0.800000000001),
+    (908, 0.0246, 9.348000000001),     # restart/dt estimates one step early
+    (2187, 0.005, 0.845000000001),
+])
+@pytest.mark.parametrize("strategy", ["none", "battery"])
+def test_restart_hold_expiry_at_step_boundary(i0, dt, restart, strategy):
+    # A hold added at the end of step i0 lasts up to the first step j with
+    # i0*dt + restart <= j*dt + 1e-12.  These penalties sit 1e-12 past a
+    # whole number of steps, where rounding decides j.  One unit is shed at
+    # step i0 - 1 and held from step i0 on; both the dense loop ("none")
+    # and the battery walk must free it at j.
+    want = next(j for j in range(i0 + 1, 10**6) if i0 * dt + restart <= j * dt + 1e-12)
+    samples = [300.0] * (want + 3)
+    samples[i0 - 1] = 1400.0
+    tr = make_trace(samples, dt=dt, rack_max=2000.0)
+    cfg = loose_config(threshold=ThresholdSpec(absolute_w=700.0), p_infra_w=0.0,
+                       restart_penalty_s=restart)
+    spec = strategy if strategy == "none" else ps.DeviceSpec(
+        kind="battery", energy_capacity_j=1e-3, max_discharge_w=1e-3, max_charge_w=0.0)
+    r = run_sim(tr, spec, cfg)
+    assert np.flatnonzero(r.curtailed_w > 1.0).tolist() == list(range(i0 - 1, want))
+    assert r.unserved_spike_count == 1
+
+
 def test_thermal_replay(short_results):
     # The temperature series is the public Euler step run over the heat of
     # served compute plus dummy load, bit for bit.

@@ -226,20 +226,24 @@ def test_export_json_round_trip(spiky_trace):
     grid = ps.sweep_gpus_saved(spiky_trace, [0.55, 0.75], [0.0, 0.02, 0.1], 700.0)
     buf = io.StringIO()
     ps.write_grid_json(grid, buf)
-    text = buf.getvalue()
-    back = ps.load_grid_json(text)
+    back = ps.load_grid_json(io.StringIO(buf.getvalue()))
     assert back.threshold_fracs == grid.threshold_fracs
     assert back.burst_lengths_s == grid.burst_lengths_s
     np.testing.assert_array_equal(back.values, grid.values)
     assert back.trace_label == grid.trace_label
 
 
+@pytest.mark.parametrize("text", ['{"threshold_fracs": [0.5],', "[1, 2]"])
+def test_load_grid_json_rejects_bad_json(text):
+    with pytest.raises(ValueError, match="grid"):
+        ps.load_grid_json(io.StringIO(text))
+
+
 def test_export_csv_round_trip(spiky_trace):
     grid = ps.sweep_gpus_saved(spiky_trace, [0.55, 0.75], [0.0, 0.02, 0.1], 700.0)
     buf = io.StringIO()
     ps.write_grid_csv(grid, buf)
-    text = buf.getvalue()
-    back = ps.load_grid_csv(text, trace_label=grid.trace_label)
+    back = ps.load_grid_csv(io.StringIO(buf.getvalue()), trace_label=grid.trace_label)
     assert back.threshold_fracs == grid.threshold_fracs
     assert back.burst_lengths_s == grid.burst_lengths_s
     np.testing.assert_array_equal(back.values, grid.values)
