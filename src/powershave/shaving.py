@@ -344,8 +344,10 @@ def _expire_holds(holds, i, n):
 def _add_hold(holds, i, gpus, dt, restart, n):
     """Hold gpus down for restart seconds from the end of step i; return
     the front.  The hold expires at the first step j > i with
-    i*dt + restart <= j*dt + 1e-12, or at n if none is left; j*dt is
-    monotone in j, so j is found once, from an estimate."""
+    i*dt + restart <= j*dt + 1e-12, or at n when no step before n
+    qualifies.  j*dt is monotone in j, so j is found once: the estimate
+    from restart/dt can be a step off either way after rounding, and the
+    two loops move it to the exact step."""
     t_end = i * dt + restart
     j = max(i + 1, math.ceil(min((t_end - 1e-12) / dt, n)))
     while j > i + 1 and t_end <= (j - 1) * dt + 1e-12:

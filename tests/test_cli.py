@@ -365,7 +365,7 @@ def test_sweep_bad_gpu_unit_w_exit2(work, tmp_path, value):
     proc = run_cli(["sweep", "--trace", str(work["trace"]), "--gpu-unit-w", value,
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert "--gpu-unit-w" in proc.stderr
+    assert "--gpu-unit-w must be positive and finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "grid.json").exists()
 
