@@ -41,7 +41,13 @@ Only the steps that can change state run as scalar code:
   shortfall event is open or a restart hold is live; on any other step
   it is asked for nothing, so its state stays as it is.
 * The tracked feed ("none", passive devices) carries the feed from one
-  step to the next, so its loop visits every step.
+  step to the next, so its loop visits every step, but keeps only what a
+  step hands the next: the restart holds and the open event, which set
+  the effective demand; the rate-limited feed; the device state.  A step
+  at or below the threshold leaves no live shortfall (escalation covers
+  its whole deficit), so the shortfall, escalation and event opening run
+  only on steps above it.  Need, surplus and dummy load are array passes
+  after the loop.
 
 Both keep the device state in local variables and advance it with a
 stepper that devices.passive_stepper / devices.battery_stepper build once
@@ -261,9 +267,11 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
             demand_a, served_a, discharge_a, stored_a, grid_a,
             spec if strategy == "battery" else None, config, theta, dt)
     else:
+        # grid_a and temp_a are scratch until the post-passes below.
         unserved_events = _step_loop(
-            demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
-            spec if strategy != "none" else None, config, theta, dt)
+            demand_a, served_a, grid_a, discharge_a, charge_a, dummy_a,
+            stored_a, temp_a, spec if strategy != "none" else None, config,
+            theta, dt)
 
     # Nothing in the step reads the grid feed it draws, so the feed and the
     # ramp check follow here, in the step's own order of operations:
@@ -371,6 +379,14 @@ def _shed(event_gpus, live_short, gpu_w, restart):
     return shed if shed > event_gpus else event_gpus
 
 
+def _fill_need(need_a, d_eff_a, p_infra, theta):
+    """need_a = p_infra + min(d_eff, theta), with the step's tie rule
+    (theta if theta < d_eff else d_eff).  theta is positive, so on a tie
+    both operands have the same bits and np.minimum may pick either."""
+    np.minimum(d_eff_a, theta, out=need_a)
+    np.add(p_infra, need_a, out=need_a)
+
+
 def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
                  config, theta, dt) -> int:
     """The direct feed, for the ideal device (battery None) and a battery:
@@ -385,12 +401,7 @@ def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
     live.  On any other step it is asked for nothing, so its state stays
     as it is and nothing is shed."""
     p_infra = config.p_infra_w
-    # need = p_infra + min(demand, theta), with the step's tie rule
-    # (theta if theta < demand else demand).
-    above = theta < demand_a
-    np.copyto(need_a, demand_a)
-    need_a[above] = theta
-    np.add(p_infra, need_a, out=need_a)
+    _fill_need(need_a, demand_a, p_infra, theta)
     np.add(p_infra, demand_a, out=discharge_a)
     discharge_a -= need_a
     discharge_a[discharge_a < 0.0] = 0.0
@@ -419,7 +430,7 @@ def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
     unserved_events = 0
 
     i = 0      # the first step not yet walked
-    for hot in np.flatnonzero(above).tolist():
+    for hot in np.flatnonzero(theta < demand_a).tolist():
         if hot < i:
             continue
         stored_a[i:hot] = stored
@@ -476,11 +487,22 @@ def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
     return unserved_events
 
 
-def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
-               device, config, theta, dt) -> int:
-    """The ramp-following feed, step by step, for "none" (device None) and
-    passive devices: fills served, discharge, charge, dummy and stored in
-    place and returns the number of shortfall events."""
+def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
+               stored_a, scratch_a, device, config, theta, dt) -> int:
+    """The ramp-following feed, for "none" (device None) and passive
+    devices: fills served, discharge, charge, dummy and stored in place and
+    returns the number of shortfall events.  feed_a and scratch_a are
+    scratch; feed_a ends holding the rate-limited feed c of each step.
+
+    The loop keeps only what one step hands the next: the restart holds and
+    the open event, which set d_eff; the feed c; the device state.  A step
+    with d_eff at or below theta leaves nothing unserved: its need
+    p_infra + d_eff is at most cap (rounding is monotone), so its deficit
+    need - c is at most cap - c and escalation covers all of it.  Only a
+    step with d_eff above theta works out its live shortfall and may open
+    an event; each live shortfall is kept as (step, watts) and taken off
+    served after the loop.  need, surplus and dummy are array passes over
+    the finished series."""
     p_infra = config.p_infra_w
     cap = p_infra + theta
     r_step = config.grid_ramp_limit_w_per_s * dt
@@ -489,23 +511,31 @@ def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
     n = demand_a.shape[0]
 
     # Device state as plain values, in DeviceState's field order.
+    passive = device is not None
     stored, mode, last = 0.0, "idle", 0.0
-    if device is not None:
+    if passive:
         step = passive_stepper(device, dt)
         stored = init_state(device).stored_j
 
-    served_m, discharge_m, charge_m, dummy_m, stored_m = (
-        memoryview(a) for a in (served_a, discharge_a, charge_a, dummy_a, stored_a))
+    served_m, feed_m, discharge_m, charge_m, stored_m = (
+        memoryview(a) for a in (served_a, feed_a, discharge_a, charge_a, stored_a))
 
     holds = deque()
     hold_end, hold_gpus = n, 0
     in_event = False
     event_gpus = 0
     unserved_events = 0
-    c_prev = 0.0
+    live = []
+    # The first step's feed is its need, which the ramp rule below gives
+    # back when the previous feed is that need.
+    first = float(demand_a[0])
+    c = p_infra + (theta if theta < first else first)
 
     # min() and max() are written out as comparisons that pick the same
     # operand on ties, which keeps the output bits and saves calls per step.
+    # The feed never exceeds cap: it starts at a need, and each step takes
+    # the larger of its need and the previous feed less r_step, then caps
+    # it at the previous feed plus r_step.
     for i, demand in enumerate(memoryview(demand_a)):
         if i >= hold_end:
             hold_end, hold_gpus = _expire_holds(holds, i, n)
@@ -519,67 +549,88 @@ def _step_loop(demand_a, served_a, discharge_a, charge_a, dummy_a, stored_a,
             if not d_eff > 0.0:
                 d_eff = 0.0
 
-        need = p_infra + (theta if theta < d_eff else d_eff)
-        if i > 0:
+        c_prev = c
+        if theta < d_eff:
+            # The need is cap, so the feed has no surplus to offer.
+            c = c_prev - r_step
+            if not c > cap:
+                c = cap
+            if c_prev + r_step < c:
+                c = c_prev + r_step
+            deficit = p_infra + d_eff - c
+            if deficit < 0.0:
+                deficit = 0.0
+            delivered = 0.0
+            if passive:
+                if deficit > 0.0:
+                    delivered, _, stored, mode, last = step(
+                        stored, mode, last, deficit, 0.0)
+                    discharge_m[i] = delivered
+                else:
+                    _, _, stored, mode, last = step(stored, mode, last, 0.0, 0.0)
+                stored_m[i] = stored
+
+            shortfall = deficit - delivered
+            if shortfall < 0.0:
+                shortfall = 0.0
+            escal = cap - c
+            if not escal < shortfall:
+                escal = shortfall
+            live_short = shortfall - escal
+            if not live_short < _W_EPS:
+                live.append((i, live_short))
+                if not in_event:
+                    in_event = True
+                    event_gpus = 0
+                    unserved_events += 1
+                event_gpus = _shed(event_gpus, live_short, gpu_w, restart)
+            elif in_event:
+                # Shedding has ended the shortfall; the downed units hold
+                # for the restart penalty from this step on.
+                in_event = False
+                if restart > 0.0 and event_gpus > 0:
+                    hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
+                                                    restart, n)
+        else:
+            need = p_infra + d_eff
             c = c_prev - r_step
             if not c > need:
                 c = need
             if c_prev + r_step < c:
                 c = c_prev + r_step
-            if c > cap:
-                c = cap
-        else:
-            c = need
+            if passive:
+                # The deficit is need - c and the surplus c - need.
+                if c < need:
+                    delivered, _, stored, mode, last = step(
+                        stored, mode, last, need - c, 0.0)
+                    discharge_m[i] = delivered
+                elif need < c:
+                    _, absorbed, stored, mode, last = step(
+                        stored, mode, last, 0.0, c - need)
+                    charge_m[i] = absorbed
+                else:
+                    _, _, stored, mode, last = step(stored, mode, last, 0.0, 0.0)
+                stored_m[i] = stored
+            if in_event:
+                in_event = False
+                if restart > 0.0 and event_gpus > 0:
+                    hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
+                                                    restart, n)
 
-        deficit = p_infra + d_eff - c
-        if deficit < 0.0:
-            deficit = 0.0
-        surplus = c - need
-        if surplus < 0.0:
-            surplus = 0.0
+        served_m[i] = d_eff
+        feed_m[i] = c
 
-        if device is None:
-            delivered, absorbed = 0.0, 0.0
-        else:
-            request = deficit if deficit > 0.0 else 0.0
-            offer = surplus if deficit <= 0.0 else 0.0
-            delivered, absorbed, stored, mode, last = step(
-                stored, mode, last, request, offer)
-            stored_m[i] = stored
-
-        shortfall = deficit - delivered
-        if shortfall < 0.0:
-            shortfall = 0.0
-        escal = cap - c
-        if not escal < shortfall:
-            escal = shortfall
-        live_short = shortfall - escal
-        if live_short < _W_EPS:
-            live_short = 0.0
-
-        dummy = surplus - absorbed
-        if dummy < 0.0:
-            dummy = 0.0
-
-        if live_short > 0.0:
-            if not in_event:
-                in_event = True
-                event_gpus = 0
-                unserved_events += 1
-            event_gpus = _shed(event_gpus, live_short, gpu_w, restart)
-        elif in_event:
-            # Shedding has ended the shortfall; the downed units hold for
-            # the restart penalty from this step on.
-            in_event = False
-            if restart > 0.0 and event_gpus > 0:
-                hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
-                                                restart, n)
-
-        served_m[i] = d_eff - live_short
-        discharge_m[i] = delivered
-        charge_m[i] = absorbed
-        dummy_m[i] = dummy
-        c_prev = c
+    # served_a holds d_eff until the live shortfalls come off it.
+    _fill_need(scratch_a, served_a, p_infra, theta)
+    surplus = np.subtract(feed_a, scratch_a, out=scratch_a)
+    # absorbed is 0 wherever the surplus is not positive, so the surplus
+    # needs no clip of its own before absorbed comes off it.  The surplus is
+    # never -0.0 (c is a zero only where it equals the need), so
+    # np.maximum's pick on a tie with 0.0 cannot show.
+    np.subtract(surplus, charge_a, out=dummy_a)
+    np.maximum(dummy_a, 0.0, out=dummy_a)
+    for i, live_short in live:
+        served_m[i] = served_m[i] - live_short
     return unserved_events
 
 

@@ -63,6 +63,15 @@ def check_result_invariants(result, spec=None):
     gap = result.p_comp_demand - result.p_comp_served
     assert np.allclose(result.curtailed_w, gap, rtol=0.0, atol=1e-9)
 
+    # At or below the threshold only shed accelerators are curtailed, never
+    # a live shortfall: curtailed_w is the whole demand (every unit down)
+    # or a whole number of gpu_unit_w.
+    low = result.p_comp_demand <= result.threshold_w
+    cut = result.curtailed_w[low]
+    units = np.round(cut / cfg.gpu_unit_w) * cfg.gpu_unit_w
+    assert np.all((cut == result.p_comp_demand[low])
+                  | (np.abs(cut - units) <= 1e-9 * result.rack_max_w))
+
     # The direct feed (battery, ideal) stops at the need, so it never has
     # surplus to offer a device or to burn as dummy load.
     if result.strategy in ("battery", "ideal"):

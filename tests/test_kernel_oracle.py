@@ -140,7 +140,9 @@ def reference_thermal_step(temp_c, heat_input_w, config, dt_s):
     return temp_c + dt_s * drive / config.thermal_tau_s
 
 
-def reference_simulate_shaving(trace, spec, config):
+def reference_simulate_shaving(trace, spec, config, steps=None):
+    """steps, when a list, receives (d_eff, deficit, surplus, live_short)
+    of every step."""
     if spec == "none" or spec == "ideal":
         strategy = spec
     else:
@@ -265,6 +267,8 @@ def reference_simulate_shaving(trace, spec, config):
                 penalties.append((t_now + restart, event_max_gpus))
 
         temp = reference_thermal_step(temp, k_heat * (served + dummy), config, dt)
+        if steps is not None:
+            steps.append((d_eff, deficit, surplus, live_short))
 
         served_a[i] = served
         grid_a[i] = grid
@@ -433,12 +437,31 @@ def test_cases_reach_every_branch(cases):
     # restart holds, ramp violations, empty devices, lagged and switching
     # devices, and threshold and -0.0 samples.
     seen = dict(holds=0, violations=0, empty=0, neg_zero=0, at_theta=0,
-                battery_holds=0, battery_quiet_gaps=0)
+                battery_holds=0, battery_quiet_gaps=0, tracked_ends_above=0,
+                tracked_ends_at_or_below=0, passive_idle_gaps=0)
     for trace, config, devices in cases:
         theta = config.threshold.resolve(trace.rack_max_w)
         seen["neg_zero"] += bool(np.any(np.signbit(trace.samples)))
         seen["at_theta"] += bool(np.any(trace.samples == theta))
-        r = reference_simulate_shaving(trace, devices["random-passive"], config)
+        # The tracked-feed kernel works out the live shortfall only on steps
+        # with d_eff above theta, so a shortfall event must be seen to end
+        # both there (the device or the escalation covered the step) and on
+        # a step at or below theta.  A passive device also takes an idle
+        # step, neither asked nor offered anything, between active ones.
+        for name in ("none", "random-passive"):
+            steps = []
+            r = reference_simulate_shaving(trace, devices[name], config, steps)
+            d_eff, deficit, surplus, live = np.array(steps).T
+            # An event is open on a step iff the step before left a live
+            # shortfall.
+            ends = np.flatnonzero((live[:-1] > 0.0) & (live[1:] == 0.0)) + 1
+            seen["tracked_ends_above"] += bool(np.any(theta < d_eff[ends]))
+            seen["tracked_ends_at_or_below"] += bool(np.any(d_eff[ends] <= theta))
+        # From here on r and the step columns are random-passive's.
+        idle = (deficit <= 0.0) & (surplus <= 0.0)
+        active = np.flatnonzero(~idle)
+        seen["passive_idle_gaps"] += bool(active.size
+                                          and idle[active[0]:active[-1]].any())
         spec = devices["random-passive"]
         seen["empty"] += bool(np.any(r.stored_j <= spec.soc_min_frac * spec.energy_capacity_j))
         seen["violations"] += r.ramp_violation_count > 0
