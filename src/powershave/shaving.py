@@ -500,9 +500,10 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     p_infra + d_eff is at most cap (rounding is monotone), so its deficit
     need - c is at most cap - c and escalation covers all of it.  Only a
     step with d_eff above theta works out its live shortfall and may open
-    an event; each live shortfall is kept as (step, watts) and taken off
-    served after the loop.  need, surplus and dummy are array passes over
-    the finished series."""
+    an event.  The loop stores d_eff as served and each live shortfall in
+    dummy_a, which is free until the dummy pass; served loses the live
+    shortfalls after the loop.  need, surplus and dummy are array passes
+    over the finished series."""
     p_infra = config.p_infra_w
     cap = p_infra + theta
     r_step = config.grid_ramp_limit_w_per_s * dt
@@ -517,15 +518,15 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
         step = passive_stepper(device, dt)
         stored = init_state(device).stored_j
 
-    served_m, feed_m, discharge_m, charge_m, stored_m = (
-        memoryview(a) for a in (served_a, feed_a, discharge_a, charge_a, stored_a))
+    served_m, feed_m, discharge_m, charge_m, stored_m, live_m = (
+        memoryview(a) for a in (served_a, feed_a, discharge_a, charge_a,
+                                stored_a, dummy_a))
 
     holds = deque()
     hold_end, hold_gpus = n, 0
     in_event = False
     event_gpus = 0
     unserved_events = 0
-    live = []
     # The first step's feed is its need, which the ramp rule below gives
     # back when the previous feed is that need.
     first = float(demand_a[0])
@@ -578,7 +579,7 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
                 escal = shortfall
             live_short = shortfall - escal
             if not live_short < _W_EPS:
-                live.append((i, live_short))
+                live_m[i] = live_short
                 if not in_event:
                     in_event = True
                     event_gpus = 0
@@ -620,8 +621,10 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
         served_m[i] = d_eff
         feed_m[i] = c
 
-    # served_a holds d_eff until the live shortfalls come off it.
+    # served_a holds d_eff until the live shortfalls come off it; d_eff -
+    # 0.0 keeps every other step's bits, -0.0 included.
     _fill_need(scratch_a, served_a, p_infra, theta)
+    served_a -= dummy_a
     surplus = np.subtract(feed_a, scratch_a, out=scratch_a)
     # absorbed is 0 wherever the surplus is not positive, so the surplus
     # needs no clip of its own before absorbed comes off it.  The surplus is
@@ -629,8 +632,6 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     # np.maximum's pick on a tie with 0.0 cannot show.
     np.subtract(surplus, charge_a, out=dummy_a)
     np.maximum(dummy_a, 0.0, out=dummy_a)
-    for i, live_short in live:
-        served_m[i] = served_m[i] - live_short
     return unserved_events
 
 
