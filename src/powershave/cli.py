@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -82,11 +83,18 @@ def _hash_into(fh, writer, *args) -> str:
 def _write_output(path: str, writer, *args) -> str:
     """Atomically write writer's text to path, chunk by chunk as the writer
     yields it, so the whole file is never held in memory; returns its
-    sha256 digest."""
+    sha256 digest.  When the write fails, the .tmp file is removed and
+    path is left as it was."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        digest = _hash_into(fh, writer, *args)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            digest = _hash_into(fh, writer, *args)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return digest
 
 

@@ -21,36 +21,42 @@ strategy:
 Whenever the device cannot cover a deficit, the feed escalates above its
 rate-limited path, up to the cap; each step whose feed moves faster than
 the ramp limit allows is recorded in ramp_violation_steps.  Demand above
-the cap that the device cannot serve is curtailed: whole accelerators
-are shed (gpu_unit_w each) and, when restart_penalty_s is positive, stay
-down through the rest of the shortfall and for restart_penalty_s beyond
-its end before they may serve again.
+the cap that the device cannot serve is curtailed by one shedding machine
+(_Shedding), which every strategy shares.  A step that leaves a live
+shortfall (_live_short, the one shortfall chain) opens a shortfall event
+or grows it by whole accelerators (gpu_unit_w each), and the first step
+that leaves none closes it.  When restart_penalty_s is positive, the
+shed units stay down while the event is open and for restart_penalty_s
+after its close before they may serve again.
 
 A lumped first-order thermal node integrates the heat of served compute
 plus dummy load; temperatures past t_derate_c de-rate the value of
 served energy in the computational-gain metric (the simulation itself
 never throttles).  Because nothing in the step loop reads the
 temperature, the node is integrated after the loop, over the finished
-served and dummy series, with the same Euler update as thermal_step.
+served and dummy series, by _thermal_walk, which thermal_step runs for
+one step.
 
 Only the steps that can change state run as scalar code:
 
 * The direct feed (battery, ideal) is array code.  The ideal device
   delivers the whole deficit, so it runs no loop.  A battery is walked
   step by step only where demand exceeds the threshold and while a
-  shortfall event is open or a restart hold is live; on any other step
-  it is asked for nothing, so its state stays as it is.
+  shortfall event is open or accelerators are held down; on any other
+  step it is asked for nothing, so its state stays as it is.
 * The tracked feed ("none", passive devices) carries the feed from one
   step to the next, so its loop visits every step, but keeps only what a
-  step hands the next: the restart holds and the open event, which set
-  the effective demand; the rate-limited feed; the device state.  A step
-  at or below the threshold leaves no live shortfall (escalation covers
-  its whole deficit), so the shortfall, escalation and event opening run
-  only on steps above it.  Need, surplus and dummy load are array passes
-  after the loop.
+  step hands the next: the shedding state, which sets the effective
+  demand; the rate-limited feed; the device state.  One step body serves
+  both sides of the threshold.  A step at or below it leaves no live
+  shortfall (escalation covers its whole deficit), so the shortfall
+  chain runs only on steps above it.  Need, surplus and dummy load are
+  array passes after the loop.
 
-Both keep the device state in local variables and advance it with a
-stepper that devices.passive_stepper / devices.battery_stepper build once
+Both loops keep what a step reads from the shedding machine in locals
+and call it only on the steps that change it.  They keep the device
+state in local variables too and advance it with a stepper that
+devices.passive_stepper / devices.battery_stepper build once
 per run, the same physics as device_step.  Nothing in a step reads the
 grid feed it draws, so p_grid and the ramp check are array post-passes
 over the finished series.
@@ -171,8 +177,20 @@ def thermal_step(temp_c: float, heat_input_w: float, config: SimConfig,
     """One explicit Euler step of the lumped rack thermal node."""
     if dt_s <= 0.0:
         raise ValueError("dt_s must be positive")
-    drive = heat_input_w * config.k_scale_c_per_w - (temp_c - config.t_ambient_c)
-    return temp_c + dt_s * drive / config.thermal_tau_s
+    return _thermal_walk([heat_input_w], temp_c, config, dt_s)
+
+
+def _thermal_walk(heat_m, temp, config: SimConfig, dt: float) -> float:
+    """The only implementation of the thermal node: run it from temp over
+    a series of heat inputs, overwrite each input with the temperature at
+    the end of its step and return the last one."""
+    k_scale = config.k_scale_c_per_w
+    t_amb = config.t_ambient_c
+    tau = config.thermal_tau_s
+    for i, heat in enumerate(heat_m):
+        temp = temp + dt * (heat * k_scale - (temp - t_amb)) / tau
+        heat_m[i] = temp
+    return temp
 
 
 def derate_factor(temp_c, config: SimConfig):
@@ -226,6 +244,15 @@ class ShavingResult:
         return float(self.stored_j[-1]) if self.n_steps else 0.0
 
 
+def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float) -> None:
+    """Refuse a unit for which whole-unit counts up to the rack's draw
+    are not exact floats (beyond 2**53) or not finite."""
+    if not (0.0 < gpu_unit_w < math.inf and rack_max_w / gpu_unit_w <= 2.0 ** 53):
+        raise ValueError(f"gpu_unit_w must be positive, finite and at least "
+                         f"rack_max_w / 2**53 ({rack_max_w / 2.0 ** 53!r} W), "
+                         f"got {gpu_unit_w!r}")
+
+
 def _strategy_label(spec) -> str:
     if spec == "none" or spec is None:
         return "none"
@@ -244,10 +271,19 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     if not isinstance(config, SimConfig):
         raise ValueError("config must be a SimConfig")
     strategy = _strategy_label(spec)
+    dt = trace.dt_s
+    _check_gpu_unit_w(trace.rack_max_w, config.gpu_unit_w)
+    if dt > config.thermal_tau_s:
+        # A longer explicit Euler step overshoots and may diverge.
+        raise ValueError(f"thermal_tau_s must be at least the trace step "
+                         f"dt_s ({dt!r} s), got {config.thermal_tau_s!r}")
+    if not math.isfinite(trace.rack_max_w * config.heat_factor
+                         * config.k_scale_c_per_w):
+        raise ValueError("the heat scale rack_max_w * heat_factor * (t_max_c - "
+                         "t_ambient_c) / thermal_ref_power_w must be finite")
 
     theta = config.threshold.resolve(trace.rack_max_w)
     p_infra = config.p_infra_w
-    dt = trace.dt_s
     gpu_w = config.gpu_unit_w
     n = trace.n_samples
 
@@ -290,23 +326,18 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     violations += 1
 
     # The simulation never reads the temperature, so the thermal node is
-    # integrated here, with thermal_step's Euler update, over the heat of
-    # served compute plus dummy load.
-    k_scale = config.k_scale_c_per_w
-    t_amb = config.t_ambient_c
-    tau = config.thermal_tau_s
-    # temp_a holds each step's heat input until that step's temperature
-    # overwrites it.
+    # integrated here, over the heat of served compute plus dummy load,
+    # which temp_a holds until the walk overwrites it.
     np.add(served_a, dummy_a, out=temp_a)
     temp_a *= config.heat_factor
-    temp_m = memoryview(temp_a)
-    temp = t_amb
-    for i, heat in enumerate(temp_m):
-        temp = temp + dt * (heat * k_scale - (temp - t_amb)) / tau
-        temp_m[i] = temp
+    _thermal_walk(memoryview(temp_a), config.t_ambient_c, config, dt)
 
     np.subtract(demand_a, served_a, out=curtailed_a)
-    gpu_steps = np.ceil(np.maximum(curtailed_a, 0.0) / gpu_w - 1e-9)
+    # ceil(max(curtailed, 0) / gpu_w - 1e-9), in one temporary.
+    gpu_steps = np.maximum(curtailed_a, 0.0)
+    gpu_steps /= gpu_w
+    gpu_steps -= 1e-9
+    np.ceil(gpu_steps, out=gpu_steps)
     return ShavingResult(
         strategy=strategy,
         threshold_w=theta,
@@ -331,52 +362,102 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     )
 
 
-# Restart holds: (expiry step, accelerators held down); the effective count
-# at any step is the max over unexpired holds.  Holds expire in the order
-# they are added (the penalty is constant), and a hold that expires no later
-# than a newer, larger one never sets the max, so it is dropped when the
-# newer one is added.  The deque front is then the max.  The loops keep the
-# front in locals and touch the deque only when the front expires or a hold
-# is added.  While a shortfall event is open, the accelerators it has shed
-# so far stay down too, so a shed unit is blocked without gaps from the step
-# it drops until its restart hold expires.
+class _Shedding:
+    """The shedding machine of one run: the open shortfall event, the
+    restart holds and the number of events.
 
-def _expire_holds(holds, i, n):
-    """Drop the holds expired at step i; return the front, or (n, 0) when
-    none is left."""
-    while holds and holds[0][0] <= i:
-        holds.popleft()
-    return holds[0] if holds else (n, 0)
+    A step that leaves a live shortfall opens an event or grows it by
+    whole accelerators (gpu_unit_w each), and the first step that leaves
+    none closes it.  With a positive restart_penalty_s the units an event
+    has shed stay down while it is open, and its close holds them down for
+    restart_penalty_s from the end of that step, so a shed unit is blocked
+    without gaps from the step it drops until its hold expires.
+
+    Restart holds are (expiry step, accelerators held down), and the count
+    held down at a step is the max over unexpired holds.  Holds expire in
+    the order they are added (the penalty is constant), and a hold that
+    expires no later than a newer, larger one never sets the max, so it is
+    dropped when the newer one is added.  The deque front is then the max.
+
+    Both calls return what the next step reads, (blocked_w, expiry,
+    in_event): the draw of the accelerators held down, the step at which
+    the front hold expires (n when no hold is left) and whether an event
+    is open.  The loops keep these in locals and call expire(i) only on a
+    step that reaches expiry, and end_step(i, live) only on a step that
+    leaves a live shortfall or ends an open event."""
+
+    def __init__(self, n, dt, config):
+        self.n = n
+        self.dt = dt
+        self.gpu_w = config.gpu_unit_w
+        self.restart = config.restart_penalty_s
+        self.holds = deque()
+        self.in_event = False
+        self.event_gpus = 0
+        self.events = 0
+
+    def _state(self):
+        holds = self.holds
+        expiry, blocked = holds[0] if holds else (self.n, 0)
+        if self.in_event and self.restart > 0.0 and self.event_gpus > blocked:
+            blocked = self.event_gpus
+        return blocked * self.gpu_w, expiry, self.in_event
+
+    def expire(self, i):
+        """Drop the holds expired at step i."""
+        holds = self.holds
+        while holds and holds[0][0] <= i:
+            holds.popleft()
+        return self._state()
+
+    def end_step(self, i, live):
+        """Step i left live watts unserved (0.0 when it left none, which
+        ends the open event)."""
+        if live:
+            if not self.in_event:
+                self.in_event = True
+                self.event_gpus = 0
+                self.events += 1
+            shed = math.ceil(live / self.gpu_w - 1e-9)
+            if self.restart > 0.0:
+                # Residual shortfall past the units already held down sheds
+                # that many more.
+                self.event_gpus += shed
+            elif shed > self.event_gpus:
+                self.event_gpus = shed
+            return self._state()
+        self.in_event = False
+        gpus = self.event_gpus
+        if self.restart > 0.0 and gpus > 0:
+            # The hold expires at the first step j > i with
+            # i*dt + restart <= j*dt + 1e-12, or at n when no step before n
+            # qualifies.  j*dt is monotone in j, so j is found once: the
+            # estimate from restart/dt can be a step off either way after
+            # rounding, and the two loops move it to the exact step.
+            dt, n, holds = self.dt, self.n, self.holds
+            t_end = i * dt + self.restart
+            j = max(i + 1, math.ceil(min((t_end - 1e-12) / dt, n)))
+            while j > i + 1 and t_end <= (j - 1) * dt + 1e-12:
+                j -= 1
+            while j < n and not t_end <= j * dt + 1e-12:
+                j += 1
+            while holds and holds[-1][1] <= gpus:
+                holds.pop()
+            holds.append((j, gpus))
+        return self._state()
 
 
-def _add_hold(holds, i, gpus, dt, restart, n):
-    """Hold gpus down for restart seconds from the end of step i; return
-    the front.  The hold expires at the first step j > i with
-    i*dt + restart <= j*dt + 1e-12, or at n when no step before n
-    qualifies.  j*dt is monotone in j, so j is found once: the estimate
-    from restart/dt can be a step off either way after rounding, and the
-    two loops move it to the exact step."""
-    t_end = i * dt + restart
-    j = max(i + 1, math.ceil(min((t_end - 1e-12) / dt, n)))
-    while j > i + 1 and t_end <= (j - 1) * dt + 1e-12:
-        j -= 1
-    while j < n and not t_end <= j * dt + 1e-12:
-        j += 1
-    while holds and holds[-1][1] <= gpus:
-        holds.pop()
-    holds.append((j, gpus))
-    return holds[0]
-
-
-def _shed(event_gpus, live_short, gpu_w, restart):
-    """Accelerators an open event holds down after a step that leaves
-    live_short watts unserved."""
-    shed = math.ceil(live_short / gpu_w - 1e-9)
-    if restart > 0.0:
-        # Residual shortfall past the units already held down sheds that
-        # many more.
-        return event_gpus + shed
-    return shed if shed > event_gpus else event_gpus
+def _live_short(deficit, delivered, escal):
+    """What a step leaves unserved after the device delivered and the feed
+    escalated by up to escal: the deficit's shortfall past both, or 0.0
+    below _W_EPS.  A deficit at or below 0 leaves 0.0."""
+    shortfall = deficit - delivered
+    if shortfall < 0.0:
+        shortfall = 0.0
+    if not escal < shortfall:
+        escal = shortfall
+    live = shortfall - escal
+    return 0.0 if live < _W_EPS else live
 
 
 def _fill_need(need_a, d_eff_a, p_infra, theta):
@@ -394,25 +475,23 @@ def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
     shortfall events.  need_a is scratch.
 
     The feed takes p_infra plus demand up to theta and the device is asked
-    for the rest, so the step is array code.  The ideal device delivers the
-    whole deficit.  A battery is walked in scalar code only on the steps
-    where the array values may not hold: those with demand above theta,
-    and every step while a shortfall event is open or a restart hold is
-    live.  On any other step it is asked for nothing, so its state stays
-    as it is and nothing is shed."""
+    for the rest, so the step is array code.  The deficit is never
+    negative: it is 0.0 at or below theta, and above it rounding is
+    monotone.  The ideal device delivers the whole deficit.  A battery is
+    walked in scalar code only on the steps where the array values may not
+    hold: those with demand above theta, and every step while a shortfall
+    event is open or accelerators are held down.  On any other step it is
+    asked for nothing, so its state stays as it is and nothing is shed."""
     p_infra = config.p_infra_w
     _fill_need(need_a, demand_a, p_infra, theta)
     np.add(p_infra, demand_a, out=discharge_a)
     discharge_a -= need_a
-    discharge_a[discharge_a < 0.0] = 0.0
     # demand - 0.0 keeps a -0.0 demand sample as -0.0, as the step does.
     np.subtract(demand_a, 0.0, out=served_a)
     if battery is None:
         return 0
 
     cap = p_infra + theta
-    gpu_w = config.gpu_unit_w
-    restart = config.restart_penalty_s
     n = demand_a.shape[0]
     step = battery_stepper(battery, dt)
     # Battery state as plain values, in DeviceState's field order.  The
@@ -422,12 +501,8 @@ def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
         init_state(battery).stored_j, "discharging", 0.0, None, 0.0)
     demand_m, served_m, discharge_m, stored_m = (
         memoryview(a) for a in (demand_a, served_a, discharge_a, stored_a))
-
-    holds = deque()
-    hold_end, hold_gpus = n, 0
-    in_event = False
-    event_gpus = 0
-    unserved_events = 0
+    shedding = _Shedding(n, dt, config)
+    blocked_w, expiry, in_event = 0.0, n, False
 
     i = 0      # the first step not yet walked
     for hot in np.flatnonzero(theta < demand_a).tolist():
@@ -436,55 +511,31 @@ def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
         stored_a[i:hot] = stored
         i = hot
         while True:
-            if i >= hold_end:
-                hold_end, hold_gpus = _expire_holds(holds, i, n)
-            blocked = hold_gpus
-            if in_event and restart > 0.0 and event_gpus > blocked:
-                blocked = event_gpus
+            if i >= expiry:
+                blocked_w, expiry, in_event = shedding.expire(i)
             d_eff = demand_m[i]
-            if blocked:
-                d_eff = d_eff - blocked * gpu_w
+            if blocked_w:
+                d_eff = d_eff - blocked_w
                 if not d_eff > 0.0:
                     d_eff = 0.0
 
             c = p_infra + (theta if theta < d_eff else d_eff)
             deficit = p_infra + d_eff - c
-            if deficit < 0.0:
-                deficit = 0.0
             # The feed stops at the need, so it has no surplus to offer.
             delivered, _, stored, mode, last, target, remaining = step(
                 stored, mode, last, target, remaining, deficit, 0.0)
+            live = _live_short(deficit, delivered, cap - c)
+            if live or in_event:
+                blocked_w, expiry, in_event = shedding.end_step(i, live)
 
-            shortfall = deficit - delivered
-            if shortfall < 0.0:
-                shortfall = 0.0
-            escal = cap - c
-            if not escal < shortfall:
-                escal = shortfall
-            live_short = shortfall - escal
-            if live_short < _W_EPS:
-                live_short = 0.0
-
-            if live_short > 0.0:
-                if not in_event:
-                    in_event = True
-                    event_gpus = 0
-                    unserved_events += 1
-                event_gpus = _shed(event_gpus, live_short, gpu_w, restart)
-            elif in_event:
-                in_event = False
-                if restart > 0.0 and event_gpus > 0:
-                    hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
-                                                    restart, n)
-
-            served_m[i] = d_eff - live_short
+            served_m[i] = d_eff - live
             discharge_m[i] = delivered
             stored_m[i] = stored
             i += 1
-            if i == n or not (in_event or holds):
+            if i == n or not (in_event or blocked_w):
                 break
     stored_a[i:] = stored
-    return unserved_events
+    return shedding.events
 
 
 def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
@@ -494,26 +545,30 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     returns the number of shortfall events.  feed_a and scratch_a are
     scratch; feed_a ends holding the rate-limited feed c of each step.
 
-    The loop keeps only what one step hands the next: the restart holds and
-    the open event, which set d_eff; the feed c; the device state.  A step
-    with d_eff at or below theta leaves nothing unserved: its need
-    p_infra + d_eff is at most cap (rounding is monotone), so its deficit
-    need - c is at most cap - c and escalation covers all of it.  Only a
-    step with d_eff above theta works out its live shortfall and may open
-    an event.  The loop stores d_eff as served and each live shortfall in
-    dummy_a, which is free until the dummy pass; served loses the live
-    shortfalls after the loop.  need, surplus and dummy are array passes
-    over the finished series."""
+    The loop keeps only what one step hands the next: the shedding state,
+    which sets d_eff; the feed c; the device state.  One step body serves
+    both sides of theta.  The need is cap above theta and the load
+    p_infra + d_eff at or below it, and the device is asked for load - c,
+    which at or below theta has the bits of need - c.  The feed never exceeds
+    cap: it starts at a need, and each step takes the larger of its need
+    and the previous feed less r_step, then caps it at the previous feed
+    plus r_step.  So above theta the feed has no surplus to offer.  A step
+    with d_eff at or below theta leaves nothing unserved: its need is at
+    most cap (rounding is monotone), so its deficit is at most cap - c and
+    escalation covers all of it.  Only a step with d_eff above theta works
+    out its live shortfall.  The loop stores d_eff as served and each live
+    shortfall in dummy_a, which is free until the dummy pass; served loses
+    the live shortfalls after the loop.  need, surplus and dummy are array
+    passes over the finished series."""
     p_infra = config.p_infra_w
     cap = p_infra + theta
     r_step = config.grid_ramp_limit_w_per_s * dt
-    gpu_w = config.gpu_unit_w
-    restart = config.restart_penalty_s
     n = demand_a.shape[0]
 
-    # Device state as plain values, in DeviceState's field order.
+    # Device state as plain values, in DeviceState's field order, then
+    # delivered: every passive step assigns it; with no device it stays 0.0.
     passive = device is not None
-    stored, mode, last = 0.0, "idle", 0.0
+    stored, mode, last, delivered = 0.0, "idle", 0.0, 0.0
     if passive:
         step = passive_stepper(device, dt)
         stored = init_state(device).stored_j
@@ -521,12 +576,8 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     served_m, feed_m, discharge_m, charge_m, stored_m, live_m = (
         memoryview(a) for a in (served_a, feed_a, discharge_a, charge_a,
                                 stored_a, dummy_a))
-
-    holds = deque()
-    hold_end, hold_gpus = n, 0
-    in_event = False
-    event_gpus = 0
-    unserved_events = 0
+    shedding = _Shedding(n, dt, config)
+    blocked_w, expiry, in_event = 0.0, n, False
     # The first step's feed is its need, which the ramp rule below gives
     # back when the previous feed is that need.
     first = float(demand_a[0])
@@ -534,90 +585,46 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
 
     # min() and max() are written out as comparisons that pick the same
     # operand on ties, which keeps the output bits and saves calls per step.
-    # The feed never exceeds cap: it starts at a need, and each step takes
-    # the larger of its need and the previous feed less r_step, then caps
-    # it at the previous feed plus r_step.
     for i, demand in enumerate(memoryview(demand_a)):
-        if i >= hold_end:
-            hold_end, hold_gpus = _expire_holds(holds, i, n)
-        blocked = hold_gpus
-        if in_event and restart > 0.0 and event_gpus > blocked:
-            blocked = event_gpus
-        if not blocked:
+        if i >= expiry:
+            blocked_w, expiry, in_event = shedding.expire(i)
+        if not blocked_w:
             d_eff = demand
         else:
-            d_eff = demand - blocked * gpu_w
+            d_eff = demand - blocked_w
             if not d_eff > 0.0:
                 d_eff = 0.0
 
-        c_prev = c
+        load = p_infra + d_eff
+        need = cap if theta < d_eff else load
+        top = c + r_step
+        c -= r_step
+        if not c > need:
+            c = need
+        if top < c:
+            c = top
+        if passive:
+            # The request is load - c, positive exactly when c < load.
+            if c < load:
+                delivered, _, stored, mode, last = step(
+                    stored, mode, last, load - c, 0.0)
+                discharge_m[i] = delivered
+            elif need < c:
+                delivered, absorbed, stored, mode, last = step(
+                    stored, mode, last, 0.0, c - need)
+                charge_m[i] = absorbed
+            else:
+                delivered, _, stored, mode, last = step(
+                    stored, mode, last, 0.0, 0.0)
+            stored_m[i] = stored
+
         if theta < d_eff:
-            # The need is cap, so the feed has no surplus to offer.
-            c = c_prev - r_step
-            if not c > cap:
-                c = cap
-            if c_prev + r_step < c:
-                c = c_prev + r_step
-            deficit = p_infra + d_eff - c
-            if deficit < 0.0:
-                deficit = 0.0
-            delivered = 0.0
-            if passive:
-                if deficit > 0.0:
-                    delivered, _, stored, mode, last = step(
-                        stored, mode, last, deficit, 0.0)
-                    discharge_m[i] = delivered
-                else:
-                    _, _, stored, mode, last = step(stored, mode, last, 0.0, 0.0)
-                stored_m[i] = stored
-
-            shortfall = deficit - delivered
-            if shortfall < 0.0:
-                shortfall = 0.0
-            escal = cap - c
-            if not escal < shortfall:
-                escal = shortfall
-            live_short = shortfall - escal
-            if not live_short < _W_EPS:
-                live_m[i] = live_short
-                if not in_event:
-                    in_event = True
-                    event_gpus = 0
-                    unserved_events += 1
-                event_gpus = _shed(event_gpus, live_short, gpu_w, restart)
-            elif in_event:
-                # Shedding has ended the shortfall; the downed units hold
-                # for the restart penalty from this step on.
-                in_event = False
-                if restart > 0.0 and event_gpus > 0:
-                    hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
-                                                    restart, n)
-        else:
-            need = p_infra + d_eff
-            c = c_prev - r_step
-            if not c > need:
-                c = need
-            if c_prev + r_step < c:
-                c = c_prev + r_step
-            if passive:
-                # The deficit is need - c and the surplus c - need.
-                if c < need:
-                    delivered, _, stored, mode, last = step(
-                        stored, mode, last, need - c, 0.0)
-                    discharge_m[i] = delivered
-                elif need < c:
-                    _, absorbed, stored, mode, last = step(
-                        stored, mode, last, 0.0, c - need)
-                    charge_m[i] = absorbed
-                else:
-                    _, _, stored, mode, last = step(stored, mode, last, 0.0, 0.0)
-                stored_m[i] = stored
-            if in_event:
-                in_event = False
-                if restart > 0.0 and event_gpus > 0:
-                    hold_end, hold_gpus = _add_hold(holds, i, event_gpus, dt,
-                                                    restart, n)
-
+            live = _live_short(load - c, delivered, cap - c)
+            if live or in_event:
+                live_m[i] = live
+                blocked_w, expiry, in_event = shedding.end_step(i, live)
+        elif in_event:
+            blocked_w, expiry, in_event = shedding.end_step(i, 0.0)
         served_m[i] = d_eff
         feed_m[i] = c
 
@@ -632,7 +639,7 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     # np.maximum's pick on a tie with 0.0 cannot show.
     np.subtract(surplus, charge_a, out=dummy_a)
     np.maximum(dummy_a, 0.0, out=dummy_a)
-    return unserved_events
+    return shedding.events
 
 
 def useful_compute_j(result: ShavingResult) -> float:
@@ -674,8 +681,7 @@ def _gpus_saved_grid(trace: PowerTrace, threshold_fracs, min_bursts_s,
     for burst in min_bursts_s:
         if not (burst >= 0.0):
             raise ValueError("min_burst_s must be non-negative")
-    if not (0.0 < gpu_unit_w < math.inf):
-        raise ValueError("gpu_unit_w must be positive and finite")
+    _check_gpu_unit_w(trace.rack_max_w, gpu_unit_w)
     values = np.zeros((len(threshold_fracs), len(min_bursts_s)), dtype=np.int64)
     for i, frac in enumerate(threshold_fracs):
         theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)

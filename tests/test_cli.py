@@ -10,11 +10,13 @@ Covers:
 
 import hashlib
 import json
+import shutil
 import sys
 
 import pytest
 
 from conftest import run_cli
+from powershave import cli
 
 
 def sha256_file(path) -> str:
@@ -319,6 +321,46 @@ def test_simulate_reruns_byte_identical(work, tmp_path):
     assert manifests[0] == manifests[1]
 
 
+@pytest.fixture(scope="module")
+def earlier_out(work):
+    """An --out directory holding an earlier simulate run's files."""
+    out = work["root"] / "earlier"
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", "none",
+                    "--config", str(work["loose"]), "--out", str(out)],
+                   cwd=work["root"])
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+# Inputs the arithmetic cannot carry: each is refused by name before any
+# work, and --out keeps the earlier run's files as they were.
+@pytest.mark.parametrize("command, config, flags, field", [
+    ("simulate", {"gpu_unit_w": 1e-310}, [], "gpu_unit_w"),
+    ("compare", {"gpu_unit_w": 1e-310}, [], "gpu_unit_w"),
+    ("simulate", {"thermal_tau_s": 0.001}, [], "thermal_tau_s"),
+    ("simulate", {"heat_factor": 1e308}, [], "heat_factor"),
+    ("sweep", None, ["--gpu-unit-w", "1e-320"], "gpu_unit_w"),
+])
+def test_unsupported_arithmetic_refused_exit2(work, earlier_out, tmp_path,
+                                              command, config, flags, field):
+    out = tmp_path / "out"
+    shutil.copytree(earlier_out, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    argv = [command, "--trace", str(work["trace"]), *flags, "--out", str(out)]
+    if command == "simulate":
+        argv += ["--device", "supercap"]
+    if config is not None:
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    proc = run_cli(argv, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(out.glob("*.tmp"))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 # ---------------------------------------------------------------------------
 # 4. sweep / compare
 # ---------------------------------------------------------------------------
@@ -427,6 +469,20 @@ def test_streamed_output_digests_recompute(work, tmp_path, argv):
         assert sha256_file(tmp_path / name) == digest
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*manifest["outputs"], f"{argv[0]}_manifest.json"])
+
+
+def test_failed_write_leaves_path_as_it_was(tmp_path):
+    path = tmp_path / "shaving.csv"
+    path.write_bytes(b"earlier\n")
+
+    def writer(dest):
+        dest.write("first chunk\n")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._write_output(str(path), writer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shaving.csv"]
+    assert path.read_bytes() == b"earlier\n"
 
 
 def test_env_out_dir(work, tmp_path):
