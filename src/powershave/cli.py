@@ -33,9 +33,9 @@ from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, _check_bin_edges,
                      detect_spikes, spike_statistics, write_spikes_csv,
                      write_stats_json)
 from .devices import BUILTIN_DEVICE_NAMES, builtin_device_spec, load_device_spec
-from .shaving import (SimConfig, load_sim_config, simulate_shaving,
-                      write_result_csv, write_result_summary_json,
-                      write_sim_config)
+from .shaving import (SimConfig, _check_gpu_unit_w, load_sim_config,
+                      simulate_shaving, write_result_csv,
+                      write_result_summary_json, write_sim_config)
 from .sweep import (DEFAULT_BURST_LENGTHS_S, DEFAULT_THRESHOLD_FRACS,
                     compare_strategies, sweep_gpus_saved, write_comparison_csv,
                     write_grid_csv, write_grid_json)
@@ -297,6 +297,7 @@ def _cmd_sweep(args) -> int:
     if not (0.0 < args.gpu_unit_w < math.inf):
         raise ValueError(f"--gpu-unit-w must be positive and finite, got {args.gpu_unit_w!r}")
     trace = load_trace(args.trace)
+    _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w, "--gpu-unit-w")
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
 
     csv_path = os.path.join(out, "grid.csv")

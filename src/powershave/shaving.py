@@ -22,12 +22,10 @@ Whenever the device cannot cover a deficit, the feed escalates above its
 rate-limited path, up to the cap; each step whose feed moves faster than
 the ramp limit allows is recorded in ramp_violation_steps.  Demand above
 the cap that the device cannot serve is curtailed by one shedding machine
-(_Shedding), which every strategy shares.  A step that leaves a live
-shortfall (_live_short, the one shortfall chain) opens a shortfall event
-or grows it by whole accelerators (gpu_unit_w each), and the first step
-that leaves none closes it.  When restart_penalty_s is positive, the
-shed units stay down while the event is open and for restart_penalty_s
-after its close before they may serve again.
+for every strategy (_Shedding): whole accelerators are shed (gpu_unit_w
+each) and, when restart_penalty_s is positive, stay down through the
+rest of the shortfall and for restart_penalty_s beyond its end before
+they may serve again.
 
 A lumped first-order thermal node integrates the heat of served compute
 plus dummy load; temperatures past t_derate_c de-rate the value of
@@ -45,21 +43,16 @@ Only the steps that can change state run as scalar code:
   shortfall event is open or accelerators are held down; on any other
   step it is asked for nothing, so its state stays as it is.
 * The tracked feed ("none", passive devices) carries the feed from one
-  step to the next, so its loop visits every step, but keeps only what a
-  step hands the next: the shedding state, which sets the effective
-  demand; the rate-limited feed; the device state.  One step body serves
-  both sides of the threshold.  A step at or below it leaves no live
-  shortfall (escalation covers its whole deficit), so the shortfall
-  chain runs only on steps above it.  Need, surplus and dummy load are
-  array passes after the loop.
+  step to the next, so its loop visits every step, but keeps only the
+  shedding state, the rate-limited feed and the device state.  Need,
+  surplus and dummy load are array passes after the loop.
 
-Both loops keep what a step reads from the shedding machine in locals
-and call it only on the steps that change it.  They keep the device
-state in local variables too and advance it with a stepper that
-devices.passive_stepper / devices.battery_stepper build once
-per run, the same physics as device_step.  Nothing in a step reads the
-grid feed it draws, so p_grid and the ramp check are array post-passes
-over the finished series.
+Both loops call the shedding machine only on the steps that change its
+state, and advance the device with a stepper that
+devices.passive_stepper / devices.battery_stepper build once per run,
+the same physics as device_step.  Nothing in a step reads the grid feed
+it draws, so p_grid and the ramp check are array post-passes over the
+finished series.
 """
 
 from __future__ import annotations
@@ -244,11 +237,12 @@ class ShavingResult:
         return float(self.stored_j[-1]) if self.n_steps else 0.0
 
 
-def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float) -> None:
+def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float,
+                      name: str = "gpu_unit_w") -> None:
     """Refuse a unit for which whole-unit counts up to the rack's draw
     are not exact floats (beyond 2**53) or not finite."""
     if not (0.0 < gpu_unit_w < math.inf and rack_max_w / gpu_unit_w <= 2.0 ** 53):
-        raise ValueError(f"gpu_unit_w must be positive, finite and at least "
+        raise ValueError(f"{name} must be positive, finite and at least "
                          f"rack_max_w / 2**53 ({rack_max_w / 2.0 ** 53!r} W), "
                          f"got {gpu_unit_w!r}")
 
@@ -367,22 +361,19 @@ class _Shedding:
     restart holds and the number of events.
 
     A step that leaves a live shortfall opens an event or grows it by
-    whole accelerators (gpu_unit_w each), and the first step that leaves
-    none closes it.  With a positive restart_penalty_s the units an event
-    has shed stay down while it is open, and its close holds them down for
-    restart_penalty_s from the end of that step, so a shed unit is blocked
-    without gaps from the step it drops until its hold expires.
-
-    Restart holds are (expiry step, accelerators held down), and the count
-    held down at a step is the max over unexpired holds.  Holds expire in
-    the order they are added (the penalty is constant), and a hold that
+    whole accelerators, and the first step that leaves none closes it.
+    With a positive restart penalty the units an event has shed stay down
+    while it is open and for restart_penalty_s from the end of the step
+    that closes it.  Restart holds are (expiry step, accelerators); the
+    count held down is the max over unexpired holds.  Holds expire in the
+    order they are added (the penalty is constant), and a hold that
     expires no later than a newer, larger one never sets the max, so it is
-    dropped when the newer one is added.  The deque front is then the max.
+    dropped when the newer one is added; the deque front is then the max.
 
     Both calls return what the next step reads, (blocked_w, expiry,
     in_event): the draw of the accelerators held down, the step at which
-    the front hold expires (n when no hold is left) and whether an event
-    is open.  The loops keep these in locals and call expire(i) only on a
+    the front hold expires (n when none is left) and whether an event is
+    open.  The loops keep these in locals and call expire(i) only on a
     step that reaches expiry, and end_step(i, live) only on a step that
     leaves a live shortfall or ends an open event."""
 
@@ -545,21 +536,17 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     returns the number of shortfall events.  feed_a and scratch_a are
     scratch; feed_a ends holding the rate-limited feed c of each step.
 
-    The loop keeps only what one step hands the next: the shedding state,
-    which sets d_eff; the feed c; the device state.  One step body serves
-    both sides of theta.  The need is cap above theta and the load
-    p_infra + d_eff at or below it, and the device is asked for load - c,
-    which at or below theta has the bits of need - c.  The feed never exceeds
-    cap: it starts at a need, and each step takes the larger of its need
-    and the previous feed less r_step, then caps it at the previous feed
-    plus r_step.  So above theta the feed has no surplus to offer.  A step
-    with d_eff at or below theta leaves nothing unserved: its need is at
-    most cap (rounding is monotone), so its deficit is at most cap - c and
-    escalation covers all of it.  Only a step with d_eff above theta works
-    out its live shortfall.  The loop stores d_eff as served and each live
-    shortfall in dummy_a, which is free until the dummy pass; served loses
-    the live shortfalls after the loop.  need, surplus and dummy are array
-    passes over the finished series."""
+    One step body serves both sides of theta.  The need is cap above theta
+    and the load p_infra + d_eff at or below it; the device is asked for
+    load - c, which at or below theta has the bits of need - c.  The feed
+    starts at a need, and each step takes the larger of its need and the
+    previous feed less r_step, capped at the previous feed plus r_step, so
+    it never exceeds cap and has no surplus above theta.  A step at or
+    below theta leaves nothing unserved: its need is at most cap (rounding
+    is monotone), so escalation covers its deficit; only a step above
+    theta works out its live shortfall.  The loop stores d_eff as served
+    and each live shortfall in dummy_a, which is free until the dummy
+    pass; served loses the live shortfalls after the loop."""
     p_infra = config.p_infra_w
     cap = p_infra + theta
     r_step = config.grid_ramp_limit_w_per_s * dt

@@ -5,7 +5,8 @@ Covers:
  2. analyze: calibrated-band stats, empty result above max power, flag exclusivity
  3. simulate: ideal/none summaries, custom device file, ramp exit code 3
  4. sweep and compare: default grid shape, preset dummy pattern
- 5. Cross-cutting: exit codes, manifest digests, POWERSHAVE_OUT, input immutability
+ 5. Cross-cutting: exit codes, manifest digests, POWERSHAVE_OUT, input immutability,
+    refused inputs and failed writes that leave --out as it was
 """
 
 import hashlib
@@ -339,7 +340,7 @@ def earlier_out(work):
     ("compare", {"gpu_unit_w": 1e-310}, [], "gpu_unit_w"),
     ("simulate", {"thermal_tau_s": 0.001}, [], "thermal_tau_s"),
     ("simulate", {"heat_factor": 1e308}, [], "heat_factor"),
-    ("sweep", None, ["--gpu-unit-w", "1e-320"], "gpu_unit_w"),
+    ("sweep", None, ["--gpu-unit-w", "1e-320"], "--gpu-unit-w"),
 ])
 def test_unsupported_arithmetic_refused_exit2(work, earlier_out, tmp_path,
                                               command, config, flags, field):
