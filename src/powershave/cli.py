@@ -5,8 +5,9 @@ Every command writes its primary outputs plus a run manifest into the
 output directory (--out, or the POWERSHAVE_OUT environment variable,
 defaulting to the working directory).  Outputs are byte-identical for
 identical inputs; the manifest's created_utc field is the only thing
-that changes between reruns.  Every file goes through _write_output, and
-every config digest through _digest, which hashes the same bytes.
+that changes between reruns.  Every file goes through _write_outputs,
+which replaces none of a command's outputs until all of them are built,
+and every config digest through _digest, which hashes the same bytes.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error,
 3 run completed but the grid ramp constraint was violated.
@@ -81,21 +82,33 @@ def _hash_into(fh, writer, *args) -> str:
 
 
 def _write_output(path: str, writer, *args) -> str:
-    """Atomically write writer's text to path, chunk by chunk as the writer
-    yields it, so the whole file is never held in memory; returns its
-    sha256 digest.  When the write fails, the .tmp file is removed and
-    path is left as it was."""
-    tmp = path + ".tmp"
-    fh = open(tmp, "wb")
+    """Atomically write writer's text to path; returns its sha256 digest.
+    See _write_outputs."""
+    return _write_outputs((path, writer, *args))[0]
+
+
+def _write_outputs(*outputs) -> list:
+    """Atomically write each (path, writer, *args) output, chunk by chunk
+    as its writer yields it, so no whole file is held in memory; returns
+    their sha256 digests.  Every text goes to its .tmp file before any
+    path is replaced.  When a write fails, every .tmp file is removed and
+    every path is left as it was."""
+    tmps = []
     try:
-        with fh:
-            digest = _hash_into(fh, writer, *args)
-        os.replace(tmp, path)
+        digests = []
+        for path, writer, *args in outputs:
+            fh = open(path + ".tmp", "wb")
+            tmps.append(fh.name)
+            with fh:
+                digests.append(_hash_into(fh, writer, *args))
+        for (path, *_), tmp in zip(outputs, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
-    return digest
+    return digests
 
 
 def _digest(writer, *args) -> str:
@@ -227,8 +240,8 @@ def _cmd_analyze(args) -> int:
 
     spikes_path = os.path.join(out, "spikes.csv")
     stats_path = os.path.join(out, "spike_stats.json")
-    spikes_digest = _write_output(spikes_path, write_spikes_csv, spikes)
-    stats_digest = _write_output(stats_path, write_stats_json, stats)
+    spikes_digest, stats_digest = _write_outputs(
+        (spikes_path, write_spikes_csv, spikes), (stats_path, write_stats_json, stats))
     _write_manifest(
         out, "analyze", {args.trace: _sha256_file(args.trace)},
         {"threshold": _digest(_write_compact_json,
@@ -267,8 +280,9 @@ def _cmd_simulate(args) -> int:
     result = simulate_shaving(trace, device, config)
     csv_path = os.path.join(out, "shaving.csv")
     summary_path = os.path.join(out, "shaving_summary.json")
-    csv_digest = _write_output(csv_path, write_result_csv, result)
-    summary_digest = _write_output(summary_path, write_result_summary_json, result)
+    csv_digest, summary_digest = _write_outputs(
+        (csv_path, write_result_csv, result),
+        (summary_path, write_result_summary_json, result))
     _write_manifest(
         out, "simulate", inputs,
         {"sim_config": _digest(write_sim_config, config)},
@@ -302,8 +316,8 @@ def _cmd_sweep(args) -> int:
 
     csv_path = os.path.join(out, "grid.csv")
     json_path = os.path.join(out, "grid.json")
-    csv_digest = _write_output(csv_path, write_grid_csv, grid)
-    json_digest = _write_output(json_path, write_grid_json, grid)
+    csv_digest, json_digest = _write_outputs(
+        (csv_path, write_grid_csv, grid), (json_path, write_grid_json, grid))
     _write_manifest(
         out, "sweep", {args.trace: _sha256_file(args.trace)},
         {"axes": _digest(_write_compact_json,

@@ -94,6 +94,9 @@ _SERIES_NAMES = (
 )
 
 _W_EPS = 1e-9
+# Power-balance tolerance as a fraction of rack_max_w, the same as the
+# invariant checks' BALANCE_TOL_FRAC in tests/conftest.py.
+_BALANCE_TOL_FRAC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -275,6 +278,14 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
                          * config.k_scale_c_per_w):
         raise ValueError("the heat scale rack_max_w * heat_factor * (t_max_c - "
                          "t_ambient_c) / thermal_ref_power_w must be finite")
+    if not (abs((config.p_infra_w + trace.rack_max_w) - config.p_infra_w
+                - trace.rack_max_w) <= _BALANCE_TOL_FRAC * trace.rack_max_w):
+        # Past this, p_infra_w + the compute draw rounds the draw away and
+        # the grid series no longer carries it.
+        raise ValueError(f"p_infra_w must be small enough that p_infra_w + "
+                         f"rack_max_w keeps rack_max_w ({trace.rack_max_w!r} W) "
+                         f"to a relative error of {_BALANCE_TOL_FRAC!r}, "
+                         f"got {config.p_infra_w!r}")
 
     theta = config.threshold.resolve(trace.rack_max_w)
     p_infra = config.p_infra_w
@@ -642,10 +653,15 @@ def computational_gain(result: ShavingResult, baseline: ShavingResult) -> float:
         raise ValueError("results come from different traces")
     if result.threshold_w != baseline.threshold_w or result.config != baseline.config:
         raise ValueError("results come from different configs")
-    useful_base = useful_compute_j(baseline)
-    if useful_base <= 0.0:
+    return _gain_pct(useful_compute_j(result), useful_compute_j(baseline))
+
+
+def _gain_pct(useful_j: float, useful_base_j: float) -> float:
+    """The computational gain of one useful energy over a baseline's, in
+    percent; the one gain formula."""
+    if useful_base_j <= 0.0:
         raise ValueError("baseline served no useful energy; gain undefined")
-    return 100.0 * (useful_compute_j(result) - useful_base) / useful_base
+    return 100.0 * (useful_j - useful_base_j) / useful_base_j
 
 
 def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,

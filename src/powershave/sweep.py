@@ -4,7 +4,8 @@ A SweepGrid tabulates gpus_saved over a threshold-fraction axis and a
 minimum-burst-length axis; raising either axis can only shrink the set
 of qualifying spikes, so every valid grid is nonincreasing along both.
 compare_strategies runs the shaving simulation once per named strategy
-on one trace and reports each against the device-free baseline.
+on one trace and reports each against the device-free baseline, holding
+one simulation's series at a time.
 
 write_grid_csv, write_grid_json and write_comparison_csv write through
 _textio, to a path or a stream; load_grid_csv and load_grid_json read the
@@ -20,7 +21,8 @@ import numpy as np
 
 from ._textio import read_json_object, read_text, write_json, write_text
 from .trace import PowerTrace
-from .shaving import SimConfig, _gpus_saved_grid, computational_gain, simulate_shaving
+from .shaving import (SimConfig, _gain_pct, _gpus_saved_grid, simulate_shaving,
+                      useful_compute_j)
 # Unused here; bench/tracer.py patches sweep.gpus_saved.
 from .shaving import gpus_saved  # noqa: F401
 
@@ -120,7 +122,9 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     strategies is an ordered mapping or sequence of (name, spec) pairs
     where spec is a DeviceSpec, "none", or "ideal".  Gains are relative
     to the device-free run, which is computed regardless of whether it
-    is listed.  Duplicate names are rejected.
+    is listed.  Duplicate names are rejected.  One simulation is alive at
+    a time: the baseline's series are dropped once its useful energy and
+    totals are taken, and every "none" row is built from those totals.
     """
     if hasattr(strategies, "items"):
         pairs = list(strategies.items())
@@ -133,23 +137,28 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate strategy names: {dupes}")
 
-    baseline = simulate_shaving(trace, "none", config)
+    base_useful_j, base_totals = _row_inputs(simulate_shaving(trace, "none", config))
     rows = []
     for name, spec in pairs:
         try:
-            result = baseline if spec == "none" else simulate_shaving(trace, spec, config)
-            gain = computational_gain(result, baseline)
+            if spec == "none":
+                useful_j, totals = base_useful_j, base_totals
+            else:
+                useful_j, totals = _row_inputs(simulate_shaving(trace, spec, config))
+            gain = _gain_pct(useful_j, base_useful_j)
         except ValueError as exc:
             raise ValueError(f"strategy {name!r}: {exc}") from None
-        rows.append(ComparisonRow(
-            strategy_name=name,
-            computational_gain_pct=gain,
-            dummy_energy_j=result.total_dummy_energy_j,
-            total_unserved_energy_j=result.total_unserved_energy_j,
-            device_energy_throughput_j=result.device_energy_throughput_j,
-            peak_grid_w=result.peak_grid_w,
-        ))
+        rows.append(ComparisonRow(name, gain, *totals))
     return rows
+
+
+def _row_inputs(result) -> tuple:
+    """What a comparison row needs of a simulation: its useful energy and
+    its row totals.  The caller keeps these, not the result, so the
+    result's series are freed before the next simulation starts."""
+    return useful_compute_j(result), (
+        result.total_dummy_energy_j, result.total_unserved_energy_j,
+        result.device_energy_throughput_j, result.peak_grid_w)
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,8 @@ def earlier_out(work):
     ("simulate", {"thermal_tau_s": 0.001}, [], "thermal_tau_s"),
     ("simulate", {"heat_factor": 1e308}, [], "heat_factor"),
     ("sweep", None, ["--gpu-unit-w", "1e-320"], "--gpu-unit-w"),
+    ("simulate", {"p_infra_w": 1e308}, [], "p_infra_w"),
+    ("compare", {"p_infra_w": 1e308}, [], "p_infra_w"),
 ])
 def test_unsupported_arithmetic_refused_exit2(work, earlier_out, tmp_path,
                                               command, config, flags, field):
@@ -484,6 +486,25 @@ def test_failed_write_leaves_path_as_it_was(tmp_path):
         cli._write_output(str(path), writer)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shaving.csv"]
     assert path.read_bytes() == b"earlier\n"
+
+
+def test_simulate_replaces_no_file_until_every_output_is_built(
+        work, earlier_out, tmp_path, monkeypatch, capsys):
+    # shaving.csv renders fine; the summary after it fails.
+    out = tmp_path / "out"
+    shutil.copytree(earlier_out, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_summary(result, dest):
+        raise ValueError("summary failed")
+
+    monkeypatch.setattr(cli, "write_result_summary_json", failing_summary)
+    code = cli.main(["simulate", "--trace", str(work["trace"]), "--device", "supercap",
+                     "--config", str(work["loose"]), "--out", str(out)])
+    assert code == 2
+    assert "summary failed" in capsys.readouterr().err
+    assert not list(out.glob("*.tmp"))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_env_out_dir(work, tmp_path):

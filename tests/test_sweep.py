@@ -6,21 +6,26 @@ Covers:
  2. All-zero grid on a sub-threshold constant trace
  3. Grid determinism and cell independence
  4. write_grid_csv / write_grid_json round trips and shape arithmetic
- 5. compare_strategies ordering, baseline, duplicate rejection
+ 5. compare_strategies ordering, baseline, duplicate rejection, rows
+    equal to direct simulations wherever "none" is listed, and one
+    simulation alive at a time (weak references and tracemalloc peak)
  6. Comparison CSV layout
 """
 
 import io
 import json
 import math
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import powershave as ps
-from powershave import SimConfig, ThresholdSpec
+from powershave import SimConfig, ThresholdSpec, sweep
 
-from conftest import make_trace
+from conftest import STRATEGIES, make_trace, strategy_spec
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +336,88 @@ def test_compare_annotates_failing_strategy(spiky_trace):
     with pytest.raises(ValueError) as err:
         ps.compare_strategies(spiky_trace, [("weird", "flywheel")], SimConfig())
     assert "weird" in str(err.value)
+
+
+def _direct_rows(trace, pairs, cfg):
+    """The rows of pairs from one simulation each, every result kept, and
+    gains from computational_gain against a separate baseline run."""
+    baseline = ps.simulate_shaving(trace, "none", cfg)
+    rows = []
+    for name, spec in pairs:
+        result = ps.simulate_shaving(trace, spec, cfg)
+        rows.append(ps.ComparisonRow(
+            name, ps.computational_gain(result, baseline),
+            result.total_dummy_energy_j, result.total_unserved_energy_j,
+            result.device_energy_throughput_j, result.peak_grid_w))
+    return rows
+
+
+@pytest.mark.parametrize("listing", [
+    (("capacitor", "capacitor"), ("ideal", "ideal"), ("none", "none")),
+    (("base", "none"), ("battery", "battery"), ("again", "none")),
+    (("capacitor", "capacitor"), ("battery", "battery")),
+], ids=["none-last", "none-twice", "none-absent"])
+def test_compare_rows_equal_direct_simulations(cmp_setup, listing):
+    trace, cfg, _ = cmp_setup
+    pairs = [(name, strategy_spec(kind)) for name, kind in listing]
+    rows = ps.compare_strategies(trace, pairs, cfg)
+    # A "none" pair's direct row holds a direct "none" run's totals.
+    assert rows == _direct_rows(trace, pairs, cfg)
+    assert all(row.computational_gain_pct == 0.0
+               for row, (_, kind) in zip(rows, listing) if kind == "none")
+
+
+@pytest.mark.parametrize("listing, first", [
+    ((("none", "none"), ("ideal", "ideal")), "none"),
+    ((("cap", "capacitor"),), "cap"),
+])
+def test_compare_zero_baseline_names_first_strategy(listing, first):
+    trace = make_trace(np.zeros(400), dt=0.005)
+    pairs = [(name, strategy_spec(kind)) for name, kind in listing]
+    with pytest.raises(ValueError, match=re.escape(
+            f"strategy {first!r}: baseline served no useful energy")):
+        ps.compare_strategies(trace, pairs, SimConfig())
+
+
+def test_compare_holds_one_simulation_at_a_time(cmp_setup, monkeypatch):
+    trace, cfg, _ = cmp_setup
+    simulate = sweep.simulate_shaving
+    results = []        # a weak reference to each simulation's result
+    alive_at_start = []
+
+    def recording(*args):
+        alive_at_start.append(sum(ref() is not None for ref in results))
+        result = simulate(*args)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(sweep, "simulate_shaving", recording)
+    pairs = [(name, strategy_spec(name)) for name in STRATEGIES]
+    rows = ps.compare_strategies(trace, pairs, cfg)
+    assert len(rows) == len(STRATEGIES)
+    # The baseline plus one run per device; the "none" row reuses the baseline.
+    assert alive_at_start == [0] * len(STRATEGIES)
+    assert all(ref() is None for ref in results)
+
+
+def _traced_peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_memory_peak_is_one_simulation(default_trace, default_config):
+    n = int(round(120.0 / default_trace.dt_s))
+    trace = ps.PowerTrace(dt_s=default_trace.dt_s, samples=default_trace.samples[:n],
+                          rack_max_w=default_trace.rack_max_w)
+    pairs = [(name, strategy_spec(name)) for name in STRATEGIES]
+    one = _traced_peak_bytes(lambda: ps.simulate_shaving(trace, "none", default_config))
+    compared = _traced_peak_bytes(
+        lambda: ps.compare_strategies(trace, pairs, default_config))
+    assert compared <= 1.5 * one, (compared, one)
 
 
 def test_preset_dummy_pattern_on_calibrated_trace(default_trace, default_config):
