@@ -184,15 +184,27 @@ def _parse_bins(text: str):
     return _check_bin_edges(edges, "--bins")
 
 
-def _resolve_device(token: str):
+def _resolve_device(token: str, inputs: dict):
+    """The device a --device token names; a spec file's digest goes into
+    inputs."""
     if token in ("none", "ideal"):
         return token
     if token in BUILTIN_DEVICE_NAMES:
         return builtin_device_spec(token)
     if os.path.exists(token):
+        inputs[token] = _sha256_file(token)
         return load_device_spec(token)
     raise ValueError(f"unknown device {token!r}; use one of "
                      f"{', '.join(_DEVICE_CHOICES)} or a spec file path")
+
+
+def _sim_config(args, inputs: dict) -> SimConfig:
+    """--config's SimConfig, or the default one; the file's digest goes
+    into inputs."""
+    if args.config is None:
+        return SimConfig()
+    inputs[args.config] = _sha256_file(args.config)
+    return load_sim_config(args.config)
 
 
 def _device_row_name(token: str) -> str:
@@ -266,16 +278,10 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
-    if args.config is not None:
-        config = load_sim_config(args.config)
-        inputs[args.config] = _sha256_file(args.config)
-    else:
-        config = SimConfig()
+    config = _sim_config(args, inputs)
     if args.threshold_w is not None or args.threshold_frac is not None:
         config = replace(config, threshold=_threshold_from_args(args))
-    device = _resolve_device(args.device)
-    if args.device not in _DEVICE_CHOICES and os.path.exists(args.device):
-        inputs[args.device] = _sha256_file(args.device)
+    device = _resolve_device(args.device, inputs)
 
     result = simulate_shaving(trace, device, config)
     csv_path = os.path.join(out, "shaving.csv")
@@ -334,17 +340,10 @@ def _cmd_compare(args) -> int:
     out = _out_dir(args)
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
-    if args.config is not None:
-        config = load_sim_config(args.config)
-        inputs[args.config] = _sha256_file(args.config)
-    else:
-        config = SimConfig()
+    config = _sim_config(args, inputs)
     tokens = args.device or ["none", "capacitor", "supercap", "battery", "ideal"]
-    strategies = []
-    for token in tokens:
-        strategies.append((_device_row_name(token), _resolve_device(token)))
-        if token not in _DEVICE_CHOICES and os.path.exists(token):
-            inputs[token] = _sha256_file(token)
+    strategies = [(_device_row_name(token), _resolve_device(token, inputs))
+                  for token in tokens]
     rows = compare_strategies(trace, strategies, config)
 
     csv_path = os.path.join(out, "comparison.csv")

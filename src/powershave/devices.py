@@ -14,11 +14,15 @@ Two families share one step contract:
   round-trip efficiency is applied entirely on the charge side.
 
 device_step is the checked entry point over a DeviceState.  The physics
-itself lives in steppers that passive_stepper and battery_stepper build
-once per (spec, dt), with the spec's constants bound in; a stepper takes
-and returns the state fields as plain values, so a simulation loop can
-keep them in local variables.  The discharge limit, the SOC floor snap
-and the charge limit are written once and shared by both kinds.
+itself lives in functions that passive_stepper and battery_stepper build
+once per (spec, dt), with the spec's constants bound in; they take and
+return plain values, so a simulation loop can keep the state in local
+variables.  A passive device is two halves, a discharge and a charge,
+and its only state besides the stored energy is where the lag starts:
+the power it delivered on the previous step if that step discharged,
+else 0.0.  The battery is one stepper over all of DeviceState's fields.
+The discharge limit, the SOC floor snap and the charge limit are written
+once and shared by both kinds.
 
 Energy bookkeeping is exact: stored_j decreases by delivered * dt and
 increases by absorbed * dt * round_trip_efficiency, and stays inside the
@@ -150,9 +154,17 @@ def device_step(spec: DeviceSpec, state: DeviceState,
         raise ValueError("cannot request discharge and offer charge in the same step")
 
     if spec.kind in PASSIVE_KINDS:
-        delivered, absorbed, stored, mode, last = passive_stepper(spec, dt_s)(
-            state.stored_j, state.mode, state.last_output_w,
-            requested_discharge_w, available_charge_w)
+        discharge, charge = passive_stepper(spec, dt_s)
+        delivered = absorbed = last = 0.0
+        stored, mode = state.stored_j, "idle"
+        if requested_discharge_w > 0.0:
+            # The only code that turns (mode, last_output_w) into a lag base.
+            base = state.last_output_w if state.mode == "discharging" else 0.0
+            delivered, stored = discharge(stored, base, requested_discharge_w)
+            mode, last = "discharging", delivered
+        elif available_charge_w > 0.0:
+            absorbed, stored = charge(stored, available_charge_w)
+            mode, last = "charging", absorbed
         return delivered, absorbed, replace(state, stored_j=stored, mode=mode,
                                             last_output_w=last)
     delivered, absorbed, *fields = battery_stepper(spec, dt_s)(
@@ -210,34 +222,33 @@ def _bind_rules(spec: DeviceSpec, dt: float):
 
 
 def passive_stepper(spec: DeviceSpec, dt: float):
-    """Unchecked step of a capacitor or supercapacitor, bound to spec and
-    dt: step(stored_j, mode, last_output_w, request_w, available_w) returns
-    (delivered_w, absorbed_w, stored_j, mode, last_output_w)."""
+    """The two halves of a capacitor or supercapacitor step, unchecked and
+    bound to spec and dt: (discharge, charge).
+
+    discharge(stored_j, base_w, request_w) returns (delivered_w, stored_j):
+    the request through the discharge limit, then through the lag from
+    base_w, then drained.  base_w is where the lag starts: the power
+    delivered on the previous step if that step discharged, else 0.0.
+
+    charge(stored_j, available_w) returns (absorbed_w, stored_j).  Recharge
+    is a trickle into the element, limited by the charge rating and the
+    headroom; the response lag constrains delivery transients, not the
+    refill.  A step that does neither changes nothing."""
     discharge_limit, drain, charge = _bind_rules(spec, dt)
     tau = spec.response_tau_s
     lag = 1.0 - math.exp(-dt / tau) if tau > 0.0 else None
 
-    def step(stored, mode, last, request, available):
-        if request > 0.0:
-            target = delivered = discharge_limit(stored, request)
-            if lag is not None:
-                base = last if mode == "discharging" else 0.0
-                rise = base + (target - base) * lag
-                # The lag shapes the rise only; a falling target is honoured
-                # at once (output above the target would exceed what was
-                # asked for).
-                if rise <= target:
-                    delivered = rise
-            return delivered, 0.0, drain(stored, delivered), "discharging", delivered
-        if available > 0.0:
-            # Recharge is a trickle into the element, limited by the charge
-            # rating and the headroom; the response lag constrains delivery
-            # transients, not the refill.
-            absorbed, stored = charge(stored, available)
-            return 0.0, absorbed, stored, "charging", absorbed
-        return 0.0, 0.0, stored, "idle", 0.0
+    def discharge(stored, base, request):
+        target = delivered = discharge_limit(stored, request)
+        if lag is not None:
+            rise = base + (target - base) * lag
+            # The lag shapes the rise only; a falling target is honoured at
+            # once (output above the target would exceed what was asked for).
+            if rise <= target:
+                delivered = rise
+        return delivered, drain(stored, delivered)
 
-    return step
+    return discharge, charge
 
 
 def battery_stepper(spec: DeviceSpec, dt: float):

@@ -48,11 +48,12 @@ Only the steps that can change state run as scalar code:
   surplus and dummy load are array passes after the loop.
 
 Both loops call the shedding machine only on the steps that change its
-state, and advance the device with a stepper that
-devices.passive_stepper / devices.battery_stepper build once per run,
-the same physics as device_step.  Nothing in a step reads the grid feed
-it draws, so p_grid and the ramp check are array post-passes over the
-finished series.
+state.  They advance the device with what devices.battery_stepper and
+devices.passive_stepper build once per run, the same physics as
+device_step: the battery's stepper, or the passive device's discharge
+and charge halves, called only on the steps that discharge or charge it.
+Nothing in a step reads the grid feed it draws, so p_grid and the ramp
+check are array post-passes over the finished series.
 """
 
 from __future__ import annotations
@@ -563,12 +564,14 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     r_step = config.grid_ramp_limit_w_per_s * dt
     n = demand_a.shape[0]
 
-    # Device state as plain values, in DeviceState's field order, then
-    # delivered: every passive step assigns it; with no device it stays 0.0.
+    # Device state as plain values: stored, and delivered, the power of the
+    # last step if it discharged, else 0.0.  delivered is where the next
+    # discharge's lag starts and what the live shortfall takes off; with
+    # no device both stay 0.0.
     passive = device is not None
-    stored, mode, last, delivered = 0.0, "idle", 0.0, 0.0
+    stored = delivered = 0.0
     if passive:
-        step = passive_stepper(device, dt)
+        discharge, charge = passive_stepper(device, dt)
         stored = init_state(device).stored_j
 
     served_m, feed_m, discharge_m, charge_m, stored_m, live_m = (
@@ -602,18 +605,15 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
         if top < c:
             c = top
         if passive:
-            # The request is load - c, positive exactly when c < load.
+            # The request is load - c, positive exactly when c < load, and
+            # the offer c - need; a step with neither makes no call.
             if c < load:
-                delivered, _, stored, mode, last = step(
-                    stored, mode, last, load - c, 0.0)
+                delivered, stored = discharge(stored, delivered, load - c)
                 discharge_m[i] = delivered
-            elif need < c:
-                delivered, absorbed, stored, mode, last = step(
-                    stored, mode, last, 0.0, c - need)
-                charge_m[i] = absorbed
             else:
-                delivered, _, stored, mode, last = step(
-                    stored, mode, last, 0.0, 0.0)
+                delivered = 0.0
+                if need < c:
+                    charge_m[i], stored = charge(stored, c - need)
             stored_m[i] = stored
 
         if theta < d_eff:

@@ -50,7 +50,11 @@ _COMPARISON_FIELDS = (
 
 
 def _check_axis(name: str, values, lo=None, hi=None) -> tuple:
-    vals = tuple(float(v) for v in values)
+    try:
+        vals = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"grid axis {name} must be a list of numbers, "
+                         f"got {values!r}") from None
     if not vals:
         raise ValueError(f"{name} must be non-empty")
     if not all(map(math.isfinite, vals)):
@@ -74,7 +78,13 @@ class SweepGrid:
         if fracs[0] <= 0.0:
             raise ValueError("threshold_fracs must be positive")
         bursts = _check_axis("burst_lengths_s", self.burst_lengths_s, lo=0.0)
-        vals = np.asarray(self.values, dtype=np.int64)
+        vals = np.asarray(self.values)
+        # Refused rather than cast: a cast would truncate 1.7 to 1 and wrap
+        # integers beyond int64.
+        if vals.dtype.kind == "b" or not np.can_cast(vals.dtype, np.int64):
+            raise ValueError(f"grid values must be integers that fit int64, "
+                             f"got an array of {vals.dtype}")
+        vals = vals.astype(np.int64)
         if vals.shape != (len(fracs), len(bursts)):
             raise ValueError(f"values shape {vals.shape} does not match axes "
                              f"({len(fracs)}, {len(bursts)})")
@@ -189,9 +199,9 @@ def load_grid_json(source, trace_label=None) -> SweepGrid:
     if missing:
         raise ValueError(f"grid JSON missing fields: {sorted(missing)}")
     return SweepGrid(
-        threshold_fracs=tuple(data["threshold_fracs"]),
-        burst_lengths_s=tuple(data["burst_lengths_s"]),
-        values=np.asarray(data["values"], dtype=np.int64),
+        threshold_fracs=data["threshold_fracs"],
+        burst_lengths_s=data["burst_lengths_s"],
+        values=data["values"],
         trace_label=trace_label if trace_label is not None else data.get("trace_label", ""),
     )
 
@@ -211,7 +221,7 @@ def load_grid_csv(source, trace_label: str = "") -> SweepGrid:
         fracs.append(float(toks[0]))
         rows.append([int(tok) for tok in toks[1:]])
     return SweepGrid(threshold_fracs=tuple(fracs), burst_lengths_s=bursts,
-                     values=np.asarray(rows, dtype=np.int64), trace_label=trace_label)
+                     values=rows, trace_label=trace_label)
 
 
 def write_comparison_csv(rows, dest) -> None:

@@ -438,7 +438,8 @@ def test_cases_reach_every_branch(cases):
     # devices, and threshold and -0.0 samples.
     seen = dict(holds=0, violations=0, empty=0, neg_zero=0, at_theta=0,
                 battery_holds=0, battery_quiet_gaps=0, tracked_ends_above=0,
-                tracked_ends_at_or_below=0, passive_idle_gaps=0)
+                tracked_ends_at_or_below=0, passive_idle_gaps=0,
+                lagged_discharge_after_charge=0, lagged_discharge_after_idle=0)
     for trace, config, devices in cases:
         theta = config.threshold.resolve(trace.rack_max_w)
         seen["neg_zero"] += bool(np.any(np.signbit(trace.samples)))
@@ -463,6 +464,13 @@ def test_cases_reach_every_branch(cases):
         seen["passive_idle_gaps"] += bool(active.size
                                           and idle[active[0]:active[-1]].any())
         spec = devices["random-passive"]
+        # A lagged discharge starts from 0.0 after a step that did not
+        # discharge, whether that step charged or idled.
+        if spec.response_tau_s > 0.0:
+            discharge = deficit > 0.0
+            charge = ~discharge & ~idle
+            seen["lagged_discharge_after_charge"] += bool(np.any(discharge[1:] & charge[:-1]))
+            seen["lagged_discharge_after_idle"] += bool(np.any(discharge[1:] & idle[:-1]))
         seen["empty"] += bool(np.any(r.stored_j <= spec.soc_min_frac * spec.energy_capacity_j))
         seen["violations"] += r.ramp_violation_count > 0
         seen["holds"] += config.restart_penalty_s > 0.0 and r.unserved_spike_count > 1

@@ -238,7 +238,20 @@ def test_export_json_round_trip(spiky_trace):
     assert back.trace_label == grid.trace_label
 
 
-@pytest.mark.parametrize("text", ['{"threshold_fracs": [0.5],', "[1, 2]"])
+_GRID_AXES = '"threshold_fracs": [0.5, 0.7], "burst_lengths_s": [0.0]'
+
+
+@pytest.mark.parametrize("text", [
+    '{"threshold_fracs": [0.5],', "[1, 2]",
+    # Values are refused, not truncated or wrapped, and a malformed axis is
+    # named.
+    '{%s, "values": [[1.7], [0.9]]}' % _GRID_AXES,
+    '{%s, "values": [[true], [false]]}' % _GRID_AXES,
+    '{%s, "values": [[1e30], [0]]}' % _GRID_AXES,
+    '{%s, "values": [[9223372036854775808], [0]]}' % _GRID_AXES,
+    '{"threshold_fracs": 5, "burst_lengths_s": [0.0], "values": [[1]]}',
+    '{"threshold_fracs": [null], "burst_lengths_s": [0.0], "values": [[1]]}',
+])
 def test_load_grid_json_rejects_bad_json(text):
     with pytest.raises(ValueError, match="grid"):
         ps.load_grid_json(io.StringIO(text))
@@ -277,6 +290,14 @@ def test_grid_type_rejects_violations():
     with pytest.raises(ValueError):
         ps.SweepGrid(threshold_fracs=(0.5,), burst_lengths_s=(0.0, 0.1),
                      values=np.array([[1]]))
+    # Values that are not integers are refused, not cast.
+    for values in ([[1.7], [0.9]], [[True], [False]], [[10 ** 30], [0]],
+                   np.array([[1.0], [0.0]]), np.array([[2 ** 63], [0]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="grid values"):
+            ps.SweepGrid(threshold_fracs=(0.5, 0.7), burst_lengths_s=(0.0,),
+                         values=values)
+    with pytest.raises(ValueError, match="threshold_fracs"):
+        ps.SweepGrid(threshold_fracs=5, burst_lengths_s=(0.0,), values=[[1]])
 
 
 # ---------------------------------------------------------------------------
