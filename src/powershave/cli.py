@@ -5,9 +5,10 @@ Every command writes its primary outputs plus a run manifest into the
 output directory (--out, or the POWERSHAVE_OUT environment variable,
 defaulting to the working directory).  Outputs are byte-identical for
 identical inputs; the manifest's created_utc field is the only thing
-that changes between reruns.  Every file goes through _write_outputs,
-which replaces none of a command's outputs until all of them are built,
-and every config digest through _digest, which hashes the same bytes.
+that changes between reruns.  Every command ends in one _emit call, which
+builds all of its outputs and the manifest before it replaces any of
+them, and every config digest goes through _digest, which hashes the
+same bytes.  A run refused before _emit creates no directory.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error,
 3 run completed but the grid ramp constraint was violated.
@@ -81,40 +82,10 @@ def _hash_into(fh, writer, *args) -> str:
     return "sha256:" + sink.sha.hexdigest()
 
 
-def _write_output(path: str, writer, *args) -> str:
-    """Atomically write writer's text to path; returns its sha256 digest.
-    See _write_outputs."""
-    return _write_outputs((path, writer, *args))[0]
-
-
-def _write_outputs(*outputs) -> list:
-    """Atomically write each (path, writer, *args) output, chunk by chunk
-    as its writer yields it, so no whole file is held in memory; returns
-    their sha256 digests.  Every text goes to its .tmp file before any
-    path is replaced.  When a write fails, every .tmp file is removed and
-    every path is left as it was."""
-    tmps = []
-    try:
-        digests = []
-        for path, writer, *args in outputs:
-            fh = open(path + ".tmp", "wb")
-            tmps.append(fh.name)
-            with fh:
-                digests.append(_hash_into(fh, writer, *args))
-        for (path, *_), tmp in zip(outputs, tmps):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-        raise
-    return digests
-
-
 def _digest(writer, *args) -> str:
-    """The digest _write_output would return for writer's text, with the
-    text kept in memory instead of a file.  For the small config texts the
-    manifests digest."""
+    """The digest _emit would record for writer's text, with the text kept
+    in memory instead of a file.  For the small config texts the manifests
+    digest."""
     return _hash_into(io.BytesIO(), writer, *args)
 
 
@@ -123,24 +94,49 @@ def _write_compact_json(obj, dest) -> None:
     dest.write(json.dumps(obj, sort_keys=True))
 
 
-def _out_dir(args) -> str:
+def _emit(args, command: str, inputs: dict, config_digests: dict, seed,
+          outputs: dict) -> list:
+    """Write a command's outputs and its manifest into the output directory
+    (--out, else POWERSHAVE_OUT, else the working directory); returns the
+    output paths in order.
+
+    outputs maps each file name to (writer, obj), in write order.  Each
+    text goes to its .tmp file through writer(obj, sink), hashed as it is
+    written, so no whole file is held in memory or read back.  The
+    manifest is built from those digests and written to its .tmp file
+    too.  Only then is every path replaced, the manifest last.  When
+    anything fails, every .tmp file left is removed; a failure before the
+    first replace leaves every path as it was."""
     out = args.out or os.environ.get("POWERSHAVE_OUT") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    staged = []
 
+    def stage(path, writer, obj) -> str:
+        fh = open(path + ".tmp", "wb")
+        staged.append(path)
+        with fh:
+            return _hash_into(fh, writer, obj)
 
-def _write_manifest(out: str, command: str, inputs: dict, config_digests: dict,
-                    seed, outputs: dict) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
-        "inputs": inputs,
-        "config_digests": config_digests,
-        "outputs": outputs,
-    }
-    _write_output(os.path.join(out, f"{command}_manifest.json"), write_json, manifest)
+    try:
+        digests = {name: stage(os.path.join(out, name), writer, obj)
+                   for name, (writer, obj) in outputs.items()}
+        stage(os.path.join(out, f"{command}_manifest.json"), write_json, {
+            "command": command,
+            "version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "seed": seed,
+            "inputs": inputs,
+            "config_digests": config_digests,
+            "outputs": digests,
+        })
+        for path in staged:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for path in staged:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
+        raise
+    return [os.path.join(out, name) for name in outputs]
 
 
 def _threshold_from_args(args) -> ThresholdSpec:
@@ -219,7 +215,6 @@ def _device_row_name(token: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    out = _out_dir(args)
     if args.config == "default":
         config = DEFAULT_SYNTH_CONFIG
         inputs = {}
@@ -229,19 +224,15 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     trace = synthesize_trace(config)
-    trace_path = os.path.join(out, "trace.csv")
-    trace_digest = _write_output(trace_path, write_trace, trace)
-    _write_manifest(
-        out, "synth", inputs,
-        {"synth_config": _digest(write_synth_config, config)},
-        config.seed, {"trace.csv": trace_digest})
+    trace_path, = _emit(args, "synth", inputs,
+                        {"synth_config": _digest(write_synth_config, config)},
+                        config.seed, {"trace.csv": (write_trace, trace)})
     print(f"wrote {trace_path} ({trace.n_samples} samples, "
           f"{trace.duration_s:.1f} s at {trace.dt_s * 1e3:.1f} ms)")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    out = _out_dir(args)
     trace = load_trace(args.trace)
     threshold = _threshold_from_args(args)
     edges = DEFAULT_ENERGY_BIN_EDGES
@@ -249,18 +240,14 @@ def _cmd_analyze(args) -> int:
         edges = _parse_bins(args.bins)
     spikes = detect_spikes(trace, threshold)
     stats = spike_statistics(spikes, energy_bin_edges=edges)
-
-    spikes_path = os.path.join(out, "spikes.csv")
-    stats_path = os.path.join(out, "spike_stats.json")
-    spikes_digest, stats_digest = _write_outputs(
-        (spikes_path, write_spikes_csv, spikes), (stats_path, write_stats_json, stats))
-    _write_manifest(
-        out, "analyze", {args.trace: _sha256_file(args.trace)},
+    spikes_path, stats_path = _emit(
+        args, "analyze", {args.trace: _sha256_file(args.trace)},
         {"threshold": _digest(_write_compact_json,
                               {"absolute_w": threshold.absolute_w,
                                "fraction_of_max": threshold.fraction_of_max})},
         None,
-        {"spikes.csv": spikes_digest, "spike_stats.json": stats_digest})
+        {"spikes.csv": (write_spikes_csv, spikes),
+         "spike_stats.json": (write_stats_json, stats)})
 
     pct = stats.duration_percentiles
     print(f"spikes above {threshold.resolve(trace.rack_max_w):.0f} W: {stats.count}")
@@ -275,7 +262,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
     config = _sim_config(args, inputs)
@@ -284,16 +270,11 @@ def _cmd_simulate(args) -> int:
     device = _resolve_device(args.device, inputs)
 
     result = simulate_shaving(trace, device, config)
-    csv_path = os.path.join(out, "shaving.csv")
-    summary_path = os.path.join(out, "shaving_summary.json")
-    csv_digest, summary_digest = _write_outputs(
-        (csv_path, write_result_csv, result),
-        (summary_path, write_result_summary_json, result))
-    _write_manifest(
-        out, "simulate", inputs,
-        {"sim_config": _digest(write_sim_config, config)},
+    csv_path, summary_path = _emit(
+        args, "simulate", inputs, {"sim_config": _digest(write_sim_config, config)},
         None,
-        {"shaving.csv": csv_digest, "shaving_summary.json": summary_digest})
+        {"shaving.csv": (write_result_csv, result),
+         "shaving_summary.json": (write_result_summary_json, result)})
 
     print(f"strategy {result.strategy}: unserved {result.total_unserved_energy_j:.1f} J, "
           f"dummy {result.total_dummy_energy_j:.1f} J, "
@@ -307,7 +288,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    out = _out_dir(args)
     fracs = DEFAULT_THRESHOLD_FRACS
     bursts = DEFAULT_BURST_LENGTHS_S
     if args.axes_threshold is not None:
@@ -319,17 +299,12 @@ def _cmd_sweep(args) -> int:
     trace = load_trace(args.trace)
     _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w, "--gpu-unit-w")
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
-
-    csv_path = os.path.join(out, "grid.csv")
-    json_path = os.path.join(out, "grid.json")
-    csv_digest, json_digest = _write_outputs(
-        (csv_path, write_grid_csv, grid), (json_path, write_grid_json, grid))
-    _write_manifest(
-        out, "sweep", {args.trace: _sha256_file(args.trace)},
+    csv_path, json_path = _emit(
+        args, "sweep", {args.trace: _sha256_file(args.trace)},
         {"axes": _digest(_write_compact_json,
                          {"threshold_fracs": list(fracs), "burst_lengths_s": list(bursts),
                           "gpu_unit_w": args.gpu_unit_w})},
-        None, {"grid.csv": csv_digest, "grid.json": json_digest})
+        None, {"grid.csv": (write_grid_csv, grid), "grid.json": (write_grid_json, grid)})
     print(f"swept {len(fracs)}x{len(bursts)} grid; "
           f"max gpus_saved = {int(grid.values.max())}")
     print(f"wrote {csv_path}, {json_path}")
@@ -337,7 +312,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out = _out_dir(args)
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
     config = _sim_config(args, inputs)
@@ -345,13 +319,9 @@ def _cmd_compare(args) -> int:
     strategies = [(_device_row_name(token), _resolve_device(token, inputs))
                   for token in tokens]
     rows = compare_strategies(trace, strategies, config)
-
-    csv_path = os.path.join(out, "comparison.csv")
-    csv_digest = _write_output(csv_path, write_comparison_csv, rows)
-    _write_manifest(
-        out, "compare", inputs,
-        {"sim_config": _digest(write_sim_config, config)},
-        None, {"comparison.csv": csv_digest})
+    csv_path, = _emit(args, "compare", inputs,
+                      {"sim_config": _digest(write_sim_config, config)},
+                      None, {"comparison.csv": (write_comparison_csv, rows)})
 
     for row in rows:
         print(f"  {row.strategy_name:<12} gain {row.computational_gain_pct:+7.2f}%  "

@@ -39,16 +39,12 @@ from importlib import resources
 from ._textio import check_finite, check_json_fields, read_json_object, write_json
 
 __all__ = [
-    "PASSIVE_KINDS",
-    "DEVICE_KINDS",
     "BUILTIN_DEVICE_NAMES",
     "DeviceSpec",
     "DeviceState",
     "capacitor_energy",
     "init_state",
     "device_step",
-    "passive_stepper",
-    "battery_stepper",
     "load_device_spec",
     "write_device_spec",
     "builtin_device_spec",

@@ -11,6 +11,7 @@ from ._textio import check_finite, write_json, write_text
 from .trace import PowerTrace
 
 __all__ = [
+    "DEFAULT_ENERGY_BIN_EDGES",
     "ThresholdSpec",
     "Spike",
     "SpikeStats",

@@ -15,6 +15,7 @@ first two back from a path or a stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,15 @@ _COMPARISON_FIELDS = (
 
 
 def _check_axis(name: str, values, lo=None, hi=None) -> tuple:
+    # Refused rather than cast: float() would read true as 1.0, "0.5" as
+    # 0.5 and a string axis character by character.  numpy's bool is not a
+    # numbers.Real; its floats and ints are.
     try:
-        vals = tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
+        vals = tuple(values)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals):
+            raise TypeError
+        vals = tuple(map(float, vals))
+    except (TypeError, OverflowError):
         raise ValueError(f"grid axis {name} must be a list of numbers, "
                          f"got {values!r}") from None
     if not vals:
@@ -78,6 +85,8 @@ class SweepGrid:
         if fracs[0] <= 0.0:
             raise ValueError("threshold_fracs must be positive")
         bursts = _check_axis("burst_lengths_s", self.burst_lengths_s, lo=0.0)
+        if not isinstance(self.trace_label, str):
+            raise ValueError(f"grid trace_label must be a string, got {self.trace_label!r}")
         vals = np.asarray(self.values)
         # Refused rather than cast: a cast would truncate 1.7 to 1 and wrap
         # integers beyond int64.

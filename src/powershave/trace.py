@@ -377,8 +377,8 @@ class SynthConfig:
             raise ValueError(f"jitter_frac must be in [0, 1), got {self.jitter_frac}")
         if self.inference_rate_hz < 0.0:
             raise ValueError("inference_rate_hz must be non-negative")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not (self.dt_s > 0.0):
             raise ValueError("dt_s must be positive")
         if self.duration_s < 10.0 * self.iteration_period_s:

@@ -9,6 +9,7 @@ Covers:
     refused inputs and failed writes that leave --out as it was
 """
 
+import argparse
 import hashlib
 import json
 import shutil
@@ -96,14 +97,15 @@ def test_synth_missing_seed_exit2(work, tmp_path):
     assert "seed" in proc.stderr
 
 
-def test_synth_bad_config_value_exit2(tmp_path):
-    cfg = dict(SHORT_SYNTH, burst_power_w="700")
+@pytest.mark.parametrize("field, value", [("burst_power_w", "700"), ("seed", -1)])
+def test_synth_bad_config_value_exit2(tmp_path, field, value):
+    cfg = dict(SHORT_SYNTH, **{field: value})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path)],
                    cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert "burst_power_w" in proc.stderr
+    assert field in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -478,33 +480,52 @@ def test_failed_write_leaves_path_as_it_was(tmp_path):
     path = tmp_path / "shaving.csv"
     path.write_bytes(b"earlier\n")
 
-    def writer(dest):
+    def writer(obj, dest):
         dest.write("first chunk\n")
         raise RuntimeError("writer failed")
 
     with pytest.raises(RuntimeError, match="writer failed"):
-        cli._write_output(str(path), writer)
+        cli._emit(argparse.Namespace(out=str(tmp_path)), "simulate", {}, {}, None,
+                  {"shaving.csv": (writer, None)})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shaving.csv"]
     assert path.read_bytes() == b"earlier\n"
 
 
+# shaving.csv renders fine; the summary after it fails, or the manifest
+# after both.
+@pytest.mark.parametrize("writer", ["write_result_summary_json", "write_json"])
 def test_simulate_replaces_no_file_until_every_output_is_built(
-        work, earlier_out, tmp_path, monkeypatch, capsys):
-    # shaving.csv renders fine; the summary after it fails.
+        work, earlier_out, tmp_path, monkeypatch, capsys, writer):
     out = tmp_path / "out"
     shutil.copytree(earlier_out, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def failing_summary(result, dest):
-        raise ValueError("summary failed")
+    def failing_writer(obj, dest):
+        raise ValueError(f"{writer} failed")
 
-    monkeypatch.setattr(cli, "write_result_summary_json", failing_summary)
+    monkeypatch.setattr(cli, writer, failing_writer)
     code = cli.main(["simulate", "--trace", str(work["trace"]), "--device", "supercap",
                      "--config", str(work["loose"]), "--out", str(out)])
     assert code == 2
-    assert "summary failed" in capsys.readouterr().err
+    assert f"{writer} failed" in capsys.readouterr().err
     assert not list(out.glob("*.tmp"))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", "-1"],
+    ["analyze", "--trace", "{trace}", "--bins", "5"],
+    ["simulate", "--trace", "{trace}", "--device", "nosuch"],
+    ["sweep", "--trace", "{trace}", "--axes-burst", "0:1:1e-9"],
+    ["compare", "--trace", "{trace}", "--device", "nosuch"],
+], ids=lambda argv: argv[0])
+def test_refused_run_creates_no_directory(work, tmp_path, capsys, argv):
+    out = tmp_path / "new"
+    code = cli.main([arg.format(trace=work["trace"]) for arg in argv]
+                    + ["--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_out_dir(work, tmp_path):

@@ -251,6 +251,14 @@ _GRID_AXES = '"threshold_fracs": [0.5, 0.7], "burst_lengths_s": [0.0]'
     '{%s, "values": [[9223372036854775808], [0]]}' % _GRID_AXES,
     '{"threshold_fracs": 5, "burst_lengths_s": [0.0], "values": [[1]]}',
     '{"threshold_fracs": [null], "burst_lengths_s": [0.0], "values": [[1]]}',
+    # Axis entries and the label are refused, not cast.
+    '{"threshold_fracs": [true], "burst_lengths_s": [0.0], "values": [[1]]}',
+    '{"threshold_fracs": ["0.5"], "burst_lengths_s": [0.0], "values": [[1]]}',
+    '{"threshold_fracs": [0.5], "burst_lengths_s": "12", "values": [[1, 1]]}',
+    '{"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]], '
+    '"trace_label": 5}',
+    '{"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]], '
+    '"trace_label": null}',
 ])
 def test_load_grid_json_rejects_bad_json(text):
     with pytest.raises(ValueError, match="grid"):
