@@ -6,6 +6,10 @@ loader takes a source; dest and source are a path or a stream, and
 write_text and read_text are the only code that tells them apart.  A path
 is opened with newline="", so it gets the same bytes as a text or binary
 stream.
+
+Every number read from text, in a trace, a grid CSV or a CLI flag, keeps
+one rule (plain): it is ASCII and holds no '_'; within that, it is
+what float() or int() accepts.
 """
 
 from __future__ import annotations
@@ -86,6 +90,39 @@ def read_text(source) -> str:
         with open(source, "rb") as fh:
             raw = fh.read()
     return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+
+def plain(text: str) -> str:
+    """text, if it keeps the number rule: ASCII with no '_'.  float() and
+    int() alone also read '1_0' as 10, other scripts' digits (Arabic-Indic
+    '١٢' as 12) and non-ASCII spaces around a number.  ValueError
+    otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected a plain number (ASCII, no '_'), got {text!r}")
+    return text
+
+
+def plain_float(text: str) -> float:
+    """float(text) under the number rule."""
+    return float(plain(text))
+
+
+def plain_int(text: str) -> int:
+    """int(text) under the number rule."""
+    return int(plain(text))
+
+
+def plain_numbers(fields, what: str, kind=plain_float, first: int = 1) -> tuple:
+    """kind (plain_float or plain_int) of each text in fields.  A text it
+    refuses raises ValueError naming what and the text's position,
+    counted from first."""
+    values = []
+    for pos, text in enumerate(fields, first):
+        try:
+            values.append(kind(text))
+        except ValueError as exc:
+            raise ValueError(f"{what} {pos}: {exc}") from None
+    return tuple(values)
 
 
 def read_json_object(source, what: str, error=ValueError) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
-from ._textio import write_json
+from ._textio import plain_float, plain_int, plain_numbers, write_json
 from .trace import (DEFAULT_SYNTH_CONFIG, load_synth_config, load_trace,
                     synthesize_trace, write_synth_config, write_trace)
 from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, _check_bin_edges,
@@ -155,10 +155,7 @@ def _parse_axis(text: str, name: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must look like start:stop:step")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"{name} parts must be numbers, got {text!r}") from None
+    start, stop, step = plain_numbers(parts, f"{name} part")
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"{name} parts must be finite, got {text!r}")
     if step <= 0.0:
@@ -173,11 +170,7 @@ def _parse_axis(text: str, name: str) -> tuple:
 
 
 def _parse_bins(text: str):
-    try:
-        edges = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"--bins edges must be numbers, got {text!r}") from None
-    return _check_bin_edges(edges, "--bins")
+    return _check_bin_edges(plain_numbers(text.split(","), "--bins edge"), "--bins")
 
 
 def _resolve_device(token: str, inputs: dict):
@@ -337,9 +330,9 @@ def _cmd_compare(args) -> int:
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--threshold-w", type=float, default=None,
+    group.add_argument("--threshold-w", type=plain_float, default=None,
                        help="threshold in watts")
-    group.add_argument("--threshold-frac", type=float, default=None,
+    group.add_argument("--threshold-frac", type=plain_float, default=None,
                        help="threshold as a fraction of rack max power")
 
 
@@ -353,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic rack trace")
     p.add_argument("--config", default="default",
                    help="synth config JSON path, or 'default' for the shipped workload")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=plain_int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
@@ -380,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold fraction axis (default 0.50:0.95:0.05)")
     p.add_argument("--axes-burst", default=None, metavar="START:STOP:STEP",
                    help="burst length axis in seconds (default 0:0.2:0.02)")
-    p.add_argument("--gpu-unit-w", type=float, default=700.0,
+    p.add_argument("--gpu-unit-w", type=plain_float, default=700.0,
                    help="per-accelerator power for shutdown accounting")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_sweep)

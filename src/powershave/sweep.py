@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import read_json_object, read_text, write_json, write_text
+from ._textio import plain_int, plain_numbers, read_json_object, read_text, write_json, write_text
 from .trace import PowerTrace
 from .shaving import (SimConfig, _gain_pct, _gpus_saved_grid, simulate_shaving,
                       useful_compute_j)
@@ -216,19 +216,22 @@ def load_grid_json(source, trace_label=None) -> SweepGrid:
 
 
 def load_grid_csv(source, trace_label: str = "") -> SweepGrid:
+    """Every cell keeps _textio's number rule.  An error names the row and
+    the column, both counted from 1 and the header as row 1; blank lines
+    are not rows."""
     lines = [ln for ln in read_text(source).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("grid CSV needs a header and at least one row")
     header = lines[0].split(",")
-    bursts = tuple(float(tok) for tok in header[1:])
+    bursts = plain_numbers(header[1:], "grid CSV row 1 column", first=2)
     fracs = []
     rows = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], 2):
         toks = ln.split(",")
         if len(toks) != len(header):
-            raise ValueError("grid CSV row width does not match header")
-        fracs.append(float(toks[0]))
-        rows.append([int(tok) for tok in toks[1:]])
+            raise ValueError(f"grid CSV row {n} width does not match header")
+        fracs.append(plain_numbers(toks[:1], f"grid CSV row {n} column")[0])
+        rows.append(plain_numbers(toks[1:], f"grid CSV row {n} column", plain_int, first=2))
     return SweepGrid(threshold_fracs=tuple(fracs), burst_lengths_s=bursts,
                      values=rows, trace_label=trace_label)
 

@@ -22,8 +22,8 @@ from itertools import repeat
 
 import numpy as np
 
-from ._textio import (check_finite, check_json_fields, is_number, read_json_object,
-                      read_text, write_columns_csv, write_json)
+from ._textio import (check_finite, check_json_fields, is_number, plain, plain_float,
+                      read_json_object, read_text, write_columns_csv, write_json)
 
 __all__ = [
     "TraceFormatError",
@@ -115,22 +115,20 @@ def _read_comment(meta: dict, text: str, lineno: int) -> None:
     value = value.strip()
     if key in ("rack_max_w", "dt_s"):
         try:
-            meta[key] = float(value)
+            meta[key] = plain_float(value)
         except ValueError:
             raise TraceFormatError(f"line {lineno}: bad {key} value {value!r}") from None
     elif key == "label":
         meta[key] = value
 
 
-def _parse_lines(raw: str):
-    """Parse trace text line by line, raising at the first line that
-    breaks a rule.  Returns (times, powers, meta, header_seen)."""
-    meta: dict = {}
+def _parse_lines(lines: list, lineno: int, meta: dict, header_seen: bool):
+    """Parse lines of trace text one by one, the first of them line
+    lineno + 1 of the file, raising at the first line that breaks a rule.
+    Reads their metadata into meta; returns (times, powers, header_seen)."""
     times: list[float] = []
     powers: list[float] = []
-    header_seen = False
-
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=lineno + 1):
         text = line.strip()
         if not text:
             continue
@@ -148,8 +146,8 @@ def _parse_lines(raw: str):
         if len(parts) != 2:
             raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
         try:
-            t = float(parts[0])
-            p = float(parts[1])
+            t = plain_float(parts[0])
+            p = plain_float(parts[1])
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric row {text!r}") from None
         if not (math.isfinite(t) and math.isfinite(p)):
@@ -158,22 +156,39 @@ def _parse_lines(raw: str):
             raise CorruptTraceError(f"line {lineno}: negative power {p}")
         times.append(t)
         powers.append(p)
-    return times, powers, meta, header_seen
+    return times, powers, header_seen
 
 
-# Characters of trace text the bulk parse takes at a time; it bounds the
-# token lists held at once.
+# Characters of trace text parsed at a time; it bounds the token lists
+# held at once.
 _PARSE_BLOCK_CHARS = 1 << 18
 
 
-def _parse_rows(rows: list):
-    """Time and power arrays of stripped data rows, or None if a row does
-    not hold two numbers, a finite time and a finite non-negative power.
-    float() runs once per time token and once per distinct power token."""
+def _parse_block(chunk: str, lines: list, meta: dict, header_seen: bool):
+    """_parse_lines' result for the lines of chunk from array code, or None
+    where a line breaks a rule.  float() runs once per time token and once
+    per distinct power token."""
+    rows = list(map(str.strip, lines))
+    if "#" in chunk:
+        # A bad metadata value is reported by _parse_lines, which knows
+        # its line number.
+        try:
+            for text in [text for text in rows if text.startswith("#")]:
+                _read_comment(meta, text, 0)
+        except TraceFormatError:
+            return None
+        rows = [text for text in rows if not text.startswith("#")]
+    if "" in rows:
+        rows = list(filter(None, rows))
+    if rows and not header_seen:
+        if not _is_header(rows[0]):
+            return None
+        header_seen = True
+        del rows[0]
     if list(map(str.count, rows, repeat(","))).count(1) != len(rows):
         return None
-    tokens = ",".join(rows).split(",")
     try:
+        tokens = plain(",".join(rows)).split(",") if rows else []
         t = np.fromiter(map(float, tokens[0::2]), np.float64, len(rows))
         distinct = dict.fromkeys(tokens[1::2])
         distinct = dict(zip(distinct, map(float, distinct)))
@@ -182,50 +197,7 @@ def _parse_rows(rows: list):
     p = np.fromiter(map(distinct.__getitem__, tokens[1::2]), np.float64, len(rows))
     if not (np.isfinite(t).all() and np.isfinite(p).all()) or (p < 0.0).any():
         return None
-    return t, p
-
-
-def _parse_bulk(raw: str):
-    """_parse_lines' result from array code over blocks of lines, or None
-    where a line breaks a rule; _parse_lines then finds and reports the
-    first such line."""
-    meta: dict = {}
-    t_blocks: list = []
-    p_blocks: list = []
-    header_seen = False
-    pos = 0
-    while pos < len(raw):
-        # A cut just after "\n" is a line end of splitlines(), whatever
-        # line ending the text uses.
-        end = raw.find("\n", pos + _PARSE_BLOCK_CHARS) + 1 or len(raw)
-        chunk = raw[pos:end]
-        pos = end
-        rows = list(map(str.strip, chunk.splitlines()))
-        if "#" in chunk:
-            # A bad metadata value makes _parse_lines report it with its
-            # line number, which this pass does not track.
-            try:
-                for text in [text for text in rows if text.startswith("#")]:
-                    _read_comment(meta, text, 0)
-            except TraceFormatError:
-                return None
-            rows = [text for text in rows if not text.startswith("#")]
-        if "" in rows:
-            rows = list(filter(None, rows))
-        if rows and not header_seen:
-            if not _is_header(rows[0]):
-                return None
-            header_seen = True
-            del rows[0]
-        if rows:
-            parsed = _parse_rows(rows)
-            if parsed is None:
-                return None
-            t_blocks.append(parsed[0])
-            p_blocks.append(parsed[1])
-    if not t_blocks:
-        return [], [], meta, header_seen
-    return np.concatenate(t_blocks), np.concatenate(p_blocks), meta, header_seen
+    return t, p, header_seen
 
 
 def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
@@ -235,22 +207,40 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     and 'label=<text>' metadata, a 'timestamp_s,power_w' header, then one
     sample per row.  Sampling must be uniform; gaps are tolerated within
     0.5% of the median interval.  rack_max_w may be supplied as an override
-    when the file carries no metadata.
+    when the file carries no metadata.  Every number keeps _textio's number
+    rule.
+
+    The text is parsed in blocks of lines by array code; only a block with
+    a bad line is read again line by line, which names the first such line.
     """
     raw = read_text(source)
-    parsed = _parse_bulk(raw)
-    if parsed is None:
-        parsed = _parse_lines(raw)
-    times, powers, meta, header_seen = parsed
+    meta: dict = {}
+    blocks: list = []
+    header_seen = False
+    pos = lineno = 0
+    while pos < len(raw):
+        # A cut just after "\n" is a line end of splitlines(), whatever
+        # line ending the text uses.
+        end = raw.find("\n", pos + _PARSE_BLOCK_CHARS) + 1 or len(raw)
+        chunk = raw[pos:end]
+        pos = end
+        lines = chunk.splitlines()
+        t, p, header_seen = (_parse_block(chunk, lines, meta, header_seen)
+                             or _parse_lines(lines, lineno, meta, header_seen))
+        blocks.append((t, p))
+        lineno += len(lines)
 
     if not header_seen:
         raise TraceFormatError("missing 'timestamp_s,power_w' header")
-    if len(times) == 0:
+    t_arr, powers = map(np.concatenate, zip(*blocks))
+    # The text and the block arrays are dropped before the checks below
+    # allocate: they would otherwise set the call's memory peak.
+    del raw, blocks
+    if t_arr.size == 0:
         raise TraceFormatError("trace has no samples")
-    if len(times) < 2:
+    if t_arr.size < 2:
         raise CorruptTraceError("trace needs at least two samples to fix the interval")
 
-    t_arr = np.asarray(times, dtype=np.float64)
     gaps = np.diff(t_arr)
     if np.any(gaps <= 0.0):
         bad = int(np.argmax(gaps <= 0.0)) + 2  # row index of the offending sample
@@ -277,7 +267,7 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
 
     return PowerTrace(
         dt_s=dt,
-        samples=np.asarray(powers, dtype=np.float64),
+        samples=powers,
         rack_max_w=float(rack),
         source_label=meta.get("label", ""),
         origin_time_s=float(t_arr[0]),

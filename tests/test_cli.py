@@ -168,7 +168,7 @@ def test_analyze_threshold_flags_exclusive(work, tmp_path):
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("bins", ["0,nan,5", "0,inf", "0,5,abc"])
+@pytest.mark.parametrize("bins", ["0,nan,5", "0,inf", "0,5,abc", "0,1_0,2_0"])
 def test_analyze_bad_bins_exit2(work, tmp_path, bins):
     proc = run_cli(["analyze", "--trace", str(work["trace"]), "--bins", bins,
                     "--out", str(tmp_path)], cwd=tmp_path)
@@ -397,6 +397,7 @@ def test_sweep_custom_axes(work, tmp_path):
     ("--axes-threshold", "0.5:inf:0.1"),    # int() of inf
     ("--axes-threshold", "0.5:0.9:nan"),
     ("--axes-burst", "0:1:1e-9"),           # 10^9 values
+    ("--axes-burst", "0:0.1:0.0_5"),        # float() reads 0.05
 ])
 def test_sweep_bad_axis_exit2(work, tmp_path, flag, value):
     proc = run_cli(["sweep", "--trace", str(work["trace"]), flag, value,
@@ -415,6 +416,39 @@ def test_sweep_bad_gpu_unit_w_exit2(work, tmp_path, value):
     assert "--gpu-unit-w must be positive and finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "grid.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--seed", "1_0"], "--seed"),
+    (["sweep", "--trace", "{trace}", "--gpu-unit-w", "7_00"], "--gpu-unit-w"),
+    (["analyze", "--trace", "{trace}", "--threshold-frac", "0.7_0"], "--threshold-frac"),
+    (["simulate", "--trace", "{trace}", "--device", "none", "--threshold-w",
+      "\u0669\u0660\u0660\u0660\u0660"], "--threshold-w"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_numeric_flag_outside_number_rule_exit2(work, tmp_path, argv, flag):
+    # float() and int() read each of these values; the number rule does not.
+    out = tmp_path / "new"
+    proc = run_cli([arg.format(trace=work["trace"]) for arg in argv] + ["--out", str(out)],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_no_flag_converts_with_bare_float_or_int():
+    # The bare converters read '1_0' as 10; every numeric flag takes the
+    # number rule's plain_float or plain_int instead.
+    parsers = [cli.build_parser()]
+    bare = []
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.type in (float, int):
+                bare.append((parser.prog, action.option_strings))
+    assert len(parsers) == 6
+    assert not bare
 
 
 def test_compare_preset_dummy_pattern(default_trace_dir, tmp_path):

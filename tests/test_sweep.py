@@ -275,6 +275,18 @@ def test_export_csv_round_trip(spiky_trace):
     np.testing.assert_array_equal(back.values, grid.values)
 
 
+@pytest.mark.parametrize("text, where", [
+    # float() and int() read '0_0' as 0.0 and '1_0' as 10.
+    ("threshold_frac/burst_s,0_0,0.1\n0.5,1,0\n", "row 1 column 2"),
+    ("threshold_frac/burst_s,0.0,0.1\n0.5,1_0,5\n", "row 2 column 2"),
+    ("threshold_frac/burst_s,0.0,0.1\n\n0.7,5,3\n0.5,5,abc\n", "row 3 column 3"),
+    ("threshold_frac/burst_s,0.0\n0.5,1\n0.7\u00a0,1\n", "row 3 column 1"),
+])
+def test_load_grid_csv_names_bad_cell(text, where):
+    with pytest.raises(ValueError, match=f"^grid CSV {where}: "):
+        ps.load_grid_csv(io.StringIO(text))
+
+
 def test_export_csv_shape():
     # A 2x3 grid exports as 1 header + 2 data rows, 1 label + 3 burst columns.
     values = np.array([[5, 3, 1], [2, 1, 0]])
