@@ -31,9 +31,8 @@ print(f"battery mode transitions (switch latency = {spec.switch_latency_s * 1e3:
 sequence = [(5000.0, 0.0)] * 3 + [(0.0, 8000.0)] * 4 + [(5000.0, 0.0)] * 3
 for k, (req, offer) in enumerate(sequence):
     delivered, absorbed, state = device_step(spec, state, req, offer, dt)
-    mode = state.mode if isinstance(state.mode, str) else "switching"
     print(f"  step {k}: request {req:>6.0f} offer {offer:>6.0f} -> "
-          f"delivered {delivered:>6.0f} absorbed {absorbed:>6.0f}  [{mode}]")
+          f"delivered {delivered:>6.0f} absorbed {absorbed:>6.0f}  [{state.mode}]")
 print("  note the dead steps on each direction change: while the switch")
 print("  latency elapses the battery is silent (inverter commutation)")
 print("  the battery starts full, so when charging it can only re-absorb")

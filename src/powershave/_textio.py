@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, fields
+from importlib import resources
 
 import numpy as np
 
@@ -90,6 +91,12 @@ def read_text(source) -> str:
         with open(source, "rb") as fh:
             raw = fh.read()
     return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+
+def read_package_data(name: str, load):
+    """load(stream) of the file data/<name> shipped inside the package."""
+    with resources.files(__package__).joinpath(f"data/{name}").open("rb") as fh:
+        return load(fh)
 
 
 def plain(text: str) -> str:

@@ -139,12 +139,13 @@ def _emit(args, command: str, inputs: dict, config_digests: dict, seed,
     return [os.path.join(out, name) for name in outputs]
 
 
-def _threshold_from_args(args) -> ThresholdSpec:
+def _threshold_from_args(args) -> ThresholdSpec | None:
+    """The threshold flag given, or None; the default is SimConfig's."""
     if args.threshold_w is not None:
         return ThresholdSpec(absolute_w=args.threshold_w)
     if args.threshold_frac is not None:
         return ThresholdSpec(fraction_of_max=args.threshold_frac)
-    return ThresholdSpec(fraction_of_max=0.7)
+    return None
 
 
 # Most values one sweep axis may hold.
@@ -227,7 +228,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_analyze(args) -> int:
     trace = load_trace(args.trace)
-    threshold = _threshold_from_args(args)
+    threshold = _threshold_from_args(args) or SimConfig.threshold
     edges = DEFAULT_ENERGY_BIN_EDGES
     if args.bins is not None:
         edges = _parse_bins(args.bins)
@@ -258,8 +259,9 @@ def _cmd_simulate(args) -> int:
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
     config = _sim_config(args, inputs)
-    if args.threshold_w is not None or args.threshold_frac is not None:
-        config = replace(config, threshold=_threshold_from_args(args))
+    threshold = _threshold_from_args(args)
+    if threshold is not None:
+        config = replace(config, threshold=threshold)
     device = _resolve_device(args.device, inputs)
 
     result = simulate_shaving(trace, device, config)
@@ -373,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold fraction axis (default 0.50:0.95:0.05)")
     p.add_argument("--axes-burst", default=None, metavar="START:STOP:STEP",
                    help="burst length axis in seconds (default 0:0.2:0.02)")
-    p.add_argument("--gpu-unit-w", type=plain_float, default=700.0,
+    p.add_argument("--gpu-unit-w", type=plain_float, default=SimConfig.gpu_unit_w,
                    help="per-accelerator power for shutdown accounting")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_sweep)

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from importlib import resources
 
-from ._textio import check_finite, check_json_fields, read_json_object, write_json
+from ._textio import (check_finite, check_json_fields, read_json_object,
+                      read_package_data, write_json)
 
 __all__ = [
     "BUILTIN_DEVICE_NAMES",
@@ -105,10 +105,12 @@ class DeviceSpec:
             if self.round_trip_efficiency != 1.0:
                 raise ValueError("passive kinds have round_trip_efficiency fixed at 1.0")
             if self.switch_latency_s != 0.0:
-                raise ValueError("passive kinds have no mode switching")
+                # They have no mode switching.
+                raise ValueError("passive kinds have switch_latency_s fixed at 0.0")
         else:
             if self.response_tau_s != 0.0:
-                raise ValueError("battery kind responds through switching, not lag")
+                # It responds through switching, not lag.
+                raise ValueError("battery kind has response_tau_s fixed at 0.0")
 
 
 @dataclass(frozen=True)
@@ -313,6 +315,4 @@ def builtin_device_spec(name: str) -> DeviceSpec:
     """Load one of the shipped presets by short name."""
     if name not in BUILTIN_DEVICE_NAMES:
         raise ValueError(f"unknown builtin device {name!r}; choices: {', '.join(BUILTIN_DEVICE_NAMES)}")
-    ref = resources.files("powershave").joinpath(f"data/{name}.json")
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_device_spec(fh)
+    return read_package_data(f"{name}.json", load_device_spec)

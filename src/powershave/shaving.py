@@ -453,10 +453,10 @@ class _Shedding:
 def _live_short(deficit, delivered, escal):
     """What a step leaves unserved after the device delivered and the feed
     escalated by up to escal: the deficit's shortfall past both, or 0.0
-    below _W_EPS.  A deficit at or below 0 leaves 0.0."""
+    below _W_EPS.  escal must be at least 0 (both callers pass cap - c,
+    and the feed never passes the cap); then a deficit at or below
+    delivered leaves 0.0."""
     shortfall = deficit - delivered
-    if shortfall < 0.0:
-        shortfall = 0.0
     if not escal < shortfall:
         escal = shortfall
     live = shortfall - escal
@@ -665,7 +665,7 @@ def _gain_pct(useful_j: float, useful_base_j: float) -> float:
 
 
 def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,
-               gpu_unit_w: float = 700.0) -> int:
+               gpu_unit_w: float = SimConfig.gpu_unit_w) -> int:
     """Accelerators spared from shutdown if spikes longer than min_burst_s
     above the threshold could be absorbed: ceil of the worst qualifying
     peak excess over the per-unit draw."""

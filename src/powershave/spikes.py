@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -201,12 +202,13 @@ def threshold_sweep(trace: PowerTrace,
 
 
 def write_spikes_csv(spikes: list[Spike], dest) -> None:
-    """One spike per row: start_s,duration_s,peak_excess_w,energy_above_j,peak_frac.
-    Rows end with CRLF, which the golden digest of spikes.csv pins."""
-    header = "start_s,duration_s,peak_excess_w,energy_above_j,peak_frac\r\n"
-    write_text(dest, [header] + [
-        f"{float(sp.start_s)!r},{float(sp.duration_s)!r},{float(sp.peak_excess_w)!r},"
-        f"{float(sp.energy_above_j)!r},{float(sp.peak_frac)!r}\r\n" for sp in spikes])
+    """One spike per row, Spike's fields in declaration order, each as the
+    repr of its float.  Rows end with CRLF, which the golden digest of
+    spikes.csv pins."""
+    names = [f.name for f in fields(Spike)]
+    values_of = attrgetter(*names)
+    write_text(dest, [",".join(names) + "\r\n"] + [
+        ",".join(map(repr, map(float, values_of(sp)))) + "\r\n" for sp in spikes])
 
 
 def stats_to_dict(stats: SpikeStats) -> dict:

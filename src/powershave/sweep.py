@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,11 +44,6 @@ __all__ = [
 
 DEFAULT_THRESHOLD_FRACS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 DEFAULT_BURST_LENGTHS_S = tuple(round(0.02 * k, 2) for k in range(11))
-
-_COMPARISON_FIELDS = (
-    "strategy_name", "computational_gain_pct", "dummy_energy_j",
-    "total_unserved_energy_j", "device_energy_throughput_j", "peak_grid_w",
-)
 
 
 def _check_axis(name: str, values, lo=None, hi=None) -> tuple:
@@ -109,7 +105,7 @@ class SweepGrid:
 
 def sweep_gpus_saved(trace: PowerTrace, threshold_fracs=DEFAULT_THRESHOLD_FRACS,
                      burst_lengths_s=DEFAULT_BURST_LENGTHS_S,
-                     gpu_unit_w: float = 700.0) -> SweepGrid:
+                     gpu_unit_w: float = SimConfig.gpu_unit_w) -> SweepGrid:
     """gpus_saved over both axes.  Each cell equals gpus_saved of its
     threshold and burst length; one scan for runs above a threshold
     serves its whole row."""
@@ -237,7 +233,10 @@ def load_grid_csv(source, trace_label: str = "") -> SweepGrid:
 
 
 def write_comparison_csv(rows, dest) -> None:
-    write_text(dest, [",".join(_COMPARISON_FIELDS) + "\n"] + [
-        ",".join([row.strategy_name] + [repr(getattr(row, name))
-                                        for name in _COMPARISON_FIELDS[1:]]) + "\n"
+    """One row per ComparisonRow, its fields in declaration order: the
+    strategy name as it is, every number as its repr."""
+    names = [f.name for f in fields(ComparisonRow)]
+    numbers_of = attrgetter(*names[1:])
+    write_text(dest, [",".join(names) + "\n"] + [
+        ",".join([row.strategy_name, *map(repr, numbers_of(row))]) + "\n"
         for row in rows])

@@ -23,7 +23,8 @@ from itertools import repeat
 import numpy as np
 
 from ._textio import (check_finite, check_json_fields, is_number, plain, plain_float,
-                      read_json_object, read_text, write_columns_csv, write_json)
+                      read_json_object, read_package_data, read_text,
+                      write_columns_csv, write_json)
 
 __all__ = [
     "TraceFormatError",
@@ -362,7 +363,8 @@ class SynthConfig:
         if not (self.burst_power_w > 0.0):
             raise ValueError("burst_power_w must be positive")
         if not (0.0 <= self.idle_power_w <= self.comm_power_w <= self.burst_power_w):
-            raise ValueError("power levels must satisfy 0 <= idle <= comm <= burst")
+            raise ValueError("power levels must satisfy 0 <= idle_power_w <= "
+                             "comm_power_w <= burst_power_w")
         if not (0.0 <= self.jitter_frac < 1.0):
             raise ValueError(f"jitter_frac must be in [0, 1), got {self.jitter_frac}")
         if self.inference_rate_hz < 0.0:
@@ -511,22 +513,23 @@ def synthesize_trace(config: SynthConfig) -> PowerTrace:
     n_events = rng.poisson(config.inference_rate_hz * config.duration_s)
     starts = np.sort(rng.uniform(0.0, config.duration_s, size=n_events))
     edge = _INFER_EDGE_S
-    for t0 in starts:
+    plateau_lo, plateau_hi = _INFER_PLATEAU_S
+    for t0 in starts.tolist():
         if rng.uniform() < _INFER_LONG_FRAC:
             peak = rng.uniform(*_INFER_LONG_PEAK_FRAC) * config.rack_max_w
             dur = rng.uniform(*_INFER_LONG_DUR_S)
         else:
             peak = rng.uniform(*_INFER_PEAK_FRAC) * config.rack_max_w
             mean, sd, lo, hi = _INFER_SHORT_ENERGY_J
-            energy = float(np.clip(rng.normal(mean, sd), lo, hi))
+            energy = min(max(rng.normal(mean, sd), lo), hi)
             excess = peak - ref_w
             # The rise and fall edges spend a little time above the
             # reference level too; budget for that so the plateau length
             # lands the burst's energy target.
             edge_j = edge * excess * excess / max(peak - base_ref, excess)
-            dur = float(np.clip((energy - edge_j) / excess, *_INFER_PLATEAU_S))
-        i0 = max(0, int(np.floor((t0 - edge) / config.dt_s)))
-        i1 = min(n_steps, int(np.ceil((t0 + dur + edge) / config.dt_s)) + 1)
+            dur = min(max((energy - edge_j) / excess, plateau_lo), plateau_hi)
+        i0 = max(0, math.floor((t0 - edge) / config.dt_s))
+        i1 = min(n_steps, math.ceil((t0 + dur + edge) / config.dt_s) + 1)
         if i0 >= i1:
             continue
         seg_t = t[i0:i1]
@@ -544,20 +547,10 @@ def synthesize_trace(config: SynthConfig) -> PowerTrace:
     )
 
 
-# Shipped default workload: 200 accelerators at 700 W peak each, 5 ms
-# sampling, 10 minutes.  The remaining knobs are calibrated so that the
-# default threshold sweep sees mostly-short spikes with tens of joules
-# above threshold and peaks a few percent of nameplate above it.
-DEFAULT_SYNTH_CONFIG = SynthConfig(
-    n_accelerators=200,
-    iteration_period_s=1.0,
-    burst_duration_s=(0.24, 0.44),
-    burst_power_w=700.0,
-    comm_power_w=295.0,
-    idle_power_w=80.0,
-    jitter_frac=0.99,
-    inference_rate_hz=3.0,
-    seed=20260816,
-    duration_s=600.0,
-    dt_s=0.005,
-)
+# Shipped default workload, the packaged data/default_synth.json that
+# `synth --config default` and the benchmark run: 200 accelerators at
+# 700 W peak each, 5 ms sampling, 10 minutes.  The remaining knobs are
+# calibrated so that the default threshold sweep sees mostly-short spikes
+# with tens of joules above threshold and peaks a few percent of nameplate
+# above it.
+DEFAULT_SYNTH_CONFIG = read_package_data("default_synth.json", load_synth_config)

@@ -14,11 +14,15 @@ import hashlib
 import json
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+import powershave as ps
+from conftest import PACKAGE_ROOT, run_cli
 from powershave import cli
+
+PACKAGE_DIR = Path(PACKAGE_ROOT) / "powershave"
 
 
 def sha256_file(path) -> str:
@@ -107,6 +111,32 @@ def test_synth_bad_config_value_exit2(tmp_path, field, value):
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_synth_default_is_the_packaged_file(tmp_path):
+    # 'default' and the packaged file it names are one workload: the same
+    # trace bytes and the same recorded config digest.
+    data = PACKAGE_DIR / "data" / "default_synth.json"
+    outs = (tmp_path / "default", tmp_path / "file")
+    for out, config in zip(outs, ("default", str(data))):
+        proc = run_cli(["synth", "--config", config, "--out", str(out)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
+    manifests = [read_json(out / "synth_manifest.json") for out in outs]
+    assert manifests[0]["config_digests"] == manifests[1]["config_digests"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+
+
+def test_synth_power_levels_out_of_order_names_fields(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(SHORT_SYNTH, comm_power_w=900.0)))
+    proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "new")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    for field in ("idle_power_w", "comm_power_w", "burst_power_w"):
+        assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "new").exists()
 
 
 def test_synth_reruns_byte_identical(work, tmp_path):
@@ -202,7 +232,6 @@ def test_simulate_none_curtails(work, tmp_path):
 
 def test_simulate_device_file(work, tmp_path):
     spec_path = tmp_path / "battery.json"
-    import powershave as ps
     with open(spec_path, "w", encoding="utf-8") as fh:
         ps.write_device_spec(ps.builtin_device_spec("battery"), fh)
     proc = run_cli(["simulate", "--trace", str(work["trace"]),
@@ -258,6 +287,50 @@ def test_simulate_bad_device_spec_value_exit2(work, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "energy_capacity_j" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("capacitor", "switch_latency_s", 0.05),    # passive kinds do not switch
+    ("supercapacitor", "switch_latency_s", 0.05),
+    ("battery", "response_tau_s", 0.01),        # the battery does not lag
+])
+def test_simulate_device_spec_wrong_kind_field_exit2(work, tmp_path, kind, field, value):
+    spec = {"kind": kind, "energy_capacity_j": 5e4, "max_discharge_w": 12000.0,
+            "max_charge_w": 12000.0, field: value}
+    path = tmp_path / "bad_device.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", str(path),
+                    "--out", str(tmp_path / "new")], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("flag, value, threshold, threshold_w", [
+    ("--threshold-frac", "0.65", {"fraction_of_max": 0.65}, 0.65 * 140000.0),
+    ("--threshold-w", "91000", {"absolute_w": 91000.0}, 91000.0),
+])
+def test_simulate_threshold_flag_replaces_config_threshold(work, tmp_path, flag, value,
+                                                           threshold, threshold_w):
+    # A run with the flag equals a run whose config file holds that
+    # threshold: same summary, same recorded sim_config digest.
+    held = tmp_path / "held.json"
+    held.write_text(json.dumps(dict(LOOSE_SIM, threshold=threshold)))
+    outs = (tmp_path / "flag", tmp_path / "file")
+    for out, argv in zip(outs, (["--config", str(work["loose"]), flag, value],
+                                ["--config", str(held)])):
+        proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", "none",
+                        *argv, "--out", str(out)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    summaries = [read_json(out / "shaving_summary.json") for out in outs]
+    assert summaries[0]["threshold_w"] == threshold_w
+    assert summaries[0] == summaries[1]
+    digests = [read_json(out / "simulate_manifest.json")["config_digests"]["sim_config"]
+               for out in outs]
+    assert digests[0] == digests[1]
+    loose = ps.load_sim_config(str(work["loose"]))
+    assert digests[0] != cli._digest(ps.write_sim_config, loose)
 
 
 # json reads NaN and Infinity; every loader must refuse them by field name.
@@ -398,6 +471,9 @@ def test_sweep_custom_axes(work, tmp_path):
     ("--axes-threshold", "0.5:0.9:nan"),
     ("--axes-burst", "0:1:1e-9"),           # 10^9 values
     ("--axes-burst", "0:0.1:0.0_5"),        # float() reads 0.05
+    ("--axes-threshold", "0.5:0.9"),        # two parts
+    ("--axes-threshold", "0.5:0.9:0"),      # zero step
+    ("--axes-threshold", "0.9:0.5:0.1"),    # stop before start
 ])
 def test_sweep_bad_axis_exit2(work, tmp_path, flag, value):
     proc = run_cli(["sweep", "--trace", str(work["trace"]), flag, value,

@@ -287,6 +287,26 @@ def test_load_grid_csv_names_bad_cell(text, where):
         ps.load_grid_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("threshold_frac/burst_s,0.0,0.1\n", "needs a header and at least one row"),
+    ("threshold_frac/burst_s,0.0,0.1\n\n  \n", "needs a header and at least one row"),
+    ("threshold_frac/burst_s,0.0,0.1\n0.5,1,0\n0.7,1\n",
+     "row 3 width does not match header"),
+    ("threshold_frac/burst_s,0.0\n0.5,1,0\n", "row 2 width does not match header"),
+])
+def test_load_grid_csv_refuses_bad_shape(text, message):
+    with pytest.raises(ValueError, match=f"^grid CSV {message}"):
+        ps.load_grid_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("missing", ["threshold_fracs", "burst_lengths_s", "values"])
+def test_load_grid_json_names_missing_field(missing):
+    data = {"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]]}
+    del data[missing]
+    with pytest.raises(ValueError, match=f"grid JSON missing fields: \\['{missing}'\\]"):
+        ps.load_grid_json(io.StringIO(json.dumps(data)))
+
+
 def test_export_csv_shape():
     # A 2x3 grid exports as 1 header + 2 data rows, 1 label + 3 burst columns.
     values = np.array([[5, 3, 1], [2, 1, 0]])
@@ -418,6 +438,14 @@ def test_compare_zero_baseline_names_first_strategy(listing, first):
     with pytest.raises(ValueError, match=re.escape(
             f"strategy {first!r}: baseline served no useful energy")):
         ps.compare_strategies(trace, pairs, SimConfig())
+
+
+def test_compare_takes_a_mapping(cmp_setup):
+    # A dict is read in its insertion order, like the list of its items.
+    trace, cfg, rows = cmp_setup
+    by_name = {"none": "none", "capacitor": ps.builtin_device_spec("capacitor"),
+               "battery": ps.builtin_device_spec("battery"), "ideal": "ideal"}
+    assert ps.compare_strategies(trace, by_name, cfg) == rows
 
 
 def test_compare_holds_one_simulation_at_a_time(cmp_setup, monkeypatch):
