@@ -158,14 +158,17 @@ def _is_finite(value) -> bool:
 
 def check_finite(obj) -> None:
     """Raise ValueError naming the first float field of the dataclass obj
-    that holds NaN, an infinity or an int too large for a float.  NaN
-    passes every one-sided bound, so each config dataclass calls this
-    before its own checks."""
+    that holds NaN, an infinity or an int too large for a float, and store
+    an int held in a float field as float(int), so that equal configs
+    write equal bytes.  NaN passes every one-sided bound, so each config
+    dataclass calls this before its own checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if (f.type in ("float", "float | None") and value is not None
-                and not _is_finite(value)):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.type in ("float", "float | None") and value is not None:
+            if not _is_finite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if isinstance(value, int):
+                object.__setattr__(obj, f.name, float(value))
 
 
 def check_json_fields(cls, data: dict, what: str) -> None:

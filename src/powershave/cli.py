@@ -43,6 +43,8 @@ from .sweep import (DEFAULT_BURST_LENGTHS_S, DEFAULT_THRESHOLD_FRACS,
                     write_grid_csv, write_grid_json)
 
 _DEVICE_CHOICES = ("none", "ideal") + BUILTIN_DEVICE_NAMES
+# What compare runs when no --device is given.
+_COMPARE_DEFAULT = ("none", *BUILTIN_DEVICE_NAMES, "ideal")
 
 
 def _sha256_file(path: str) -> str:
@@ -168,6 +170,13 @@ def _parse_axis(text: str, name: str) -> tuple:
     if not (steps < _MAX_AXIS_VALUES):
         raise ValueError(f"{name} must hold at most {_MAX_AXIS_VALUES} values")
     return tuple(round(start + k * step, 10) for k in range(int(steps) + 1))
+
+
+def _axis_help(what: str, values: tuple) -> str:
+    """what, then the evenly spaced default axis values as the
+    START:STOP:STEP that _parse_axis reads back into them."""
+    step = round(values[1] - values[0], 10)
+    return f"{what} (default {values[0]!r}:{values[-1]!r}:{step!r})"
 
 
 def _parse_bins(text: str):
@@ -310,7 +319,7 @@ def _cmd_compare(args) -> int:
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
     config = _sim_config(args, inputs)
-    tokens = args.device or ["none", "capacitor", "supercap", "battery", "ideal"]
+    tokens = args.device or _COMPARE_DEFAULT
     strategies = [(_device_row_name(token), _resolve_device(token, inputs))
                   for token in tokens]
     rows = compare_strategies(trace, strategies, config)
@@ -372,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate gpus_saved over a grid")
     p.add_argument("--trace", required=True, help="trace CSV path")
     p.add_argument("--axes-threshold", default=None, metavar="START:STOP:STEP",
-                   help="threshold fraction axis (default 0.50:0.95:0.05)")
+                   help=_axis_help("threshold fraction axis", DEFAULT_THRESHOLD_FRACS))
     p.add_argument("--axes-burst", default=None, metavar="START:STOP:STEP",
-                   help="burst length axis in seconds (default 0:0.2:0.02)")
+                   help=_axis_help("burst length axis in seconds", DEFAULT_BURST_LENGTHS_S))
     p.add_argument("--gpu-unit-w", type=plain_float, default=SimConfig.gpu_unit_w,
                    help="per-accelerator power for shutdown accounting")
     p.add_argument("--out", default=None, help="output directory")
@@ -382,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare shaving strategies on one trace")
     p.add_argument("--trace", required=True, help="trace CSV path")
+    # default=None: with action="append", argparse would append to a list.
     p.add_argument("--device", action="append", default=None,
                    help="strategy to include (repeatable); defaults to "
-                        "none, capacitor, supercap, battery, ideal")
+                        + ", ".join(_COMPARE_DEFAULT))
     p.add_argument("--config", default=None, help="sim config JSON path")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_compare)

@@ -13,16 +13,16 @@ Two families share one step contract:
   switch_latency_s during which it neither delivers nor absorbs.  The
   round-trip efficiency is applied entirely on the charge side.
 
-device_step is the checked entry point over a DeviceState.  The physics
-itself lives in functions that passive_stepper and battery_stepper build
-once per (spec, dt), with the spec's constants bound in; they take and
-return plain values, so a simulation loop can keep the state in local
-variables.  A passive device is two halves, a discharge and a charge,
-and its only state besides the stored energy is where the lag starts:
-the power it delivered on the previous step if that step discharged,
-else 0.0.  The battery is one stepper over all of DeviceState's fields.
-The discharge limit, the SOC floor snap and the charge limit are written
-once and shared by both kinds.
+The physics of every kind is two halves, a discharge and a charge, that
+device_halves builds once per (spec, dt) with the spec's constants bound
+in; they take and return plain values, so a simulation loop can keep the
+state in local variables.  Besides the stored energy, a passive device's
+only state is where the lag starts: the power it delivered on the
+previous step if that step discharged, else 0.0.  device_step is the
+checked entry point over a DeviceState; it holds the battery's mode
+machine, which decides on each step whether the halves act.  A
+simulation arms a battery for discharge and never offers it a charge, so
+there it is only ever a discharge with no lag.
 
 Energy bookkeeping is exact: stored_j decreases by delivered * dt and
 increases by absorbed * dt * round_trip_efficiency, and stays inside the
@@ -141,8 +141,9 @@ def device_step(spec: DeviceSpec, state: DeviceState,
     never exceeds the offer, the charge limit, or the headroom below
     soc_max (after efficiency).
 
-    A checked wrapper that binds passive_stepper / battery_stepper for this
-    one step.
+    A checked wrapper over the halves that device_halves binds for this
+    one step, and the only code that reads or moves DeviceState's mode: a
+    battery's mode machine, and a passive device's lag base.
     """
     if dt_s <= 0.0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
@@ -151,61 +152,96 @@ def device_step(spec: DeviceSpec, state: DeviceState,
     if requested_discharge_w > 0.0 and available_charge_w > 0.0:
         raise ValueError("cannot request discharge and offer charge in the same step")
 
-    if spec.kind in PASSIVE_KINDS:
-        discharge, charge = passive_stepper(spec, dt_s)
-        delivered = absorbed = last = 0.0
-        stored, mode = state.stored_j, "idle"
-        if requested_discharge_w > 0.0:
-            # The only code that turns (mode, last_output_w) into a lag base.
-            base = state.last_output_w if state.mode == "discharging" else 0.0
-            delivered, stored = discharge(stored, base, requested_discharge_w)
-            mode, last = "discharging", delivered
-        elif available_charge_w > 0.0:
-            absorbed, stored = charge(stored, available_charge_w)
-            mode, last = "charging", absorbed
-        return delivered, absorbed, replace(state, stored_j=stored, mode=mode,
-                                            last_output_w=last)
-    delivered, absorbed, *fields = battery_stepper(spec, dt_s)(
-        state.stored_j, state.mode, state.last_output_w,
-        state.switch_target, state.switch_remaining_s,
-        requested_discharge_w, available_charge_w)
-    return delivered, absorbed, DeviceState(*fields)
+    want = ("discharging" if requested_discharge_w > 0.0 else
+            "charging" if available_charge_w > 0.0 else None)
+    if spec.kind == "battery":
+        # Left of the turnaround after the step that starts it.
+        first_left = spec.switch_latency_s - dt_s
+        target = state.switch_target
+        if state.mode == "switching":
+            if want is not None and want != target:
+                # Direction changed mid-switch: the turnaround starts over.
+                return 0.0, 0.0, replace(state, last_output_w=0.0, switch_target=want,
+                                         switch_remaining_s=first_left)
+            remaining = state.switch_remaining_s - dt_s
+            if remaining > _TIME_EPS:
+                return 0.0, 0.0, replace(state, last_output_w=0.0,
+                                         switch_remaining_s=remaining)
+            # Switch completes at the end of this step; the new mode acts
+            # from the next step on.
+            return 0.0, 0.0, replace(state, mode=target, last_output_w=0.0,
+                                     switch_target=None, switch_remaining_s=0.0)
+        if want is None:
+            return 0.0, 0.0, state
+        if state.mode != want and spec.switch_latency_s > 0.0:
+            if first_left > _TIME_EPS:
+                return 0.0, 0.0, replace(state, mode="switching", last_output_w=0.0,
+                                         switch_target=want, switch_remaining_s=first_left)
+            return 0.0, 0.0, replace(state, mode=want, last_output_w=0.0,
+                                     switch_target=None, switch_remaining_s=0.0)
+    elif want is None:
+        return 0.0, 0.0, replace(state, mode="idle", last_output_w=0.0)
+
+    discharge, charge = device_halves(spec, dt_s)
+    if want == "discharging":
+        base = state.last_output_w if state.mode == "discharging" else 0.0
+        delivered, stored = discharge(state.stored_j, base, requested_discharge_w)
+        return delivered, 0.0, replace(state, stored_j=stored, mode=want,
+                                       last_output_w=delivered)
+    absorbed, stored = charge(state.stored_j, available_charge_w)
+    return 0.0, absorbed, replace(state, stored_j=stored, mode=want,
+                                  last_output_w=absorbed)
 
 
-# The rules both kinds share, bound to one (spec, dt).  min() and max() are
-# written out as comparisons that pick the same operand on ties (the first
-# minimal or maximal one), which keeps the output bits and saves calls.
+def device_halves(spec: DeviceSpec, dt: float):
+    """The two halves of a step of any device kind, unchecked and bound to
+    spec and dt: (discharge, charge).
 
-def _bind_rules(spec: DeviceSpec, dt: float):
-    """(discharge_limit, drain, charge) for one spec and step length."""
+    discharge(stored_j, base_w, request_w) returns (delivered_w, stored_j):
+    the request, capped by the discharge rating and by the energy above
+    soc_min, then, when response_tau_s is positive, through the lag from
+    base_w, then drained.  base_w is where the lag starts: the power
+    delivered on the previous step if that step discharged, else 0.0.  A
+    battery has no lag, so its base is never read.
+
+    charge(stored_j, available_w) returns (absorbed_w, stored_j): the
+    offer, capped by the charge rating and by the headroom below soc_max
+    after efficiency.  Recharge is not lagged: the response lag constrains
+    delivery transients, not the refill.
+
+    min() and max() are written out as comparisons that pick the same
+    operand on ties (the first minimal or maximal one), which keeps the
+    output bits and saves calls."""
     floor = spec.soc_min_frac * spec.energy_capacity_j
     top = spec.soc_max_frac * spec.energy_capacity_j
     max_out = spec.max_discharge_w
     max_in = spec.max_charge_w
     eff = spec.round_trip_efficiency
     dt_eff = dt * eff
+    tau = spec.response_tau_s
+    lag = 1.0 - math.exp(-dt / tau) if tau > 0.0 else None
 
-    def discharge_limit(stored: float, request: float) -> float:
-        """The request, capped by the discharge rating and by the energy
-        above soc_min."""
+    def discharge(stored, base, request):
         usable = stored - floor
-        out = request
-        if max_out < out:
-            out = max_out
+        target = request
+        if max_out < target:
+            target = max_out
         usable = (usable if usable > 0.0 else 0.0) / dt
-        if usable < out:
-            out = usable
-        return out
-
-    def drain(stored: float, delivered: float) -> float:
-        # delivered <= usable/dt by construction, so stored - delivered*dt
-        # can undershoot the window edge only by rounding; snap it back.
+        if usable < target:
+            target = usable
+        delivered = target
+        if lag is not None:
+            rise = base + (target - base) * lag
+            # The lag shapes the rise only; a falling target is honoured at
+            # once (output above the target would exceed what was asked for).
+            if rise <= target:
+                delivered = rise
+        # delivered <= usable by construction, so stored - delivered*dt can
+        # undershoot the window edge only by rounding; snap it back.
         stored = stored - delivered * dt
-        return floor if floor > stored else stored
+        return delivered, (floor if floor > stored else stored)
 
-    def charge(stored: float, available: float) -> tuple[float, float]:
-        """(absorbed_w, stored_j after): the offer, capped by the charge
-        rating and by the headroom below soc_max after efficiency."""
+    def charge(stored, available):
         room = top - stored
         absorbed = available
         if max_in < absorbed:
@@ -216,81 +252,7 @@ def _bind_rules(spec: DeviceSpec, dt: float):
         stored = stored + absorbed * dt * eff
         return absorbed, (top if top < stored else stored)
 
-    return discharge_limit, drain, charge
-
-
-def passive_stepper(spec: DeviceSpec, dt: float):
-    """The two halves of a capacitor or supercapacitor step, unchecked and
-    bound to spec and dt: (discharge, charge).
-
-    discharge(stored_j, base_w, request_w) returns (delivered_w, stored_j):
-    the request through the discharge limit, then through the lag from
-    base_w, then drained.  base_w is where the lag starts: the power
-    delivered on the previous step if that step discharged, else 0.0.
-
-    charge(stored_j, available_w) returns (absorbed_w, stored_j).  Recharge
-    is a trickle into the element, limited by the charge rating and the
-    headroom; the response lag constrains delivery transients, not the
-    refill.  A step that does neither changes nothing."""
-    discharge_limit, drain, charge = _bind_rules(spec, dt)
-    tau = spec.response_tau_s
-    lag = 1.0 - math.exp(-dt / tau) if tau > 0.0 else None
-
-    def discharge(stored, base, request):
-        target = delivered = discharge_limit(stored, request)
-        if lag is not None:
-            rise = base + (target - base) * lag
-            # The lag shapes the rise only; a falling target is honoured at
-            # once (output above the target would exceed what was asked for).
-            if rise <= target:
-                delivered = rise
-        return delivered, drain(stored, delivered)
-
     return discharge, charge
-
-
-def battery_stepper(spec: DeviceSpec, dt: float):
-    """Unchecked battery step, bound to spec and dt: step(stored_j, mode,
-    last_output_w, switch_target, switch_remaining_s, request_w,
-    available_w) returns (delivered_w, absorbed_w, stored_j, mode,
-    last_output_w, switch_target, switch_remaining_s)."""
-    discharge_limit, drain, charge = _bind_rules(spec, dt)
-    latency = spec.switch_latency_s
-    # Left of the turnaround after the step that starts it.
-    first_left = latency - dt
-
-    def step(stored, mode, last, target, remaining, request, available):
-        want = "discharging" if request > 0.0 else ("charging" if available > 0.0 else None)
-
-        if mode == "switching":
-            if want is not None and want != target:
-                # Direction changed mid-switch: the turnaround starts over.
-                return 0.0, 0.0, stored, mode, 0.0, want, first_left
-            remaining -= dt
-            if remaining > _TIME_EPS:
-                return 0.0, 0.0, stored, mode, 0.0, target, remaining
-            # Switch completes at the end of this step; the new mode acts
-            # from the next step on.
-            return 0.0, 0.0, stored, target, 0.0, None, 0.0
-
-        if want is None:
-            return 0.0, 0.0, stored, mode, last, target, remaining
-
-        if mode != want:
-            if latency > 0.0:
-                if first_left > _TIME_EPS:
-                    return 0.0, 0.0, stored, "switching", 0.0, want, first_left
-                return 0.0, 0.0, stored, want, 0.0, None, 0.0
-            mode = want
-
-        if want == "discharging":
-            delivered = discharge_limit(stored, request)
-            return (delivered, 0.0, drain(stored, delivered), mode,
-                    delivered, target, remaining)
-        absorbed, stored = charge(stored, available)
-        return 0.0, absorbed, stored, mode, absorbed, target, remaining
-
-    return step
 
 
 # ---------------------------------------------------------------------------

@@ -35,25 +35,26 @@ temperature, the node is integrated after the loop, over the finished
 served and dummy series, by _thermal_walk, which thermal_step runs for
 one step.
 
-Only the steps that can change state run as scalar code:
+Only the steps that can change state run as scalar code.  The ideal
+device delivers the whole deficit, so it is array code.  Every other
+strategy runs one step loop, _step_loop, which keeps only the shedding
+state, the feed and the device state; need, surplus and dummy load are
+array passes after it.  The tracked feed ("none", passive devices)
+carries the feed from one step to the next, so the loop visits every
+step.  The battery's feed is direct: a ramp limit of infinity makes each
+step's feed its need, so the battery is never offered a charge, and as
+it is armed for discharge before the run, each of its steps is a
+discharge with no lag.  It is walked only over the runs of steps where
+demand exceeds the threshold, and on while a shortfall event is open or
+accelerators are held down; on any other step it is asked for nothing,
+so its state stays as it is.
 
-* The direct feed (battery, ideal) is array code.  The ideal device
-  delivers the whole deficit, so it runs no loop.  A battery is walked
-  step by step only where demand exceeds the threshold and while a
-  shortfall event is open or accelerators are held down; on any other
-  step it is asked for nothing, so its state stays as it is.
-* The tracked feed ("none", passive devices) carries the feed from one
-  step to the next, so its loop visits every step, but keeps only the
-  shedding state, the rate-limited feed and the device state.  Need,
-  surplus and dummy load are array passes after the loop.
-
-Both loops call the shedding machine only on the steps that change its
-state.  They advance the device with what devices.battery_stepper and
-devices.passive_stepper build once per run, the same physics as
-device_step: the battery's stepper, or the passive device's discharge
-and charge halves, called only on the steps that discharge or charge it.
-Nothing in a step reads the grid feed it draws, so p_grid and the ramp
-check are array post-passes over the finished series.
+The loop calls the shedding machine only on the steps that change its
+state, and the device's discharge and charge halves, which
+devices.device_halves builds once per run (the same physics as
+device_step), only on the steps that discharge or charge it.  Nothing
+in a step reads the grid feed it draws, so p_grid and the ramp check are
+array post-passes over the finished series.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from ._textio import (check_finite, check_json_fields, read_json_object,
                       write_columns_csv, write_json)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
-from .devices import DeviceSpec, battery_stepper, init_state, passive_stepper
+from .devices import DeviceSpec, device_halves, init_state
 # Unused here; bench/tracer.py patches shaving.device_step and shaving.thermal_step.
 from .devices import device_step  # noqa: F401
 
@@ -294,7 +295,9 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     n = trace.n_samples
 
     demand_a = trace.samples.astype(float, copy=True)
-    served_a = np.zeros(n)
+    # A step the loop does not walk or that sheds nothing serves its
+    # demand, which is demand - 0.0 bit for bit, -0.0 included.
+    served_a = demand_a.copy()
     grid_a = np.zeros(n)
     discharge_a = np.zeros(n)
     charge_a = np.zeros(n)
@@ -303,11 +306,15 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     stored_a = np.zeros(n)
     temp_a = np.zeros(n)
 
-    if strategy in ("ideal", "battery"):
-        # grid_a holds each step's need until the post-pass below.
-        unserved_events = _direct_feed(
-            demand_a, served_a, discharge_a, stored_a, grid_a,
-            spec if strategy == "battery" else None, config, theta, dt)
+    if strategy == "ideal":
+        # The feed takes p_infra plus demand up to theta, and the device
+        # delivers the rest.  That deficit is never negative: it is 0.0 at
+        # or below theta, and above it rounding is monotone.  grid_a holds
+        # each step's need until the post-pass below.
+        _fill_need(grid_a, demand_a, p_infra, theta)
+        np.add(p_infra, demand_a, out=discharge_a)
+        discharge_a -= grid_a
+        unserved_events = 0
     else:
         # grid_a and temp_a are scratch until the post-passes below.
         unserved_events = _step_loop(
@@ -385,7 +392,7 @@ class _Shedding:
     Both calls return what the next step reads, (blocked_w, expiry,
     in_event): the draw of the accelerators held down, the step at which
     the front hold expires (n when none is left) and whether an event is
-    open.  The loops keep these in locals and call expire(i) only on a
+    open.  The step loop keeps these in locals and calls expire(i) only on a
     step that reaches expiry, and end_step(i, live) only on a step that
     leaves a live shortfall or ends an open event."""
 
@@ -453,7 +460,7 @@ class _Shedding:
 def _live_short(deficit, delivered, escal):
     """What a step leaves unserved after the device delivered and the feed
     escalated by up to escal: the deficit's shortfall past both, or 0.0
-    below _W_EPS.  escal must be at least 0 (both callers pass cap - c,
+    below _W_EPS.  escal must be at least 0 (the step loop passes cap - c,
     and the feed never passes the cap); then a deficit at or below
     delivered leaves 0.0."""
     shortfall = deficit - delivered
@@ -471,112 +478,60 @@ def _fill_need(need_a, d_eff_a, p_infra, theta):
     np.add(p_infra, need_a, out=need_a)
 
 
-def _direct_feed(demand_a, served_a, discharge_a, stored_a, need_a, battery,
-                 config, theta, dt) -> int:
-    """The direct feed, for the ideal device (battery None) and a battery:
-    fills served, discharge and stored in place and returns the number of
-    shortfall events.  need_a is scratch.
-
-    The feed takes p_infra plus demand up to theta and the device is asked
-    for the rest, so the step is array code.  The deficit is never
-    negative: it is 0.0 at or below theta, and above it rounding is
-    monotone.  The ideal device delivers the whole deficit.  A battery is
-    walked in scalar code only on the steps where the array values may not
-    hold: those with demand above theta, and every step while a shortfall
-    event is open or accelerators are held down.  On any other step it is
-    asked for nothing, so its state stays as it is and nothing is shed."""
-    p_infra = config.p_infra_w
-    _fill_need(need_a, demand_a, p_infra, theta)
-    np.add(p_infra, demand_a, out=discharge_a)
-    discharge_a -= need_a
-    # demand - 0.0 keeps a -0.0 demand sample as -0.0, as the step does.
-    np.subtract(demand_a, 0.0, out=served_a)
-    if battery is None:
-        return 0
-
-    cap = p_infra + theta
-    n = demand_a.shape[0]
-    step = battery_stepper(battery, dt)
-    # Battery state as plain values, in DeviceState's field order.  The
-    # controller arms the inverter before the run starts, so the first
-    # discharge needs no turnaround.
-    stored, mode, last, target, remaining = (
-        init_state(battery).stored_j, "discharging", 0.0, None, 0.0)
-    demand_m, served_m, discharge_m, stored_m = (
-        memoryview(a) for a in (demand_a, served_a, discharge_a, stored_a))
-    shedding = _Shedding(n, dt, config)
-    blocked_w, expiry, in_event = 0.0, n, False
-
-    i = 0      # the first step not yet walked
-    for hot in np.flatnonzero(theta < demand_a).tolist():
-        if hot < i:
-            continue
-        stored_a[i:hot] = stored
-        i = hot
-        while True:
-            if i >= expiry:
-                blocked_w, expiry, in_event = shedding.expire(i)
-            d_eff = demand_m[i]
-            if blocked_w:
-                d_eff = d_eff - blocked_w
-                if not d_eff > 0.0:
-                    d_eff = 0.0
-
-            c = p_infra + (theta if theta < d_eff else d_eff)
-            deficit = p_infra + d_eff - c
-            # The feed stops at the need, so it has no surplus to offer.
-            delivered, _, stored, mode, last, target, remaining = step(
-                stored, mode, last, target, remaining, deficit, 0.0)
-            live = _live_short(deficit, delivered, cap - c)
-            if live or in_event:
-                blocked_w, expiry, in_event = shedding.end_step(i, live)
-
-            served_m[i] = d_eff - live
-            discharge_m[i] = delivered
-            stored_m[i] = stored
-            i += 1
-            if i == n or not (in_event or blocked_w):
-                break
-    stored_a[i:] = stored
-    return shedding.events
-
-
 def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
                stored_a, scratch_a, device, config, theta, dt) -> int:
-    """The ramp-following feed, for "none" (device None) and passive
-    devices: fills served, discharge, charge, dummy and stored in place and
-    returns the number of shortfall events.  feed_a and scratch_a are
-    scratch; feed_a ends holding the rate-limited feed c of each step.
+    """The step loop of every strategy but the ideal device: "none"
+    (device None), passive devices and the battery.  Fills discharge,
+    charge, dummy and stored in place, takes the live shortfalls off
+    served, which must hold the demand, and returns the number of
+    shortfall events.  feed_a and scratch_a are scratch; feed_a ends
+    holding the feed c of each step walked.
 
     One step body serves both sides of theta.  The need is cap above theta
     and the load p_infra + d_eff at or below it; the device is asked for
     load - c, which at or below theta has the bits of need - c.  The feed
     starts at a need, and each step takes the larger of its need and the
     previous feed less r_step, capped at the previous feed plus r_step, so
-    it never exceeds cap and has no surplus above theta.  A step at or
-    below theta leaves nothing unserved: its need is at most cap (rounding
-    is monotone), so escalation covers its deficit; only a step above
-    theta works out its live shortfall.  The loop stores d_eff as served
-    and each live shortfall in dummy_a, which is free until the dummy
-    pass; served loses the live shortfalls after the loop."""
+    it never exceeds cap and has no surplus above theta.  The battery's
+    r_step is infinite, so its feed is each step's need and it is never
+    offered a charge.  A step at or below theta leaves nothing unserved:
+    its need is at most cap (rounding is monotone), so escalation covers
+    its deficit; only a step above theta works out its live shortfall.
+    The loop stores d_eff as served where it differs from the demand, and
+    each live shortfall in dummy_a, which is free until the dummy pass;
+    served loses the live shortfalls after the loop.
+
+    The tracked feed visits every step.  A battery is walked over each run
+    of steps above theta, and on while an event is open or a hold is live.
+    A step it skips asks it for nothing, so stored_a is filled over each
+    skipped range, and feed_a keeps 0.0 there, not above the need, so the
+    dummy pass gives it no dummy load, like every battery step."""
     p_infra = config.p_infra_w
     cap = p_infra + theta
-    r_step = config.grid_ramp_limit_w_per_s * dt
     n = demand_a.shape[0]
+    if device is None or device.kind != "battery":
+        r_step = config.grid_ramp_limit_w_per_s * dt
+        runs = ((0, n),)
+    else:
+        r_step = math.inf
+        # (start, stop) of each run of steps above theta.
+        hot = np.concatenate(([False], theta < demand_a, [False]))
+        edges = np.flatnonzero(hot[:-1] != hot[1:]).tolist()
+        runs = zip(edges[0::2], edges[1::2])
 
     # Device state as plain values: stored, and delivered, the power of the
     # last step if it discharged, else 0.0.  delivered is where the next
     # discharge's lag starts and what the live shortfall takes off; with
     # no device both stay 0.0.
-    passive = device is not None
+    has_device = device is not None
     stored = delivered = 0.0
-    if passive:
-        discharge, charge = passive_stepper(device, dt)
+    if has_device:
+        discharge, charge = device_halves(device, dt)
         stored = init_state(device).stored_j
 
-    served_m, feed_m, discharge_m, charge_m, stored_m, live_m = (
-        memoryview(a) for a in (served_a, feed_a, discharge_a, charge_a,
-                                stored_a, dummy_a))
+    demand_m, served_m, feed_m, discharge_m, charge_m, stored_m, live_m = (
+        memoryview(a) for a in (demand_a, served_a, feed_a, discharge_a,
+                                charge_a, stored_a, dummy_a))
     shedding = _Shedding(n, dt, config)
     blocked_w, expiry, in_event = 0.0, n, False
     # The first step's feed is its need, which the ramp rule below gives
@@ -586,45 +541,58 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
 
     # min() and max() are written out as comparisons that pick the same
     # operand on ties, which keeps the output bits and saves calls per step.
-    for i, demand in enumerate(memoryview(demand_a)):
-        if i >= expiry:
-            blocked_w, expiry, in_event = shedding.expire(i)
-        if not blocked_w:
-            d_eff = demand
-        else:
-            d_eff = demand - blocked_w
-            if not d_eff > 0.0:
-                d_eff = 0.0
+    i = 0      # the first step not yet walked
+    for start, stop in runs:
+        if stop <= i:
+            continue
+        stored_a[i:start] = stored
+        start = max(start, i)
+        while start < stop:
+            for i, demand in enumerate(demand_m[start:stop], start):
+                if i >= expiry:
+                    blocked_w, expiry, in_event = shedding.expire(i)
+                if not blocked_w:
+                    d_eff = demand
+                else:
+                    d_eff = demand - blocked_w
+                    if not d_eff > 0.0:
+                        d_eff = 0.0
+                    served_m[i] = d_eff
 
-        load = p_infra + d_eff
-        need = cap if theta < d_eff else load
-        top = c + r_step
-        c -= r_step
-        if not c > need:
-            c = need
-        if top < c:
-            c = top
-        if passive:
-            # The request is load - c, positive exactly when c < load, and
-            # the offer c - need; a step with neither makes no call.
-            if c < load:
-                delivered, stored = discharge(stored, delivered, load - c)
-                discharge_m[i] = delivered
-            else:
-                delivered = 0.0
-                if need < c:
-                    charge_m[i], stored = charge(stored, c - need)
-            stored_m[i] = stored
+                load = p_infra + d_eff
+                need = cap if theta < d_eff else load
+                top = c + r_step
+                c -= r_step
+                if not c > need:
+                    c = need
+                if top < c:
+                    c = top
+                if has_device:
+                    # The request is load - c, positive exactly when c < load,
+                    # and the offer c - need; a step with neither makes no call.
+                    if c < load:
+                        delivered, stored = discharge(stored, delivered, load - c)
+                        discharge_m[i] = delivered
+                    else:
+                        delivered = 0.0
+                        if need < c:
+                            charge_m[i], stored = charge(stored, c - need)
+                    stored_m[i] = stored
 
-        if theta < d_eff:
-            live = _live_short(load - c, delivered, cap - c)
-            if live or in_event:
-                live_m[i] = live
-                blocked_w, expiry, in_event = shedding.end_step(i, live)
-        elif in_event:
-            blocked_w, expiry, in_event = shedding.end_step(i, 0.0)
-        served_m[i] = d_eff
-        feed_m[i] = c
+                if theta < d_eff:
+                    live = _live_short(load - c, delivered, cap - c)
+                    if live or in_event:
+                        live_m[i] = live
+                        blocked_w, expiry, in_event = shedding.end_step(i, live)
+                elif in_event:
+                    blocked_w, expiry, in_event = shedding.end_step(i, 0.0)
+                feed_m[i] = c
+            start = i = i + 1
+            if in_event or blocked_w:
+                # Walk on through the step that may close the event, else
+                # through the step at which the front hold expires.
+                stop = min(start + 1 if in_event else expiry + 1, n)
+    stored_a[i:] = stored
 
     # served_a holds d_eff until the live shortfalls come off it; d_eff -
     # 0.0 keeps every other step's bits, -0.0 included.
@@ -633,7 +601,8 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     surplus = np.subtract(feed_a, scratch_a, out=scratch_a)
     # absorbed is 0 wherever the surplus is not positive, so the surplus
     # needs no clip of its own before absorbed comes off it.  The surplus is
-    # never -0.0 (c is a zero only where it equals the need), so
+    # never -0.0 (c is a zero only where it equals the need, and a step
+    # not walked has 0.0 less a need that is not negative), so
     # np.maximum's pick on a tie with 0.0 cannot show.
     np.subtract(surplus, charge_a, out=dummy_a)
     np.maximum(dummy_a, 0.0, out=dummy_a)

@@ -12,6 +12,7 @@ Covers:
 import argparse
 import hashlib
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -120,6 +121,21 @@ def test_synth_default_is_the_packaged_file(tmp_path):
     outs = (tmp_path / "default", tmp_path / "file")
     for out, config in zip(outs, ("default", str(data))):
         proc = run_cli(["synth", "--config", config, "--out", str(out)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
+    manifests = [read_json(out / "synth_manifest.json") for out in outs]
+    assert manifests[0]["config_digests"] == manifests[1]["config_digests"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+
+
+def test_synth_int_and_float_values_are_one_workload(tmp_path):
+    # A JSON 700 and 700.0 in a float field describe the same workload: the
+    # same trace bytes and the same recorded config digest.
+    outs = (tmp_path / "int", tmp_path / "float")
+    for out, power in zip(outs, (700, 700.0)):
+        path = tmp_path / f"{out.name}.json"
+        path.write_text(json.dumps(dict(SHORT_SYNTH, burst_power_w=power)))
+        proc = run_cli(["synth", "--config", str(path), "--out", str(out)], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
     assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
     manifests = [read_json(out / "synth_manifest.json") for out in outs]
@@ -551,6 +567,19 @@ def test_compare_default_list(work, tmp_path):
     lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["none", "capacitor", "supercap", "battery", "ideal"]
+
+
+def test_help_names_the_defaults_the_code_runs(capsys):
+    texts = {}
+    for command in ("sweep", "compare"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        texts[command] = " ".join(capsys.readouterr().out.split())
+    # Each axis default the help names reads back as the default axis.
+    named = re.findall(r"\(default (\S+)\)", texts["sweep"])
+    assert [cli._parse_axis(text, "axis") for text in named] == [
+        ps.DEFAULT_THRESHOLD_FRACS, ps.DEFAULT_BURST_LENGTHS_S]
+    assert ("defaults to " + ", ".join(cli._COMPARE_DEFAULT)) in texts["compare"]
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,21 @@ def test_config_json_round_trip():
     assert back == cfg
 
 
+def test_int_in_float_field_writes_float_bytes():
+    # 20000 and 20000.0 compare equal, so they must record one digest.
+    def text(cfg):
+        buf = io.StringIO()
+        ps.write_sim_config(cfg, buf)
+        return buf.getvalue()
+
+    as_int = SimConfig(threshold=ThresholdSpec(absolute_w=9000), p_infra_w=20000)
+    as_float = SimConfig(threshold=ThresholdSpec(absolute_w=9000.0), p_infra_w=20000.0)
+    assert as_int == as_float
+    assert text(as_int) == text(as_float)
+    assert type(as_int.p_infra_w) is float
+    assert type(as_int.threshold.absolute_w) is float
+
+
 def test_config_defaults_sane():
     cfg = SimConfig()
     assert cfg.threshold.fraction_of_max == pytest.approx(0.7)
@@ -472,6 +487,30 @@ def test_ideal_beats_presets(preset_results):
     for name in ("capacitor", "supercap", "battery"):
         assert g_ideal >= ps.computational_gain(preset_results[name], base)
     assert preset_results["ideal"].total_unserved_energy_j == 0.0
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(),
+    # Low enough that the battery's rating binds: shortfall events and
+    # restart holds.
+    SimConfig(threshold=ThresholdSpec(fraction_of_max=0.3), restart_penalty_s=1.0),
+], ids=["default", "shortfalls"])
+def test_battery_charge_side_and_switching_change_nothing(short_trace, config):
+    # The feed stops at the need, so a battery is never offered a charge,
+    # and it starts armed for discharge, so it never switches: in a
+    # simulation it is a discharge with no lag.
+    preset = builtin_device_spec("battery")
+    changed = dataclasses.replace(preset, max_charge_w=0.0, round_trip_efficiency=0.5,
+                                  switch_latency_s=5.0)
+    runs = [run_sim(short_trace, spec, config) for spec in (preset, changed)]
+    if config.restart_penalty_s == 1.0:
+        assert runs[0].unserved_spike_count > 0
+    for f in dataclasses.fields(ps.ShavingResult):
+        a, b = (getattr(r, f.name) for r in runs)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
 
 
 def test_none_strategy_uses_no_device(preset_results):
