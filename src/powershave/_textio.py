@@ -40,11 +40,13 @@ def _column_text(col: np.ndarray) -> list:
     return texts[np.searchsorted(distinct, bits)].tolist()
 
 
-def _csv_chunks(header_lines, columns):
+def _csv_chunks(header_lines, columns, texts):
     yield "".join(line + "\n" for line in header_lines)
     n = len(columns[0])
     for start in range(0, n, CSV_BLOCK_ROWS):
-        cells = [_column_text(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+        cells = [texts[i](col[start:start + CSV_BLOCK_ROWS], start) if i in texts
+                 else _column_text(col[start:start + CSV_BLOCK_ROWS])
+                 for i, col in enumerate(columns)]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -67,12 +69,16 @@ def write_text(dest, chunks) -> None:
         dest.writelines(chunks)
 
 
-def write_columns_csv(dest, header_lines, columns) -> None:
+def write_columns_csv(dest, header_lines, columns, texts=None) -> None:
     """Write the header lines, then one row per index of the columns, every
     value as its repr.  The columns are 1-D, of equal length and of an
-    8-byte numeric dtype (float64, or int64 for an integer column)."""
+    8-byte numeric dtype (float64, or int64 for an integer column).
+
+    texts may map a column's index to a function text(block, start) that
+    returns the repr of each value of block, that column's rows from
+    start on, faster than repr would."""
     columns = [np.ascontiguousarray(col) for col in columns]
-    write_text(dest, _csv_chunks(header_lines, columns))
+    write_text(dest, _csv_chunks(header_lines, columns, texts or {}))
 
 
 def write_json(obj, dest, sort_keys: bool = True) -> None:

@@ -74,6 +74,10 @@ class PowerTrace:
             raise ValueError(f"dt_s must be positive and finite, got {self.dt_s}")
         if not (self.rack_max_w > 0.0 and math.isfinite(self.rack_max_w)):
             raise ValueError(f"rack_max_w must be positive and finite, got {self.rack_max_w}")
+        # write_trace puts the label on one '# label=' line.
+        label = self.source_label
+        if not isinstance(label, str) or label.splitlines() not in ([], [label]):
+            raise ValueError(f"source_label must be text with no line break, got {label!r}")
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
@@ -278,8 +282,9 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
 def write_trace(trace: PowerTrace, dest) -> None:
     """Write a trace in the CSV layout load_trace reads back.
 
-    Floats are emitted with repr so a write/load round trip preserves
-    every sample bit for bit.
+    Every float is written as its repr, so a write/load round trip
+    preserves every sample bit for bit.  Where the time stamps allow it,
+    _time_text builds their text from integers instead of calling repr.
     """
     header = (
         f"# rack_max_w={trace.rack_max_w!r}",
@@ -287,7 +292,100 @@ def write_trace(trace: PowerTrace, dest) -> None:
         f"# label={trace.source_label}",
         "timestamp_s,power_w",
     )
-    write_columns_csv(dest, header, (trace.times(), trace.samples))
+    text = _time_text(trace.origin_time_s, trace.dt_s)
+    write_columns_csv(dest, header, (trace.times(), trace.samples),
+                      {0: text} if text else None)
+
+
+# Decimals of at most 15 significant digits name one double each.
+_EXACT_DECIMAL = 10 ** 15
+
+
+def _decimal(x: float):
+    """(m, d) with repr(x) the text of m / 10**d, if repr(x) is
+    positional; None otherwise."""
+    text = repr(x)
+    if "." not in text or "e" in text:
+        return None
+    return int(text.replace(".", "")), len(text) - text.index(".") - 1
+
+
+def _decimal_chars(m: np.ndarray, places: int):
+    """(chars, keep): a row of chars for each m / 10**places, holding its
+    sign, integer digits, '.', fraction digits and a '\n'.  chars[keep]
+    drops the sign of m >= 0 and leading and trailing zeros, so it is
+    their positional texts, one a line."""
+    whole, frac = np.divmod(np.abs(m), 10 ** places)
+    width = len(str(int(whole.max())))
+    chars = np.empty((m.size, width + places + 3), np.uint8)
+    keep = np.ones(chars.shape, bool)
+    chars[:, 0] = ord("-")
+    keep[:, 0] = m < 0
+    for col in range(width, 0, -1):
+        q = whole // 10
+        chars[:, col] = whole - q * 10 + ord("0")
+        if col > 1:
+            keep[:, col - 1] = q > 0
+        whole = q
+    chars[:, width + 1] = ord(".")
+    tail = np.zeros(m.size, bool)
+    for col in range(width + places + 1, width + 1, -1):
+        q = frac // 10
+        digit = frac - q * 10
+        chars[:, col] = digit + ord("0")
+        tail |= digit != 0
+        if col > width + 2:
+            keep[:, col] = tail
+        frac = q
+    chars[:, -1] = ord("\n")
+    return chars, keep
+
+
+def _time_text(origin: float, dt: float):
+    """A function text(block, start) that returns repr of each time stamp
+    in block, the rows start, start + 1, ... of a trace, or None where
+    repr(origin) or repr(dt) is not positional.
+
+    With D the larger count of their decimals, row k is the decimal
+    m / 10**D, m = origin*10**D + k*dt*10**D.  Where m / 10**D, an IEEE
+    division of exact operands and so the correctly rounded parse of that
+    decimal, has the bits of the time stamp, |m| < 10**15, and the value
+    is 0 or at least 1e-4, repr's text is m's: no other decimal of at
+    most 15 digits parses to that double, and repr writes the shortest one
+    that does, positionally below 1e16.  The texts of those rows are built
+    as one byte block from m's digits (_decimal_chars); every other row
+    goes through repr.
+    """
+    o, s = _decimal(origin), _decimal(dt)
+    if o is None or s is None:
+        return None
+    places = max(o[1], s[1])
+    first = o[0] * 10 ** (places - o[1])
+    step = s[0] * 10 ** (places - s[1])
+    # Past 18 places every nonzero time stamp is below 1e-4.
+    if places > 18 or not (abs(first) < _EXACT_DECIMAL and step < _EXACT_DECIMAL):
+        return None
+    scale = 10 ** places
+    # The last row whose m is below 10**15; clipping k to it keeps m in int64.
+    k_hi = (_EXACT_DECIMAL - 1 - first) // step
+    # Nonzero values below 1e-4 are written with an exponent.
+    tiny = 10 ** max(places - 4, 0)
+
+    def text(block: np.ndarray, start: int) -> list:
+        k = np.arange(start, start + block.size)
+        m = first + np.minimum(k, k_hi) * step
+        ok = ((k <= k_hi) & ((np.abs(m) >= tiny) | (m == 0))
+              & ((m / float(scale)).view(np.int64) == block.view(np.int64)))
+        chars, keep = _decimal_chars(m, places)
+        keep[:, :-1] &= ok[:, None]
+        texts = chars[keep].tobytes().decode("ascii").split("\n")
+        texts.pop()
+        bad = np.flatnonzero(~ok)
+        for i, value in zip(bad.tolist(), block[bad].tolist()):
+            texts[i] = repr(value)
+        return texts
+
+    return text
 
 
 def resample(trace: PowerTrace, dt_new_s: float) -> PowerTrace:
@@ -375,6 +473,11 @@ class SynthConfig:
             raise ValueError("dt_s must be positive")
         if self.duration_s < 10.0 * self.iteration_period_s:
             raise ValueError("duration_s must cover at least 10 iteration periods")
+        # synthesize_trace's round(duration_s / dt_s) samples; the quotient
+        # may overflow to inf, which round() refuses.
+        if self.duration_s / self.dt_s < 1.5:
+            raise ValueError(f"dt_s ({self.dt_s!r}) must leave at least two samples "
+                             f"in duration_s ({self.duration_s!r})")
         object.__setattr__(self, "burst_duration_s", (float(lo), float(hi)))
 
     @property
@@ -440,15 +543,49 @@ def _cycle_tile(t: np.ndarray, dt: float, period: float) -> tuple[int, float]:
     return tile, drift + 4 * math.ulp(float(t[-1]) + period)
 
 
+def _mod_exact(x: np.ndarray, period: float) -> np.ndarray:
+    """np.mod(x, period) bit for bit, for period > 0, in about a quarter
+    of its time where x >= 0.
+
+    k = floor(x/period) is the true quotient or one more, since rounding
+    is monotone.  With b the bit length of max(k) + 1, period splits into
+    p_hi, its top 53 - b significand bits, and the exact rest p_lo; while
+    b <= 26, k*p_hi and k*p_lo fit in 53 bits.  x - k*p_hi is below
+    3*period and a multiple of period's spacing (of twice that above
+    2*period, where x is too), so it is exact, and so is the remainder
+    x - k*period that taking k*p_lo off leaves.  Where k was one too many
+    that remainder is negative, and adding period back is exact too: the
+    result is the true remainder, which np.mod also returns.  Larger
+    quotients and negative x go through np.mod.
+    """
+    if not (x.size and x.min() >= 0.0):
+        return np.mod(x, period)
+    # Division and floor are monotone, so max(k) is that of max(x).
+    top = float(x.max()) / period
+    if not top < 2**26 - 1:
+        return np.mod(x, period)
+    k = np.floor(x / period)
+    b = (math.floor(top) + 1).bit_length()
+    p_hi = float((np.float64(period).view(np.int64) & ~((1 << b) - 1)).view(np.float64))
+    r = (x - k * p_hi) - k * (period - p_hi)
+    r[r < 0.0] += period
+    return r
+
+
 def _accelerator_profile(t: np.ndarray, tile: int, margin: float, period: float,
                          burst_s: float, burst_w: float, comm_w: float,
-                         idle_w: float, phase: float) -> np.ndarray:
+                         idle_w: float, phase: float) -> tuple:
     """Piecewise-linear periodic cycle: burst, comm, idle, back to burst.
+
+    Returns (flat, idx, values): the profile is flat repeated along t,
+    except at the positions idx, where it is values and flat is 0.0.
+    _add_profile adds it to an array in place.
 
     On a flat segment np.interp returns the knot value exactly.  So the
     first tile is classified once: a sample more than margin inside a flat
     segment takes its constant in every tile, and only the others go
-    through np.mod and np.interp, at each of their positions in the trace.
+    through _mod_exact and np.interp, at each of their positions in the
+    trace.
     """
     edge = min(_TRAIN_EDGE_S, 0.2 * burst_s, 0.04 * period)
     idle_s = _IDLE_TAIL_FRAC * period
@@ -463,7 +600,7 @@ def _accelerator_profile(t: np.ndarray, tile: int, margin: float, period: float,
         period,
     ])
     fp = np.array([burst_w, burst_w, comm_w, comm_w, idle_w, idle_w, burst_w])
-    u = np.mod(t[:tile] + phase, period)
+    u = _mod_exact(t[:tile] + phase, period)
     flat = np.zeros(tile)
     exact = np.ones(tile, dtype=bool)
     # A burst that leaves no room for the comm phase folds the knots back;
@@ -474,19 +611,33 @@ def _accelerator_profile(t: np.ndarray, tile: int, margin: float, period: float,
                  | (xp[seg + 1] - u < margin))
         flat[~exact] = fp[seg[~exact]]
     n = t.size
-    reps = -(-n // tile)
-    profile = np.tile(flat, reps)[:n]
-    idx = (np.flatnonzero(exact) + tile * np.arange(reps)[:, None]).ravel()
+    idx = (np.flatnonzero(exact) + tile * np.arange(-(-n // tile))[:, None]).ravel()
     idx = idx[idx < n]
-    profile[idx] = np.interp(np.mod(t[idx] + phase, period), xp, fp)
-    return profile
+    return flat, idx, np.interp(_mod_exact(t[idx] + phase, period), xp, fp)
+
+
+def _add_profile(agg: np.ndarray, flat: np.ndarray, idx: np.ndarray,
+                 values: np.ndarray) -> None:
+    """agg += the profile _accelerator_profile describes, in place: flat
+    through a (reps, tile) view of agg, then values at idx.  flat is 0.0
+    there and agg is never -0.0, so agg + 0.0 + v has the bits of agg + v.
+    """
+    tile = flat.size
+    whole = agg.size - agg.size % tile
+    rows = agg[:whole].reshape(-1, tile)
+    rows += flat
+    agg[whole:] += flat[:agg.size - whole]
+    agg[idx] += values
 
 
 def synthesize_trace(config: SynthConfig) -> PowerTrace:
     """Generate the rack trace for a synthetic workload.
 
     Deterministic for a given config: the same seed reproduces the trace
-    sample for sample.
+    sample for sample.  Each accelerator's profile is computed over one
+    tile of samples plus its sloped-edge samples (_accelerator_profile)
+    and added to the rack sum in place (_add_profile), so no full-length
+    profile is built.
     """
     rng = np.random.default_rng(config.seed)
     n_steps = int(round(config.duration_s / config.dt_s))
@@ -502,8 +653,9 @@ def synthesize_trace(config: SynthConfig) -> PowerTrace:
         wobble = 1.0 + config.jitter_frac * rng.uniform(-0.06, 0.06)
         burst_w = min(config.burst_power_w, config.burst_power_w * wobble)
         comm_w = min(config.comm_power_w * wobble, burst_w)
-        agg += _accelerator_profile(t, tile, margin, period, burst_s, burst_w,
-                                    comm_w, config.idle_power_w, phase)
+        _add_profile(agg, *_accelerator_profile(t, tile, margin, period, burst_s,
+                                                burst_w, comm_w, config.idle_power_w,
+                                                phase))
 
     # The typical crowd level of base fluctuations; edge-time estimates
     # below measure burst rises against it rather than against the mean.

@@ -391,6 +391,21 @@ def test_synth_non_finite_config_exit2(tmp_path, value):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("dt_s", [1000.0, 2000.0])
+def test_synth_dt_leaving_one_sample_exit2(tmp_path, dt_s):
+    # The shipped 600 s at 1000 s is one sample, which no other command
+    # reads, and at 2000 s none.
+    cfg = read_json(PACKAGE_DIR / "data" / "default_synth.json")
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(dict(cfg, dt_s=dt_s)))
+    proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "new")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "dt_s" in proc.stderr and "duration_s" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "new").exists()
+
+
 def test_simulate_missing_trace_exit1(tmp_path):
     proc = run_cli(["simulate", "--trace", str(tmp_path / "absent.csv"),
                     "--device", "none", "--out", str(tmp_path)], cwd=tmp_path)

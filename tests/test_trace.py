@@ -48,6 +48,22 @@ def test_trace_rejects_bad_inputs():
         ps.PowerTrace(dt_s=0.01, samples=np.array([1.0]), rack_max_w=0.0)
 
 
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\x85b", "a\u2028b", "a\n", "\r\n"])
+def test_trace_refuses_label_with_line_break(label):
+    # write_trace puts the label on one '# label=' line; a line break in it
+    # would end that line and turn the rest into a bad header.
+    with pytest.raises(ValueError, match="source_label"):
+        make_trace([1.0, 2.0], label=label)
+
+
+@pytest.mark.parametrize("label", ["", "a\tb", "rack_7 Zürich ⚡ ١٢", "x=y, #z"])
+def test_label_write_load_round_trip(label):
+    tr = make_trace([1.0, 2.0], label=label)
+    buf = io.StringIO()
+    ps.write_trace(tr, buf)
+    assert ps.load_trace(io.StringIO(buf.getvalue())).source_label == label
+
+
 # ---------------------------------------------------------------------------
 # 2. load_trace
 # ---------------------------------------------------------------------------
@@ -384,8 +400,30 @@ def naive_trace_csv(tr):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, None])
-def test_write_trace_matches_per_cell_repr(offset):
+# (dt_s, origin_time_s, whether load_trace reads the time stamps back as
+# uniform) of the time stamps written below.
+TIME_AXES = (
+    (1.0 / 3000.0, 12.345, True),    # repr(dt) has 19 decimals: every row by repr
+    (0.005, 0.0, True),              # the shipped axis
+    (0.005, 1e9, True),
+    (0.25, -3.5, True),              # negative stamps, then 0.0
+    (0.25, 12.345, True),
+    (1e-5, 0.0, True),               # repr(dt) has an exponent: every row by repr
+    (1e-5, 12.345, True),
+    (0.0001, -0.0011, True),         # stamps cross 0 and 1e-4 on both sides
+    (0.5, -0.49993896484375, True),  # row 1 is 2**-14 exactly, below 1e-4
+    (8.0, 99999999990000.0, True),   # 10 * stamp crosses 10**15 at row 1250
+    (123456789012.3, 0.0, True),     # 10 * stamp passes 10**15, then 2**53
+    (0.1, 999999999999000.0, False), # 10 * origin is past 10**15
+    (4.0, 1e16 - 16384.0, True),     # stamps cross 1e16 at row 4096
+)
+
+
+# The first axis keeps the bare offset as its id.
+@pytest.mark.parametrize("offset, dt, origin, uniform", [
+    pytest.param(offset, *axis, id=f"{offset}" + (f"-{axis[0]!r}-{axis[1]!r}" if i else ""))
+    for i, axis in enumerate(TIME_AXES) for offset in (-1, 0, 1, None)])
+def test_write_trace_matches_per_cell_repr(offset, dt, origin, uniform):
     from powershave._textio import CSV_BLOCK_ROWS
     n = 1 if offset is None else CSV_BLOCK_ROWS + offset
     rng = np.random.default_rng(n)
@@ -395,14 +433,15 @@ def test_write_trace_matches_per_cell_repr(offset):
     samples = rng.choice(pool, size=n)
     # Repeats that straddle the block boundary.
     samples[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = -0.0
-    tr = ps.PowerTrace(dt_s=1.0 / 3000.0, samples=samples, rack_max_w=2e16,
-                       source_label="awkward", origin_time_s=12.345)
+    tr = ps.PowerTrace(dt_s=dt, samples=samples, rack_max_w=2e16,
+                       source_label="awkward", origin_time_s=origin)
     buf = io.StringIO()
     ps.write_trace(tr, buf)
     assert buf.getvalue() == naive_trace_csv(tr)
-    if n > 1:
+    if n > 1 and uniform:
         back = ps.load_trace(io.StringIO(buf.getvalue()))
         assert back.samples.tobytes() == tr.samples.tobytes()
+        assert back.origin_time_s == origin
 
 
 def test_write_trace_to_binary_stream_and_path(tmp_path):
@@ -498,6 +537,25 @@ def test_synth_rejects_short_duration():
         replace(ps.DEFAULT_SYNTH_CONFIG, duration_s=5.0)  # < 10 periods
 
 
+@pytest.mark.parametrize("dt_s", [1000.0, 2000.0, 600.0 / 1.4999999])
+def test_synth_rejects_dt_leaving_one_sample(dt_s):
+    # 600 s at 1000 s rounds to one sample and at 2000 s to none; a trace
+    # needs two to fix its interval.
+    from dataclasses import replace
+    with pytest.raises(ValueError) as err:
+        replace(ps.DEFAULT_SYNTH_CONFIG, dt_s=dt_s)
+    assert "dt_s" in str(err.value) and "duration_s" in str(err.value)
+
+
+def test_synth_two_samples_is_the_least():
+    from dataclasses import replace
+    tr = ps.synthesize_trace(replace(ps.DEFAULT_SYNTH_CONFIG, dt_s=400.0))
+    assert tr.n_samples == 2
+    buf = io.StringIO()
+    ps.write_trace(tr, buf)
+    assert ps.load_trace(io.StringIO(buf.getvalue())).n_samples == 2
+
+
 def test_synth_power_ordering_validated():
     from dataclasses import replace
     with pytest.raises(ValueError):
@@ -582,6 +640,14 @@ PROFILE_STYLES = ("random", "lockstep", "short-bursts", "non-integral", "folded"
                   "flat-levels")
 
 
+def full_profile(n, flat, idx, values):
+    """The n-sample profile that _accelerator_profile returns as (flat,
+    idx, values), added by _add_profile to zeros."""
+    profile = np.zeros(n)
+    trace_mod._add_profile(profile, flat, idx, values)
+    return profile
+
+
 def _check_profiles_against_oracle(monkeypatch) -> list:
     """Make every _accelerator_profile call also run the oracle and require
     equal bits.  Returns the (tile, samples) of each call, as it is made."""
@@ -590,7 +656,9 @@ def _check_profiles_against_oracle(monkeypatch) -> list:
 
     def checked(t, tile, margin, period, *rest):
         got = tiled(t, tile, margin, period, *rest)
-        assert np.array_equal(got, oracle_accelerator_profile(t, period, *rest))
+        assert got[0].size == tile
+        assert np.array_equal(full_profile(t.size, *got),
+                              oracle_accelerator_profile(t, period, *rest))
         calls.append((tile, t.size))
         return got
 
@@ -607,6 +675,51 @@ def test_synth_profiles_match_full_length_oracle(monkeypatch, style):
     repeats = [tile < n for tile, n in calls]
     assert repeats
     assert not any(repeats) if style == "non-integral" else all(repeats)
+
+
+def assert_mod_exact(x, period):
+    got = trace_mod._mod_exact(x, period)
+    assert got.tobytes() == np.mod(x, period).tobytes()
+
+
+@pytest.mark.parametrize("period", [0.7, 0.8, 1.0 / 3.0, 15000.0])
+def test_mod_exact_matches_np_mod(period):
+    rng = np.random.default_rng(int(period * 3000))
+    k = np.concatenate((np.arange(0.0, 2000.0), rng.integers(0, 2**25, 2000)))
+    multiples = k * period
+    x = np.concatenate((
+        multiples,
+        np.nextafter(multiples, np.inf),
+        np.nextafter(multiples, 0.0),
+        [0.0, -0.0, 5e-324, period, np.nextafter(period, 0.0)],
+        rng.uniform(0.0, 2**25 * period, 5000),
+        rng.uniform(0.0, period, 500),
+    ))
+    assert_mod_exact(x, period)
+    for lo, hi in ((0, 200), (120_000, 120_200), (x.size - 300, x.size)):
+        assert_mod_exact(x[lo:hi], period)
+
+
+def test_mod_exact_falls_back_to_np_mod(monkeypatch):
+    # A quotient of 2**26 - 1 or more, whose successor needs 27 bits,
+    # leaves too few bits of the period for exact products, and a negative
+    # x breaks the quotient bound: both go through np.mod.
+    calls = []
+    mod = np.mod
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mod(*args, **kwargs)
+
+    monkeypatch.setattr(np, "mod", counted)
+    period = 0.7
+    below = np.array([0.0, (2**26 - 2) * period, np.nextafter((2**26 - 2) * period, 0.0)])
+    above = np.array([0.0, 2**26 * period, np.nextafter(2**26 * period, np.inf)])
+    for x, fallback in ((below, False), (above, True), (np.array([1.0, -0.5]), True)):
+        calls.clear()
+        got = trace_mod._mod_exact(x, period)
+        assert bool(calls) == fallback
+        assert got.tobytes() == mod(x, period).tobytes()
 
 
 # (samples, dt, period, burst_s, phase).  In each, a margin that does
@@ -628,8 +741,8 @@ def test_tiled_profile_margin_covers_drift(n, dt, period, burst_s, phase):
     t = np.arange(n) * dt
     tile, margin = trace_mod._cycle_tile(t, dt, period)
     assert tile == round(period / dt) < n
-    got = trace_mod._accelerator_profile(t, tile, margin, period, burst_s,
-                                         700.0, 295.0, 80.0, phase)
+    got = full_profile(n, *trace_mod._accelerator_profile(
+        t, tile, margin, period, burst_s, 700.0, 295.0, 80.0, phase))
     want = oracle_accelerator_profile(t, period, burst_s, 700.0, 295.0, 80.0, phase)
     assert np.array_equal(got, want)
 
