@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from itertools import repeat
 
 import numpy as np
 
-from ._textio import (check_finite, check_json_fields, is_number, plain, plain_float,
+from ._textio import (check_finite, check_json_fields, is_number, plain_float,
                       read_json_object, read_package_data, read_text,
                       write_columns_csv, write_json)
 
@@ -74,10 +73,15 @@ class PowerTrace:
             raise ValueError(f"dt_s must be positive and finite, got {self.dt_s}")
         if not (self.rack_max_w > 0.0 and math.isfinite(self.rack_max_w)):
             raise ValueError(f"rack_max_w must be positive and finite, got {self.rack_max_w}")
-        # write_trace puts the label on one '# label=' line.
+        if not math.isfinite(self.origin_time_s):
+            raise ValueError(f"origin_time_s must be finite, got {self.origin_time_s}")
+        # write_trace puts the label on one '# label=' line, whose value
+        # load_trace strips.
         label = self.source_label
-        if not isinstance(label, str) or label.splitlines() not in ([], [label]):
-            raise ValueError(f"source_label must be text with no line break, got {label!r}")
+        if (not isinstance(label, str) or label.splitlines() not in ([], [label])
+                or label != label.strip()):
+            raise ValueError("source_label must be text with no line break and no "
+                             f"outer blanks, got {label!r}")
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
@@ -168,11 +172,53 @@ def _parse_lines(lines: list, lineno: int, meta: dict, header_seen: bool):
 # held at once.
 _PARSE_BLOCK_CHARS = 1 << 18
 
+# The bytes a data row may hold besides its one ',' and its line end: the
+# characters of a finite number, and the blanks float() strips.
+_ROW_FILL = b"0123456789.eE+- \t"
 
-def _parse_block(chunk: str, lines: list, meta: dict, header_seen: bool):
-    """_parse_lines' result for the lines of chunk from array code, or None
-    where a line breaks a rule.  float() runs once per time token and once
-    per distinct power token."""
+
+def _parse_rows(text: str):
+    """(t, p) of the data rows of text, each ended by '\n', from array code,
+    or None where a row breaks a rule.
+
+    With _ROW_FILL deleted, the bytes of text must be ',\n' once per row,
+    so every row holds one ',' and keeps the number rule (ASCII, no '_').
+    float() runs once per time token and once per distinct power token."""
+    if not text.isascii():
+        return None
+    marks = text.encode("ascii").translate(None, _ROW_FILL)
+    n = len(marks) // 2
+    if marks != b",\n" * n:
+        return None
+    tokens = text.replace("\n", ",").split(",")
+    tokens.pop()
+    try:
+        t = np.fromiter(map(float, tokens[0::2]), np.float64, n)
+        distinct = dict.fromkeys(tokens[1::2])
+        distinct = dict(zip(distinct, map(float, distinct)))
+    except ValueError:
+        return None
+    p = np.fromiter(map(distinct.__getitem__, tokens[1::2]), np.float64, n)
+    if not (np.isfinite(t).all() and np.isfinite(p).all()) or (p < 0.0).any():
+        return None
+    return t, p
+
+
+def _parse_block(chunk: str, meta: dict, header_seen: bool):
+    """(t, p, header_seen, line count) of the lines of chunk from array
+    code, or None where a line breaks a rule.  Reads their metadata into
+    meta.
+
+    After the header, a block of data rows alone goes to _parse_rows as it
+    stands.  Its line count is its row count: it holds no line break but
+    '\n'.  Any other block is split into lines, counted as splitlines()
+    counts them; its comments, blank lines, header and outer blanks are
+    taken out, and its rows go to _parse_rows, joined."""
+    if header_seen:
+        parsed = _parse_rows(chunk if chunk.endswith("\n") else chunk + "\n")
+        if parsed is not None:
+            return *parsed, True, parsed[0].size
+    lines = chunk.splitlines()
     rows = list(map(str.strip, lines))
     if "#" in chunk:
         # A bad metadata value is reported by _parse_lines, which knows
@@ -190,19 +236,8 @@ def _parse_block(chunk: str, lines: list, meta: dict, header_seen: bool):
             return None
         header_seen = True
         del rows[0]
-    if list(map(str.count, rows, repeat(","))).count(1) != len(rows):
-        return None
-    try:
-        tokens = plain(",".join(rows)).split(",") if rows else []
-        t = np.fromiter(map(float, tokens[0::2]), np.float64, len(rows))
-        distinct = dict.fromkeys(tokens[1::2])
-        distinct = dict(zip(distinct, map(float, distinct)))
-    except ValueError:
-        return None
-    p = np.fromiter(map(distinct.__getitem__, tokens[1::2]), np.float64, len(rows))
-    if not (np.isfinite(t).all() and np.isfinite(p).all()) or (p < 0.0).any():
-        return None
-    return t, p, header_seen
+    parsed = _parse_rows("\n".join(rows) + "\n" if rows else "")
+    return parsed and (*parsed, header_seen, len(lines))
 
 
 def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
@@ -215,8 +250,10 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     when the file carries no metadata.  Every number keeps _textio's number
     rule.
 
-    The text is parsed in blocks of lines by array code; only a block with
-    a bad line is read again line by line, which names the first such line.
+    The text is parsed in blocks of lines by array code (_parse_block); a
+    block of data rows alone is parsed as it stands, without splitting it
+    into lines.  Only a block with a bad line is read again line by line,
+    which names the first such line.
     """
     raw = read_text(source)
     meta: dict = {}
@@ -229,11 +266,13 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
         end = raw.find("\n", pos + _PARSE_BLOCK_CHARS) + 1 or len(raw)
         chunk = raw[pos:end]
         pos = end
-        lines = chunk.splitlines()
-        t, p, header_seen = (_parse_block(chunk, lines, meta, header_seen)
-                             or _parse_lines(lines, lineno, meta, header_seen))
+        block = _parse_block(chunk, meta, header_seen)
+        if block is None:
+            lines = chunk.splitlines()
+            block = *_parse_lines(lines, lineno, meta, header_seen), len(lines)
+        t, p, header_seen, n_lines = block
         blocks.append((t, p))
-        lineno += len(lines)
+        lineno += n_lines
 
     if not header_seen:
         raise TraceFormatError("missing 'timestamp_s,power_w' header")

@@ -56,7 +56,25 @@ def test_trace_refuses_label_with_line_break(label):
         make_trace([1.0, 2.0], label=label)
 
 
-@pytest.mark.parametrize("label", ["", "a\tb", "rack_7 Zürich ⚡ ١٢", "x=y, #z"])
+@pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+def test_trace_refuses_non_finite_origin(origin):
+    # write_trace would write rows such as 'nan,1.0', which load_trace
+    # refuses.
+    with pytest.raises(ValueError, match="origin_time_s"):
+        ps.PowerTrace(dt_s=0.5, samples=np.array([1.0, 2.0]), rack_max_w=10.0,
+                      origin_time_s=origin)
+
+
+@pytest.mark.parametrize("label", [" a ", "a ", "\ta", "a\u3000", "\xa0a", "a\x1f"])
+def test_trace_refuses_label_with_outer_blanks(label):
+    # load_trace strips the '# label=' value, so these would load back
+    # changed.
+    with pytest.raises(ValueError, match="source_label"):
+        make_trace([1.0, 2.0], label=label)
+
+
+@pytest.mark.parametrize("label", ["", "a\tb", "rack_7 Zürich ⚡ ١٢", "x=y, #z",
+                                   "a b", "=", "# label=x", "a\x1fb"])
 def test_label_write_load_round_trip(label):
     tr = make_trace([1.0, 2.0], label=label)
     buf = io.StringIO()
@@ -348,6 +366,93 @@ def test_load_trace_matches_per_line_oracle(monkeypatch, block_chars):
         assert got.rack_max_w == want.rack_max_w
     # Both verdicts are well represented.
     assert accepted >= 80 and rejected >= 80, (accepted, rejected)
+
+
+def _data_rows(n: int, start: int = 0) -> list:
+    """Data rows k = start .. start + n - 1 of a 5 ms trace, one a line."""
+    return [f"{k * 0.005!r},{300.0 + k % 7!r}" for k in range(start, start + n)]
+
+
+def _joined(lines, endings=None) -> str:
+    """lines joined, each ended by endings[i] ('\n' where not given)."""
+    endings = endings or {}
+    return "".join(line + endings.get(i, "\n") for i, line in enumerate(lines))
+
+
+_HEAD = ["# rack_max_w=1000.0", "timestamp_s,power_w"]
+
+
+@pytest.mark.parametrize("blank, last_ending", [(True, "\n"), (False, ""), (True, "")])
+def test_load_data_blocks_on_array_path(monkeypatch, blank, last_ending):
+    # Blocks of data rows alone after the header, one with a blank line,
+    # the last with or without a line end, all read by array code.
+    lines = _HEAD + _data_rows(60)
+    if blank:
+        lines.insert(40, "")
+    text = _joined(lines, {len(lines) - 1: last_ending})
+    want = oracle_load_trace(text)
+    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 64)
+    monkeypatch.setattr(trace_mod, "_parse_lines", None)
+    got = ps.load_trace(io.StringIO(text))
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.origin_time_s == want.origin_time_s and got.dt_s == want.dt_s
+
+
+@pytest.mark.parametrize("block_chars", [None, 64])
+@pytest.mark.parametrize("pair", [("0.1", "0.105,1,2"), ("0.1,1,2", "0.105")])
+def test_load_refuses_missing_comma_beside_extra_comma(monkeypatch, block_chars, pair):
+    # The two rows hold as many commas as line ends between them; each
+    # row must hold one.
+    lines = _HEAD + _data_rows(20) + list(pair) + _data_rows(20, start=22)
+    text = _joined(lines)
+    assert trace_mod._parse_rows("\n".join(pair) + "\n") is None
+    if block_chars is not None:
+        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+    with pytest.raises(TraceFormatError) as err:
+        ps.load_trace(io.StringIO(text))
+    assert str(err.value) == f"line 23: expected 2 fields, got {pair[0].count(',') + 1}"
+
+
+@pytest.mark.parametrize("block_chars", [None, 64, 100])
+def test_load_names_bad_row_after_crlf_and_comment_blocks(monkeypatch, block_chars):
+    # Prepared blocks (CRLF and CR line ends, a comment, a blank line)
+    # count lines as splitlines() does, and data-only blocks by their rows,
+    # so a bad row further on is named at its own line.
+    lines = _HEAD + _data_rows(100)
+    endings = {i: "\r\n" for i in range(10, 30)} | {i: "\r" for i in range(35, 38)}
+    lines[45:45] = ["# note=1", ""]
+    bad = 90
+    lines[bad] = "0.44,x"
+    text = _joined(lines, endings)
+    with pytest.raises(TraceFormatError) as want:
+        oracle_load_trace(text)
+    assert str(want.value) == f"line {bad + 1}: non-numeric row '0.44,x'"
+    if block_chars is not None:
+        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+    with pytest.raises(TraceFormatError) as err:
+        ps.load_trace(io.StringIO(text))
+    assert str(err.value) == str(want.value)
+
+
+@pytest.mark.parametrize("block_chars", [None, 8])
+@pytest.mark.parametrize("row, message", [
+    # float() refuses '1\x1f', though str.strip() and numpy's text readers
+    # take '\x1f' for a blank.
+    ("1\x1f,2", "non-numeric row '1\\x1f,2'"),
+    # Tokens of number characters alone that float() reads as infinite.
+    ("1e999,2", "non-finite row '1e999,2'"),
+    ("1,1e999", "non-finite row '1,1e999'"),
+    ("1,-0.5", "negative power -0.5"),
+])
+def test_load_refuses_row_as_oracle_does(monkeypatch, block_chars, row, message):
+    text = f"# rack_max_w=1000\ntimestamp_s,power_w\n0,1\n{row}\n2,3\n"
+    with pytest.raises(ValueError) as want:
+        oracle_load_trace(text)
+    if block_chars is not None:
+        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+    with pytest.raises(want.type) as err:
+        ps.load_trace(io.StringIO(text))
+    assert str(err.value) == str(want.value) == f"line 4: {message}"
 
 
 # ---------------------------------------------------------------------------
