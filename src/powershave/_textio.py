@@ -1,5 +1,5 @@
-"""Text I/O shared by every powershave file format, and the field checks
-shared by the config dataclasses and their JSON loaders.
+"""Text I/O shared by every powershave file format, the one JSON codec of
+the config dataclasses, and the field rule those dataclasses keep.
 
 Every writer has the shape writer(obj, dest), and every trace or config
 loader takes a source; dest and source are a path or a stream, and
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, fields
+import numbers
+from dataclasses import MISSING, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -138,50 +139,23 @@ def plain_numbers(fields, what: str, kind=plain_float, first: int = 1) -> tuple:
     return tuple(values)
 
 
-def read_json_object(source, what: str, error=ValueError) -> dict:
-    """The JSON object in source (see read_text).  Raises error, naming
-    what, for text that is not JSON or whose value is not an object."""
+def read_json_object(source, what: str) -> dict:
+    """The JSON object in source (see read_text).  Raises ValueError,
+    naming what, for text that is not JSON or whose value is not an
+    object."""
     try:
         data = json.loads(read_text(source))
     except json.JSONDecodeError as exc:
-        raise error(f"bad {what} JSON: {exc}") from None
+        raise ValueError(f"bad {what} JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise error(f"{what} must be a JSON object")
+        raise ValueError(f"{what} must be a JSON object")
     return data
-
-
-def is_number(value) -> bool:
-    """True for a JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:      # an int beyond the float range
-        return False
-
-
-def check_finite(obj) -> None:
-    """Raise ValueError naming the first float field of the dataclass obj
-    that holds NaN, an infinity or an int too large for a float, and store
-    an int held in a float field as float(int), so that equal configs
-    write equal bytes.  NaN passes every one-sided bound, so each config
-    dataclass calls this before its own checks."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in ("float", "float | None") and value is not None:
-            if not _is_finite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if isinstance(value, int):
-                object.__setattr__(obj, f.name, float(value))
 
 
 def check_json_fields(cls, data: dict, what: str) -> None:
     """Raise ValueError naming the fields of a JSON object that the
-    dataclass cls does not declare or requires and lacks, or the first
-    field whose value is not the JSON number its annotation asks for.
-    Finiteness is the dataclass's own check."""
+    dataclass cls does not declare, or requires and lacks.  Their values
+    are the dataclass's own check."""
     declared = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(declared)
     if unknown:
@@ -190,10 +164,65 @@ def check_json_fields(cls, data: dict, what: str) -> None:
                if f.default is MISSING and f.default_factory is MISSING} - set(data)
     if missing:
         raise ValueError(f"missing {what} fields: {sorted(missing)}")
-    for name, value in data.items():
-        kind = declared[name].type
-        if kind == "int" and not (is_number(value) and isinstance(value, int)):
-            raise ValueError(f"{what} field {name!r} must be an integer, got {value!r}")
-        if kind == "float" or (kind == "float | None" and value is not None):
-            if not is_number(value):
-                raise ValueError(f"{what} field {name!r} must be a number, got {value!r}")
+
+
+def _config(cls, data: dict, what: str):
+    check_json_fields(cls, data, what)
+    data = dict(data)
+    for f in fields(cls):
+        if is_dataclass(f.default) and f.name in data:
+            if not isinstance(data[f.name], dict):
+                raise ValueError(f"{f.name} must be a JSON object")
+            data[f.name] = _config(type(f.default), data[f.name], f.name)
+    return cls(**data)
+
+
+def read_config(cls, source, what: str):
+    """The config dataclass cls from the JSON object in source, in the form
+    write_config writes.  A field that the object lacks takes its default;
+    an unknown field, a missing required one or a value the dataclass
+    refuses raises ValueError naming it."""
+    return _config(cls, read_json_object(source, what), what)
+
+
+def _config_dict(obj) -> dict:
+    return {f.name: _config_dict(value) if is_dataclass(value) else value
+            for f in fields(obj) if (value := getattr(obj, f.name)) is not None}
+
+
+def write_config(obj, dest, sort_keys: bool = True) -> None:
+    """The fields of the config dataclass obj as a JSON object; a field
+    that holds a config is a nested object, and a field that holds None
+    is left out, so a ThresholdSpec holds only its set field."""
+    write_json(_config_dict(obj), dest, sort_keys)
+
+
+def number_field(name: str, value, kind=float):
+    """value as a Python kind (int or float): an integral number for int, a
+    finite real number for float, never a bool.  Raises ValueError naming
+    name otherwise."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    try:
+        number = kind(value)
+        finite = kind is int or math.isfinite(number)
+    except OverflowError:      # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def check_fields(obj) -> None:
+    """Hold every int and float field of the config dataclass obj to
+    number_field and store the Python number it returns, so that equal
+    configs write equal bytes; a float | None field may also hold None.
+    NaN passes every one-sided bound, so each config dataclass calls this
+    before its own checks."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", "float") or f.type == "float | None" and value is not None:
+            kind = int if f.type == "int" else float
+            object.__setattr__(obj, f.name, number_field(f.name, value, kind))

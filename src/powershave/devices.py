@@ -33,10 +33,9 @@ at soc_max_frac.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
-from ._textio import (check_finite, check_json_fields, read_json_object,
-                      read_package_data, write_json)
+from ._textio import check_fields, read_config, read_package_data, write_config
 
 __all__ = [
     "BUILTIN_DEVICE_NAMES",
@@ -84,7 +83,7 @@ class DeviceSpec:
     soc_max_frac: float = 1.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.kind not in DEVICE_KINDS:
             raise ValueError(f"kind must be one of {DEVICE_KINDS}, got {self.kind!r}")
         if not (self.energy_capacity_j > 0.0):
@@ -262,15 +261,11 @@ def device_halves(spec: DeviceSpec, dt: float):
 def write_device_spec(spec: DeviceSpec, dest) -> None:
     """The spec's fields in declaration order, as the shipped presets list
     them."""
-    write_json(asdict(spec), dest, sort_keys=False)
+    write_config(spec, dest, sort_keys=False)
 
 
 def load_device_spec(source) -> DeviceSpec:
-    data = read_json_object(source, "device spec")
-    if "kind" not in data:
-        raise ValueError("device spec missing 'kind'")
-    check_json_fields(DeviceSpec, data, "device spec")
-    return DeviceSpec(**data)
+    return read_config(DeviceSpec, source, "device spec")
 
 
 def builtin_device_spec(name: str) -> DeviceSpec:

@@ -61,12 +61,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._textio import (check_finite, check_json_fields, read_json_object,
-                      write_columns_csv, write_json)
+from ._textio import (check_fields, read_config, write_columns_csv, write_config,
+                      write_json)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .devices import DeviceSpec, device_halves, init_state
@@ -119,7 +119,7 @@ class SimConfig:
     thermal_ref_power_w: float = 140000.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if not isinstance(self.threshold, ThresholdSpec):
             raise ValueError("threshold must be a ThresholdSpec")
         if self.p_infra_w < 0.0:
@@ -152,22 +152,11 @@ class SimConfig:
 
 def write_sim_config(config: SimConfig, dest) -> None:
     """Sorted fields; the threshold holds only the field that is set."""
-    d = asdict(config)
-    d["threshold"] = {k: v for k, v in d["threshold"].items() if v is not None}
-    write_json(d, dest)
+    write_config(config, dest)
 
 
 def load_sim_config(source) -> SimConfig:
-    data = read_json_object(source, "sim config")
-    check_json_fields(SimConfig, data, "sim config")
-    data = dict(data)
-    if "threshold" in data:
-        thr = data["threshold"]
-        if not isinstance(thr, dict):
-            raise ValueError("threshold must be an object")
-        check_json_fields(ThresholdSpec, thr, "threshold")
-        data["threshold"] = ThresholdSpec(**thr)
-    return SimConfig(**data)
+    return read_config(SimConfig, source, "sim config")
 
 
 def thermal_step(temp_c: float, heat_input_w: float, config: SimConfig,
@@ -673,22 +662,12 @@ def _gpus_saved_grid(trace: PowerTrace, threshold_fracs, min_bursts_s,
 # ---------------------------------------------------------------------------
 
 def result_summary_dict(result: ShavingResult) -> dict:
-    return {
-        "strategy": result.strategy,
-        "threshold_w": result.threshold_w,
-        "dt_s": result.dt_s,
-        "rack_max_w": result.rack_max_w,
-        "n_steps": result.n_steps,
-        "total_dummy_energy_j": result.total_dummy_energy_j,
-        "total_unserved_energy_j": result.total_unserved_energy_j,
-        "curtailed_gpu_seconds": result.curtailed_gpu_seconds,
-        "unserved_spike_count": result.unserved_spike_count,
-        "device_energy_throughput_j": result.device_energy_throughput_j,
-        "final_stored_j": result.final_stored_j,
-        "peak_grid_w": result.peak_grid_w,
-        "ramp_violation_count": result.ramp_violation_count,
-        "useful_compute_j": useful_compute_j(result),
-    }
+    """ShavingResult's scalar fields and the figures derived from its
+    series: a new summary figure is a new scalar field."""
+    names = [f.name for f in fields(result) if f.type in ("str", "float", "int")]
+    names += ["n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count"]
+    return {name: getattr(result, name) for name in names} | {
+        "useful_compute_j": useful_compute_j(result)}
 
 
 def write_result_csv(result: ShavingResult, dest) -> None:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 
 import numpy as np
 
-from ._textio import check_finite, write_json, write_text
+from ._textio import check_fields, write_json, write_text
 from .trace import PowerTrace
 
 __all__ = [
@@ -39,7 +39,7 @@ class ThresholdSpec:
     fraction_of_max: float | None = None
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         has_abs = self.absolute_w is not None
         has_frac = self.fraction_of_max is not None
         if has_abs == has_frac:
@@ -212,16 +212,7 @@ def write_spikes_csv(spikes: list[Spike], dest) -> None:
 
 
 def stats_to_dict(stats: SpikeStats) -> dict:
-    return {
-        "count": stats.count,
-        "duration_percentiles": dict(stats.duration_percentiles),
-        "frac_leq_100ms": stats.frac_leq_100ms,
-        "energy_bin_edges": list(stats.energy_bin_edges),
-        "energy_counts": list(stats.energy_counts),
-        "energy_mean_j": stats.energy_mean_j,
-        "peak_frac_quantiles": dict(stats.peak_frac_quantiles),
-        "empty": stats.empty,
-    }
+    return asdict(stats)
 
 
 def write_stats_json(stats: SpikeStats, dest) -> None:

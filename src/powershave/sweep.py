@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -190,12 +190,8 @@ def write_grid_csv(grid: SweepGrid, dest) -> None:
 
 
 def write_grid_json(grid: SweepGrid, dest) -> None:
-    write_json({
-        "trace_label": grid.trace_label,
-        "threshold_fracs": list(grid.threshold_fracs),
-        "burst_lengths_s": list(grid.burst_lengths_s),
-        "values": [[int(v) for v in row] for row in grid.values],
-    }, dest)
+    """SweepGrid's fields, the values as nested lists."""
+    write_json(dict(asdict(grid), values=grid.values.tolist()), dest)
 
 
 def load_grid_json(source, trace_label=None) -> SweepGrid:

@@ -17,13 +17,13 @@ floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import (check_finite, check_json_fields, is_number, plain_float,
-                      read_json_object, read_package_data, read_text,
-                      write_columns_csv, write_json)
+from ._textio import (check_fields, number_field, plain_float, read_config,
+                      read_package_data, read_text, write_columns_csv,
+                      write_config)
 
 __all__ = [
     "TraceFormatError",
@@ -209,12 +209,14 @@ def _parse_block(chunk: str, meta: dict, header_seen: bool):
     code, or None where a line breaks a rule.  Reads their metadata into
     meta.
 
-    After the header, a block of data rows alone goes to _parse_rows as it
-    stands.  Its line count is its row count: it holds no line break but
-    '\n'.  Any other block is split into lines, counted as splitlines()
-    counts them; its comments, blank lines, header and outer blanks are
-    taken out, and its rows go to _parse_rows, joined."""
-    if header_seen:
+    After the header, a block that holds no '\r' and no '#' goes to
+    _parse_rows as it stands: if that takes it, it holds data rows alone
+    and no line break but '\n', so its line count is its row count.  The
+    two scans cost far less than an attempt thrown away.  Any other block
+    is split into lines, counted as splitlines() counts them; its comments,
+    blank lines, header and outer blanks are taken out, and its rows go to
+    _parse_rows, joined."""
+    if header_seen and "\r" not in chunk and "#" not in chunk:
         parsed = _parse_rows(chunk if chunk.endswith("\n") else chunk + "\n")
         if parsed is not None:
             return *parsed, True, parsed[0].size
@@ -487,12 +489,16 @@ class SynthConfig:
     dt_s: float
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.n_accelerators < 1:
             raise ValueError("n_accelerators must be at least 1")
         if not (self.iteration_period_s > 0.0):
             raise ValueError("iteration_period_s must be positive")
-        lo, hi = self.burst_duration_s
+        pair = self.burst_duration_s
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"burst_duration_s must be a (low, high) pair, got {pair!r}")
+        lo, hi = (number_field("burst_duration_s", v) for v in pair)
+        object.__setattr__(self, "burst_duration_s", (lo, hi))
         if not (0.0 < lo <= hi):
             raise ValueError(f"burst_duration_s range must satisfy 0 < low <= high, got {self.burst_duration_s}")
         if hi >= self.iteration_period_s:
@@ -506,7 +512,7 @@ class SynthConfig:
             raise ValueError(f"jitter_frac must be in [0, 1), got {self.jitter_frac}")
         if self.inference_rate_hz < 0.0:
             raise ValueError("inference_rate_hz must be non-negative")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if not (self.dt_s > 0.0):
             raise ValueError("dt_s must be positive")
@@ -517,7 +523,6 @@ class SynthConfig:
         if self.duration_s / self.dt_s < 1.5:
             raise ValueError(f"dt_s ({self.dt_s!r}) must leave at least two samples "
                              f"in duration_s ({self.duration_s!r})")
-        object.__setattr__(self, "burst_duration_s", (float(lo), float(hi)))
 
     @property
     def rack_max_w(self) -> float:
@@ -527,19 +532,11 @@ class SynthConfig:
 def write_synth_config(config: SynthConfig, dest) -> None:
     """The fields in declaration order, unsorted: the synth manifest's
     config digest pins these bytes."""
-    write_json(asdict(config), dest, sort_keys=False)
+    write_config(config, dest, sort_keys=False)
 
 
 def load_synth_config(source) -> SynthConfig:
-    data = read_json_object(source, "synth config", TraceFormatError)
-    check_json_fields(SynthConfig, data, "synth config")
-    data = dict(data)
-    bd = data["burst_duration_s"]
-    if not (isinstance(bd, (list, tuple)) and len(bd) == 2
-            and all(is_number(v) and math.isfinite(v) for v in bd)):
-        raise ValueError("burst_duration_s must be a [low, high] pair of finite numbers")
-    data["burst_duration_s"] = (float(bd[0]), float(bd[1]))
-    return SynthConfig(**data)
+    return read_config(SynthConfig, source, "synth config")
 
 
 # Shape constants of the generated workload.  The idle tail models the

@@ -10,6 +10,7 @@ Every command-line test should start the program through run_cli(), which
 runs ``python -m powershave`` on the same package this suite imported.
 """
 
+import dataclasses
 import io
 import os
 import subprocess
@@ -117,6 +118,32 @@ def run_cli(args, cwd, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "powershave", *args],
                           cwd=str(cwd), env=env, capture_output=True, text=True)
+
+
+def written(write, obj) -> str:
+    """The text write(obj, stream) writes."""
+    buf = io.StringIO()
+    write(obj, buf)
+    return buf.getvalue()
+
+
+def _numpy_number(value):
+    if isinstance(value, tuple):
+        return tuple(map(_numpy_number, value))
+    if dataclasses.is_dataclass(value):
+        return with_numpy_numbers(value)
+    if type(value) is int:
+        return np.int64(value)
+    if type(value) is float:
+        return np.float32(value) if float(np.float32(value)) == value else np.float64(value)
+    return value
+
+
+def with_numpy_numbers(config):
+    """config rebuilt with every int as np.int64 and every float as
+    np.float32 where that holds it exactly, else as np.float64."""
+    return dataclasses.replace(config, **{
+        f.name: _numpy_number(getattr(config, f.name)) for f in dataclasses.fields(config)})
 
 
 # Criterion 8's synth config: 45 s at 5 ms, seed 99.  Its trace is the

@@ -15,13 +15,17 @@ Covers:
 import io
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import powershave as ps
-from powershave.devices import (DeviceSpec, builtin_device_spec, device_step,
-                                init_state, load_device_spec, write_device_spec)
+from powershave.devices import (BUILTIN_DEVICE_NAMES, DeviceSpec, builtin_device_spec,
+                                device_step, init_state, load_device_spec,
+                                write_device_spec)
+
+from conftest import with_numpy_numbers, written
 
 
 def passive_spec(**overrides):
@@ -318,6 +322,44 @@ def test_spec_stream_round_trip():
     write_device_spec(spec, buf)
     back = load_device_spec(io.StringIO(buf.getvalue()))
     assert back == spec
+
+
+def test_spec_of_numpy_numbers_writes_python_bytes():
+    spec = battery_spec()
+    as_numpy = with_numpy_numbers(spec)
+    assert type(as_numpy.energy_capacity_j) is float
+    assert written(write_device_spec, as_numpy) == written(write_device_spec, spec)
+
+
+def _random_spec(rng, kind):
+    soc_min = rng.uniform(0.0, 0.5)
+    passive = kind != "battery"
+    return DeviceSpec(
+        kind=kind, energy_capacity_j=rng.uniform(1.0, 1e8),
+        max_discharge_w=rng.uniform(1.0, 1e6), max_charge_w=rng.uniform(0.0, 1e6),
+        response_tau_s=rng.uniform(0.0, 2.0) if passive else 0.0,
+        switch_latency_s=0.0 if passive else rng.uniform(0.0, 2.0),
+        round_trip_efficiency=1.0 if passive else 1.0 - 0.5 * rng.random(),
+        soc_min_frac=soc_min, soc_max_frac=rng.uniform(soc_min + 0.01, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["capacitor", "supercapacitor", "battery"])
+def test_random_specs_round_trip(kind):
+    rng = np.random.default_rng(2103)
+    for _ in range(50):
+        spec = _random_spec(rng, kind)
+        text = written(write_device_spec, spec)
+        back = load_device_spec(io.StringIO(text))
+        assert back == spec
+        assert written(write_device_spec, back) == text
+
+
+@pytest.mark.parametrize("name", BUILTIN_DEVICE_NAMES)
+def test_packaged_presets_are_the_writers_bytes(name):
+    raw = (resources.files("powershave") / "data" / f"{name}.json").read_bytes()
+    buf = io.BytesIO()
+    write_device_spec(load_device_spec(io.BytesIO(raw)), buf)
+    assert buf.getvalue() == raw
 
 
 def test_builtin_presets_exist_and_validate():

@@ -29,7 +29,8 @@ import powershave as ps
 from powershave import SimConfig, ThresholdSpec
 from powershave.devices import builtin_device_spec
 
-from conftest import SHORT_SYNTH_CONFIG, loose_config, make_trace, run_sim
+from conftest import (SHORT_SYNTH_CONFIG, loose_config, make_trace, run_sim,
+                      with_numpy_numbers, written)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,49 @@ def test_int_in_float_field_writes_float_bytes():
     assert text(as_int) == text(as_float)
     assert type(as_int.p_infra_w) is float
     assert type(as_int.threshold.absolute_w) is float
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SimConfig(p_infra_w="abc"), "p_infra_w"),
+    (lambda: ThresholdSpec(absolute_w="9e4"), "absolute_w"),
+    (lambda: SimConfig(gpu_unit_w=True), "gpu_unit_w"),
+], ids=["p_infra_w", "absolute_w", "gpu_unit_w"])
+def test_config_refuses_wrong_type_by_name(make, field):
+    # A Python caller meets the rule the JSON loader keeps.
+    with pytest.raises(ValueError, match=f"^{field} must be a number"):
+        make()
+
+
+def test_config_of_numpy_numbers_writes_python_bytes():
+    cfg = SimConfig(threshold=ThresholdSpec(absolute_w=91000.0))
+    as_numpy = with_numpy_numbers(cfg)
+    assert type(as_numpy.p_infra_w) is float and type(as_numpy.threshold.absolute_w) is float
+    assert written(ps.write_sim_config, as_numpy) == written(ps.write_sim_config, cfg)
+
+
+def _random_sim_config(rng, absolute):
+    ambient = rng.uniform(-20.0, 40.0)
+    threshold = (ThresholdSpec(absolute_w=rng.uniform(1.0, 1e6)) if absolute
+                 else ThresholdSpec(fraction_of_max=1.0 - rng.random()))
+    return SimConfig(
+        threshold=threshold, p_infra_w=rng.uniform(0.0, 1e5),
+        grid_ramp_limit_w_per_s=rng.uniform(1.0, 1e6), restart_penalty_s=rng.uniform(0.0, 100.0),
+        gpu_unit_w=rng.uniform(1.0, 2000.0), heat_factor=rng.uniform(0.1, 3.0),
+        thermal_tau_s=rng.uniform(1.0, 500.0), t_ambient_c=ambient,
+        t_max_c=ambient + rng.uniform(1.0, 80.0), t_derate_c=ambient + rng.uniform(0.0, 80.0),
+        derate_slope_per_c=rng.uniform(0.0, 0.1), thermal_ref_power_w=rng.uniform(1.0, 1e6))
+
+
+def test_random_configs_round_trip_with_both_threshold_forms():
+    rng = np.random.default_rng(2102)
+    for k in range(100):
+        cfg = _random_sim_config(rng, absolute=k % 2 == 0)
+        text = written(ps.write_sim_config, cfg)
+        back = ps.load_sim_config(io.StringIO(text))
+        assert back == cfg
+        assert written(ps.write_sim_config, back) == text
+        assert list(json.loads(text)["threshold"]) == (
+            ["absolute_w"] if k % 2 == 0 else ["fraction_of_max"])
 
 
 def test_config_defaults_sane():
@@ -523,6 +567,19 @@ def test_none_strategy_uses_no_device(preset_results):
 # ---------------------------------------------------------------------------
 # 9. Export formats
 # ---------------------------------------------------------------------------
+
+def test_summary_is_scalar_fields_plus_derived_figures():
+    tr = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)
+    r = run_sim(tr, "none", loose_config(threshold=ThresholdSpec(absolute_w=600.0)))
+    series = {"config", "ramp_violation_steps", *ps.shaving._SERIES_NAMES}
+    scalars = {f.name for f in dataclasses.fields(ps.ShavingResult)} - series
+    assert all(isinstance(getattr(r, name), (str, int, float)) for name in scalars)
+    derived = {"n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count",
+               "useful_compute_j"}
+    summary = ps.result_summary_dict(r)
+    assert set(summary) == scalars | derived
+    assert all(summary[name] == getattr(r, name) for name in scalars)
+
 
 def test_result_csv_layout():
     tr = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)

@@ -12,6 +12,7 @@ Covers:
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import powershave as ps
 from powershave import CorruptTraceError, TraceFormatError
 from powershave import trace as trace_mod
 
-from conftest import make_trace
+from conftest import make_trace, with_numpy_numbers, written
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +397,30 @@ def test_load_data_blocks_on_array_path(monkeypatch, blank, last_ending):
     got = ps.load_trace(io.StringIO(text))
     assert got.samples.tobytes() == want.samples.tobytes()
     assert got.origin_time_s == want.origin_time_s and got.dt_s == want.dt_s
+
+
+@pytest.mark.parametrize("copy", ["crlf", "comment every 100 rows"])
+def test_crlf_and_comment_blocks_offered_to_parse_rows_once(monkeypatch, copy):
+    # A block that holds '\r' or '#' goes straight to the line split: an
+    # attempt to parse it as it stands would be refused and thrown away.
+    lines = list(_HEAD)
+    for k, row in enumerate(_data_rows(2000)):
+        lines += [row, "# note"] if copy != "crlf" and k % 100 == 99 else [row]
+    text = _joined(lines, dict.fromkeys(range(len(lines)), "\r\n") if copy == "crlf" else None)
+    want = oracle_load_trace(text)
+    blocks, rows = [], []
+    parse_block, parse_rows = trace_mod._parse_block, trace_mod._parse_rows
+    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 4096)
+    monkeypatch.setattr(trace_mod, "_parse_lines", None)
+    monkeypatch.setattr(trace_mod, "_parse_block",
+                        lambda *args: blocks.append(args[0]) or parse_block(*args))
+    monkeypatch.setattr(trace_mod, "_parse_rows",
+                        lambda text: rows.append(text) or parse_rows(text))
+    got = ps.load_trace(io.StringIO(text))
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.origin_time_s == want.origin_time_s and got.dt_s == want.dt_s
+    assert len(blocks) >= 5 and all("\r" in b or "#" in b for b in blocks)
+    assert len(rows) == len(blocks)
 
 
 @pytest.mark.parametrize("block_chars", [None, 64])
@@ -891,6 +916,49 @@ def test_synth_config_unknown_field_rejected():
     doc["volts"] = 3.0
     with pytest.raises(ValueError):
         ps.load_synth_config(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_accelerators", 2.5), ("n_accelerators", True), ("n_accelerators", "3"),
+    ("burst_duration_s", ("a", "b")), ("burst_duration_s", 0.3),
+    ("burst_duration_s", (0.2, 0.3, 0.4)),
+])
+def test_synth_config_refuses_wrong_type_by_name(field, value):
+    # A Python caller meets the rule the JSON loader keeps.
+    with pytest.raises(ValueError, match=f"^{field} "):
+        replace(ps.DEFAULT_SYNTH_CONFIG, **{field: value})
+
+
+def test_synth_config_of_numpy_numbers_writes_python_bytes():
+    cfg = with_numpy_numbers(ps.DEFAULT_SYNTH_CONFIG)
+    assert cfg == ps.DEFAULT_SYNTH_CONFIG
+    assert type(cfg.n_accelerators) is int and type(cfg.burst_duration_s[0]) is float
+    assert (written(ps.write_synth_config, cfg)
+            == written(ps.write_synth_config, ps.DEFAULT_SYNTH_CONFIG))
+
+
+def _random_synth_config(rng):
+    period = rng.uniform(0.05, 5.0)
+    low = rng.uniform(0.001, 0.9) * period
+    burst = rng.uniform(100.0, 2000.0)
+    comm = rng.uniform(0.0, burst)
+    return ps.SynthConfig(
+        n_accelerators=int(rng.integers(1, 500)), iteration_period_s=period,
+        burst_duration_s=(low, rng.uniform(low, 0.99 * period)), burst_power_w=burst,
+        comm_power_w=comm, idle_power_w=rng.uniform(0.0, comm),
+        jitter_frac=rng.uniform(0.0, 1.0), inference_rate_hz=rng.uniform(0.0, 50.0),
+        seed=int(rng.integers(0, 2**63)), duration_s=period * rng.uniform(10.0, 1000.0),
+        dt_s=rng.uniform(1e-4, 0.01))
+
+
+def test_random_synth_configs_round_trip():
+    rng = np.random.default_rng(2101)
+    for _ in range(100):
+        cfg = _random_synth_config(rng)
+        text = written(ps.write_synth_config, cfg)
+        back = ps.load_synth_config(io.StringIO(text))
+        assert back == cfg
+        assert written(ps.write_synth_config, back) == text
 
 
 if __name__ == "__main__":
