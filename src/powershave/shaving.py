@@ -33,7 +33,13 @@ served energy in the computational-gain metric (the simulation itself
 never throttles).  Because nothing in the step loop reads the
 temperature, the node is integrated after the loop, over the finished
 served and dummy series, by _thermal_walk, which thermal_step runs for
-one step.
+one step.  simulate_shaving walks every step, as it exports the series.
+compare_strategies needs only the useful energy, so it first takes a
+proven upper bound on the node (_node_bound_c, a few array passes) and
+walks only where that bound passes t_derate_c: below it every de-rating
+factor is exactly 1.0 and the walk could change no bit of the energy.
+Both run one series pass, _simulate_series; simulate_shaving adds the
+ramp check, the curtailed GPU-seconds and the temperature series.
 
 Only the steps that can change state run as scalar code.  The ideal
 device delivers the whole deficit, so it is array code.  Every other
@@ -162,22 +168,117 @@ def load_sim_config(source) -> SimConfig:
 def thermal_step(temp_c: float, heat_input_w: float, config: SimConfig,
                  dt_s: float) -> float:
     """One explicit Euler step of the lumped rack thermal node."""
-    if dt_s <= 0.0:
-        raise ValueError("dt_s must be positive")
-    return _thermal_walk([heat_input_w], temp_c, config, dt_s)
+    if not dt_s > 0.0:
+        raise ValueError(f"dt_s must be positive, got {dt_s!r}")
+    if dt_s > config.thermal_tau_s:
+        # A longer explicit Euler step overshoots the steady state.
+        raise ValueError(f"dt_s must be at most thermal_tau_s "
+                         f"({config.thermal_tau_s!r} s), got {dt_s!r}")
+    if not (heat_input_w >= 0.0 and math.isfinite(heat_input_w)):
+        raise ValueError(f"heat_input_w must be finite and non-negative, "
+                         f"got {heat_input_w!r}")
+    return _thermal_walk([heat_input_w * config.k_scale_c_per_w], temp_c,
+                         config, dt_s)
 
 
-def _thermal_walk(heat_m, temp, config: SimConfig, dt: float) -> float:
+def _thermal_walk(g_m, temp, config: SimConfig, dt: float) -> float:
     """The only implementation of the thermal node: run it from temp over
-    a series of heat inputs, overwrite each input with the temperature at
-    the end of its step and return the last one."""
-    k_scale = config.k_scale_c_per_w
+    a series of inputs g = heat * k_scale_c_per_w (_node_input), overwrite
+    each input with the temperature at the end of its step and return the
+    last one."""
     t_amb = config.t_ambient_c
     tau = config.thermal_tau_s
-    for i, heat in enumerate(heat_m):
-        temp = temp + dt * (heat * k_scale - (temp - t_amb)) / tau
-        heat_m[i] = temp
+    for i, g in enumerate(g_m):
+        temp = temp + dt * (g - (temp - t_amb)) / tau
+        g_m[i] = temp
     return temp
+
+
+def _node_input(series: _Series, out: np.ndarray) -> np.ndarray:
+    """The thermal node's input of each step into out: the heat of served
+    compute plus dummy load, times k_scale_c_per_w, multiplied in the order
+    one thermal_step takes."""
+    config = series.config
+    np.add(series.p_comp_served, series.p_dummy, out=out)
+    out *= config.heat_factor
+    out *= config.k_scale_c_per_w
+    return out
+
+
+# Steps per block of _node_bound_c.
+_BOUND_BLOCK = 100
+# The unit roundoff of a double, its smallest normal and its smallest
+# subnormal number.
+_U = 2.0 ** -53
+_NORMAL_MIN = 2.0 ** -1022
+_SUBNORMAL_MIN = 2.0 ** -1074
+
+
+def _node_bound_c(g: np.ndarray, config: SimConfig, dt: float) -> float:
+    """An upper bound on every temperature _thermal_walk writes when it
+    runs over g from t_ambient_c, or inf where c = dt / thermal_tau_s is
+    not a normal number at most 1, or some g is negative or not finite.
+    It costs a few array passes and one scalar step per block of
+    L = _BOUND_BLOCK steps, against one scalar step per step for the walk.
+
+    Derivation.  With V = T - t_ambient_c, a step is
+    V <- (1 - c) V + c g, from V = 0.  With c <= 1 and every g >= 0, V
+    stays non-negative and (1 - c) V <= V.  So inside block b, which
+    starts with V <= U_b and whose inputs sum to S_b, every V is at most
+    U_b + c S_b, and the block ends with V <= (1 - c)**L U_b + c S_b =
+    U_{b+1} (U_0 = 0).  Then B = max over blocks of U_b + c S_b bounds
+    every V of the exact walk.
+
+    Rounding margin.  Let u = 2**-53, m the number of blocks and
+    k = min(n, 1/c).
+    * The bound.  a = (1 - c)**L is raised by (2L + 4)u, more than the
+      2u error of 1 - c carried through the power plus the power's own
+      rounding, so it is not below the exact factor.  The rest adds and
+      scales non-negative numbers, each term through at most L + 2m + 8
+      roundings, so the computed B is at most (L + 2m + 8) 1.01u B below
+      the exact one.
+    * The walk.  Take T as the walk's float temperature and V = T -
+      t_ambient_c exactly.  Then a step of the walk is V <- (1 - c) V +
+      c g + d, where d gathers the five roundings of
+      temp + dt * (g - (temp - t_amb)) / tau: at most u|T| from the last
+      add and c (3.01u |g - V| + 1.01u |V|) from the others.  With c g <= B
+      and |V| <= B + E, |d| <= u (|t_ambient_c| + 8.02 (B + E)).  Each
+      error decays by (1 - c) per step, so the walk stays within
+      E <= k max|d| of the exact one, and as ku < 2**-10 for any n below
+      2**43, E <= 2.01ku (|t_ambient_c| + 8.03B).
+    * The sum t_ambient_c + B + margin rounds by at most
+      2u (|t_ambient_c| + B + margin).
+    * Underflow.  A result below 2**-1022 rounds by up to 2**-1075 more,
+      an absolute error: on each of the at most n + 4m + 2 roundings of
+      the bound and the sum, and on each of the five roundings of the k
+      walk steps whose errors add up (E above).  c itself is normal, so
+      its rounding stays relative.
+    margin = (3k + 2m + L + 16) u (|t_ambient_c| + 9B)
+    + (3n + 4m + 2) 2**-1074 covers all four."""
+    c = dt / config.thermal_tau_s
+    # A NaN g fails the second test.
+    if not (_NORMAL_MIN <= c <= 1.0 and g.min() >= 0.0):
+        return math.inf
+    n = g.shape[0]
+    with np.errstate(over="ignore"):
+        cs = np.add.reduceat(g, np.arange(0, n, _BOUND_BLOCK))
+        cs *= c
+        # B is at most the sum of every c S_b, which overflow turns to inf.
+        if not cs.sum() < math.inf:
+            return math.inf
+    a = min(1.0, (1.0 - c) ** _BOUND_BLOCK + (2 * _BOUND_BLOCK + 4) * _U)
+    u_b = bound = 0.0
+    for cs_b in cs.tolist():
+        top = u_b + cs_b
+        if top > bound:
+            bound = top
+        u_b = a * u_b + cs_b
+    t_amb = config.t_ambient_c
+    k = min(n, 1.0 / c)
+    m = cs.shape[0]
+    margin = ((3 * k + 2 * m + _BOUND_BLOCK + 16) * _U * (abs(t_amb) + 9 * bound)
+              + (3 * n + 4 * m + 2) * _SUBNORMAL_MIN)
+    return t_amb + bound + margin
 
 
 def derate_factor(temp_c, config: SimConfig):
@@ -188,10 +289,12 @@ def derate_factor(temp_c, config: SimConfig):
 
 
 @dataclass(frozen=True)
-class ShavingResult:
-    """Per-step series plus run totals.  All series share the trace
-    length; stored_j is identically zero for the "none" and "ideal"
-    strategies (nothing finite to track)."""
+class _Series:
+    """What one pass of the step loop gives: every field of a ShavingResult
+    but the thermal node, the ramp check and the curtailed GPU-seconds,
+    which only simulate_shaving adds.  All series share the trace length;
+    stored_j is identically zero for the "none" and "ideal" strategies
+    (nothing finite to track)."""
 
     strategy: str
     threshold_w: float
@@ -206,21 +309,14 @@ class ShavingResult:
     p_dummy: np.ndarray
     curtailed_w: np.ndarray
     stored_j: np.ndarray
-    temperature_c: np.ndarray
     total_dummy_energy_j: float
     total_unserved_energy_j: float
-    curtailed_gpu_seconds: float
     unserved_spike_count: int
     device_energy_throughput_j: float
-    ramp_violation_steps: np.ndarray
 
     @property
     def n_steps(self) -> int:
         return self.p_comp_demand.shape[0]
-
-    @property
-    def ramp_violation_count(self) -> int:
-        return int(self.ramp_violation_steps.shape[0])
 
     @property
     def peak_grid_w(self) -> float:
@@ -229,6 +325,21 @@ class ShavingResult:
     @property
     def final_stored_j(self) -> float:
         return float(self.stored_j[-1]) if self.n_steps else 0.0
+
+
+@dataclass(frozen=True)
+class ShavingResult(_Series):
+    """Per-step series plus run totals: a step loop's _Series, the
+    temperature of the thermal node, the curtailed GPU-seconds and the
+    steps that broke the ramp limit."""
+
+    temperature_c: np.ndarray
+    curtailed_gpu_seconds: float
+    ramp_violation_steps: np.ndarray
+
+    @property
+    def ramp_violation_count(self) -> int:
+        return int(self.ramp_violation_steps.shape[0])
 
 
 def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float,
@@ -254,6 +365,35 @@ def _strategy_label(spec) -> str:
 def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResult:
     """Run the step-by-step co-simulation; see the module docstring for
     the feed policies.  spec is a DeviceSpec, "none", or "ideal"."""
+    series = _simulate_series(trace, spec, config)
+    dt = series.dt_s
+    grid_a = series.p_grid
+    temp_a = np.empty(series.n_steps)
+    r_bound = config.grid_ramp_limit_w_per_s * dt * (1.0 + 1e-9) + _W_EPS
+    # temp_a[1:] holds |grid[i] - grid[i-1]| until the thermal pass below
+    # overwrites it.
+    jumps = temp_a[1:]
+    np.subtract(grid_a[1:], grid_a[:-1], out=jumps)
+    np.abs(jumps, out=jumps)
+    violations = np.flatnonzero(jumps > r_bound)
+    violations += 1
+
+    _node_input(series, temp_a)
+    _thermal_walk(memoryview(temp_a), config.t_ambient_c, config, dt)
+
+    # ceil(max(curtailed, 0) / gpu_w - 1e-9), in one temporary.
+    gpu_steps = np.maximum(series.curtailed_w, 0.0)
+    gpu_steps /= config.gpu_unit_w
+    gpu_steps -= 1e-9
+    np.ceil(gpu_steps, out=gpu_steps)
+    return ShavingResult(**vars(series), temperature_c=temp_a,
+                         curtailed_gpu_seconds=float(gpu_steps.sum() * dt),
+                         ramp_violation_steps=violations)
+
+
+def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
+    """The series pass of simulate_shaving: its checks, the step loop (or
+    the ideal device's array code), the grid feed and the row totals."""
     if not isinstance(trace, PowerTrace):
         raise ValueError("trace must be a PowerTrace")
     if not isinstance(config, SimConfig):
@@ -280,7 +420,6 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
 
     theta = config.threshold.resolve(trace.rack_max_w)
     p_infra = config.p_infra_w
-    gpu_w = config.gpu_unit_w
     n = trace.n_samples
 
     demand_a = trace.samples.astype(float, copy=True)
@@ -291,9 +430,7 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     discharge_a = np.zeros(n)
     charge_a = np.zeros(n)
     dummy_a = np.zeros(n)
-    curtailed_a = np.zeros(n)
     stored_a = np.zeros(n)
-    temp_a = np.zeros(n)
 
     if strategy == "ideal":
         # The feed takes p_infra plus demand up to theta, and the device
@@ -305,42 +442,21 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
         discharge_a -= grid_a
         unserved_events = 0
     else:
-        # grid_a and temp_a are scratch until the post-passes below.
+        # grid_a is scratch until the post-pass below.
         unserved_events = _step_loop(
             demand_a, served_a, grid_a, discharge_a, charge_a, dummy_a,
-            stored_a, temp_a, spec if strategy != "none" else None, config,
-            theta, dt)
+            stored_a, np.zeros(n), spec if strategy != "none" else None,
+            config, theta, dt)
 
-    # Nothing in the step reads the grid feed it draws, so the feed and the
-    # ramp check follow here, in the step's own order of operations:
-    # p_infra + served + dummy + absorbed - delivered.
+    # Nothing in the step reads the grid feed it draws, so the feed follows
+    # here, in the step's own order of operations: p_infra + served + dummy
+    # + absorbed - delivered.
     np.add(p_infra, served_a, out=grid_a)
     grid_a += dummy_a
     grid_a += charge_a
     grid_a -= discharge_a
-    r_bound = config.grid_ramp_limit_w_per_s * dt * (1.0 + 1e-9) + _W_EPS
-    # temp_a[1:] holds |grid[i] - grid[i-1]| until the thermal pass below
-    # overwrites it.
-    jumps = temp_a[1:]
-    np.subtract(grid_a[1:], grid_a[:-1], out=jumps)
-    np.abs(jumps, out=jumps)
-    violations = np.flatnonzero(jumps > r_bound)
-    violations += 1
-
-    # The simulation never reads the temperature, so the thermal node is
-    # integrated here, over the heat of served compute plus dummy load,
-    # which temp_a holds until the walk overwrites it.
-    np.add(served_a, dummy_a, out=temp_a)
-    temp_a *= config.heat_factor
-    _thermal_walk(memoryview(temp_a), config.t_ambient_c, config, dt)
-
-    np.subtract(demand_a, served_a, out=curtailed_a)
-    # ceil(max(curtailed, 0) / gpu_w - 1e-9), in one temporary.
-    gpu_steps = np.maximum(curtailed_a, 0.0)
-    gpu_steps /= gpu_w
-    gpu_steps -= 1e-9
-    np.ceil(gpu_steps, out=gpu_steps)
-    return ShavingResult(
+    curtailed_a = np.subtract(demand_a, served_a)
+    return _Series(
         strategy=strategy,
         threshold_w=theta,
         dt_s=dt,
@@ -354,13 +470,10 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
         p_dummy=dummy_a,
         curtailed_w=curtailed_a,
         stored_j=stored_a,
-        temperature_c=temp_a,
         total_dummy_energy_j=float(dummy_a.sum() * dt),
         total_unserved_energy_j=float(curtailed_a.sum() * dt),
-        curtailed_gpu_seconds=float(gpu_steps.sum() * dt),
         unserved_spike_count=unserved_events,
         device_energy_throughput_j=float((discharge_a.sum() + charge_a.sum()) * dt),
-        ramp_violation_steps=violations,
     )
 
 
@@ -600,8 +713,31 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
 
 def useful_compute_j(result: ShavingResult) -> float:
     """Served energy weighted by the thermal de-rating capacity factor."""
-    factor = derate_factor(result.temperature_c, result.config)
-    return float(np.sum(result.p_comp_served * factor) * result.dt_s)
+    return _derated_j(result.p_comp_served, result.temperature_c, result.config,
+                      result.dt_s)
+
+
+def _derated_j(served, temp, config: SimConfig, dt: float) -> float:
+    """The one useful-energy formula."""
+    return float(np.sum(served * derate_factor(temp, config)) * dt)
+
+
+def _useful_j(series: _Series) -> float:
+    """useful_compute_j of the result simulate_shaving builds from series,
+    bit for bit, walking the thermal node only when de-rating can bite.
+
+    Where derate_slope_per_c is 0, or _node_bound_c shows that no
+    temperature passes t_derate_c, every factor is exactly 1.0, and
+    served * 1.0 is served, so the sum of served * dt has the formula's
+    bits."""
+    config, dt = series.config, series.dt_s
+    served = series.p_comp_served
+    if config.derate_slope_per_c:
+        g = _node_input(series, np.empty(series.n_steps))
+        if _node_bound_c(g, config, dt) > config.t_derate_c:
+            _thermal_walk(memoryview(g), config.t_ambient_c, config, dt)
+            return _derated_j(served, g, config, dt)
+    return float(np.sum(served) * dt)
 
 
 def computational_gain(result: ShavingResult, baseline: ShavingResult) -> float:

@@ -23,10 +23,10 @@ import numpy as np
 
 from ._textio import plain_int, plain_numbers, read_json_object, read_text, write_json, write_text
 from .trace import PowerTrace
-from .shaving import (SimConfig, _gain_pct, _gpus_saved_grid, simulate_shaving,
-                      useful_compute_j)
-# Unused here; bench/tracer.py patches sweep.gpus_saved.
-from .shaving import gpus_saved  # noqa: F401
+from .shaving import (SimConfig, _gain_pct, _gpus_saved_grid, _simulate_series,
+                      _useful_j)
+# Unused here; bench/tracer.py patches sweep.gpus_saved and sweep.simulate_shaving.
+from .shaving import gpus_saved, simulate_shaving  # noqa: F401
 
 __all__ = [
     "DEFAULT_THRESHOLD_FRACS",
@@ -140,6 +140,13 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     is listed.  Duplicate names are rejected.  One simulation is alive at
     a time: the baseline's series are dropped once its useful energy and
     totals are taken, and every "none" row is built from those totals.
+
+    Each row's numbers are those of simulate_shaving's result, bit for
+    bit, but compare runs only the series pass (shaving._simulate_series)
+    and walks the thermal node only where de-rating can bite: when a
+    proven bound on the node (shaving._node_bound_c) stays at or below
+    t_derate_c, every de-rating factor is exactly 1.0, so the useful
+    energy is the served energy, and the walk would change no bit.
     """
     if hasattr(strategies, "items"):
         pairs = list(strategies.items())
@@ -152,14 +159,14 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate strategy names: {dupes}")
 
-    base_useful_j, base_totals = _row_inputs(simulate_shaving(trace, "none", config))
+    base_useful_j, base_totals = _row_inputs(_simulate_series(trace, "none", config))
     rows = []
     for name, spec in pairs:
         try:
             if spec == "none":
                 useful_j, totals = base_useful_j, base_totals
             else:
-                useful_j, totals = _row_inputs(simulate_shaving(trace, spec, config))
+                useful_j, totals = _row_inputs(_simulate_series(trace, spec, config))
             gain = _gain_pct(useful_j, base_useful_j)
         except ValueError as exc:
             raise ValueError(f"strategy {name!r}: {exc}") from None
@@ -167,13 +174,13 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     return rows
 
 
-def _row_inputs(result) -> tuple:
+def _row_inputs(series) -> tuple:
     """What a comparison row needs of a simulation: its useful energy and
-    its row totals.  The caller keeps these, not the result, so the
-    result's series are freed before the next simulation starts."""
-    return useful_compute_j(result), (
-        result.total_dummy_energy_j, result.total_unserved_energy_j,
-        result.device_energy_throughput_j, result.peak_grid_w)
+    its row totals.  The caller keeps these, not the series, so they are
+    freed before the next simulation starts."""
+    return _useful_j(series), (
+        series.total_dummy_energy_j, series.total_unserved_energy_j,
+        series.device_energy_throughput_j, series.peak_grid_w)
 
 
 # ---------------------------------------------------------------------------

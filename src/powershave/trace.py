@@ -54,6 +54,29 @@ class CorruptTraceError(ValueError):
 _GAP_RTOL = 0.005
 
 
+def _check_time_axis(times: np.ndarray, interval) -> float:
+    """load_trace's rule for time stamps, which PowerTrace also applies to
+    its own: strictly increasing, and every gap within _GAP_RTOL of the
+    interval, interval(gaps) once the stamps are known to increase.
+    Returns the interval; raises CorruptTraceError naming the first data
+    row that breaks the rule."""
+    gaps = np.diff(times)
+    # Written as "not good", so that a NaN gap breaks the rule too.
+    bad = ~(gaps > 0.0)
+    if bad.any():
+        raise CorruptTraceError(f"timestamps not strictly increasing at data row "
+                                f"{int(np.argmax(bad)) + 2}")
+    dt = interval(gaps)
+    gaps -= dt
+    bad = ~(np.abs(gaps, out=gaps) <= _GAP_RTOL * dt)
+    if bad.any():
+        raise CorruptTraceError(
+            f"irregular sampling at data row {int(np.argmax(bad)) + 2}: gap deviates "
+            f"more than {_GAP_RTOL:.1%} from the median interval {dt}"
+        )
+    return dt
+
+
 @dataclass(frozen=True)
 class PowerTrace:
     """Uniformly sampled rack power draw.
@@ -92,6 +115,22 @@ class PowerTrace:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+        # write_trace writes times(), so they must keep load_trace's rule.
+        # Each stamp is origin + k dt to within 2**-53 (|origin| + 2 n dt),
+        # and each gap dt to within twice that plus 2**-53 dt; where
+        # 2**-50 (|origin| + 3 n dt) is at most half the tolerance, every
+        # gap keeps the rule and the stamps need not be built.
+        o, dt, n = self.origin_time_s, self.dt_s, arr.size
+        if not (abs(o) + 3.0 * n * dt) * 2.0 ** -50 <= 0.5 * _GAP_RTOL * dt:
+            try:
+                # The stamps are finite when the last one is: rounding is
+                # monotone.
+                if not math.isfinite(o + (n - 1) * dt):
+                    raise CorruptTraceError("the last time stamp is not finite")
+                _check_time_axis(self.times(), lambda gaps: dt)
+            except CorruptTraceError as exc:
+                raise ValueError(f"origin_time_s {o!r} and dt_s {dt!r} give time "
+                                 f"stamps that load_trace refuses: {exc}") from None
 
     @property
     def n_samples(self) -> int:
@@ -103,7 +142,10 @@ class PowerTrace:
 
     def times(self) -> np.ndarray:
         """Sample instants in seconds."""
-        return self.origin_time_s + np.arange(self.n_samples) * self.dt_s
+        times = np.arange(self.n_samples, dtype=float)
+        times *= self.dt_s
+        times += self.origin_time_s
+        return times
 
     def energy_j(self) -> float:
         """Zero-order-hold integral of the trace (J)."""
@@ -287,26 +329,17 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     if t_arr.size < 2:
         raise CorruptTraceError("trace needs at least two samples to fix the interval")
 
-    gaps = np.diff(t_arr)
-    if np.any(gaps <= 0.0):
-        bad = int(np.argmax(gaps <= 0.0)) + 2  # row index of the offending sample
-        raise CorruptTraceError(f"timestamps not strictly increasing at data row {bad}")
-    # Prefer the declared interval: timestamps rebuilt as origin + k*dt
-    # carry float noise that a span-based estimate inherits.
-    meta_dt = meta.get("dt_s")
-    if meta_dt is not None:
+    def interval(gaps):
+        # Prefer the declared interval: timestamps rebuilt as origin + k*dt
+        # carry float noise that a span-based estimate inherits.
+        meta_dt = meta.get("dt_s")
+        if meta_dt is None:
+            return float(np.median(gaps))
         if not (meta_dt > 0.0 and math.isfinite(meta_dt)):
             raise TraceFormatError(f"dt_s metadata must be a positive float, got {meta_dt}")
-        dt = meta_dt
-    else:
-        dt = float(np.median(gaps))
-    if np.any(np.abs(gaps - dt) > _GAP_RTOL * dt):
-        bad = int(np.argmax(np.abs(gaps - dt) > _GAP_RTOL * dt)) + 2
-        raise CorruptTraceError(
-            f"irregular sampling at data row {bad}: gap deviates more than "
-            f"{_GAP_RTOL:.1%} from the median interval {dt}"
-        )
+        return meta_dt
 
+    dt = _check_time_axis(t_arr, interval)
     rack = rack_max_w if rack_max_w is not None else meta.get("rack_max_w")
     if rack is None:
         raise TraceFormatError("rack_max_w missing: not in file metadata and no override given")

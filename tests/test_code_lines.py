@@ -3,6 +3,7 @@ quote: a line counts when it holds code, and docstrings, comments and
 blank lines do not."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -63,3 +64,39 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
         f"     1  {tmp_path / 'sub' / 'b.py'}",
         "    17  total",
     ]
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_against_prints_each_file_then_and_now(tmp_path, monkeypatch, capsys):
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "gone.py").write_text("x = 1\n")
+    (pkg / "notes.txt").write_text("x = 1\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    (pkg / "a.py").write_text(SOURCE)
+    (pkg / "gone.py").unlink()
+    (pkg / "sub" / "b.py").write_text("x = 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert code_lines.main(["--against", "HEAD", "pkg"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     2      16     +14  pkg/a.py",
+        "     1       0      -1  pkg/gone.py",
+        "     0       1      +1  pkg/sub/b.py",
+        "     3      17     +14  total",
+    ]
+    # A file named on its own, and the default output, which CI prints.
+    assert code_lines.main(["--against", "HEAD", "pkg/a.py"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     2      16     +14  pkg/a.py",
+        "     2      16     +14  total",
+    ]
+    assert code_lines.main(["pkg"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "    16  pkg/a.py", "     1  pkg/sub/b.py", "    17  total"]

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import powershave as ps
-from powershave import SimConfig, ThresholdSpec
+from powershave import SimConfig, ThresholdSpec, shaving
 from powershave.devices import builtin_device_spec
 
 from conftest import (SHORT_SYNTH_CONFIG, loose_config, make_trace, run_sim,
@@ -199,6 +199,86 @@ def test_derate_factor():
     assert over == pytest.approx(1.0 - 10.0 * cfg.derate_slope_per_c)
     # Far past the knee the factor floors at zero.
     assert ps.derate_factor(cfg.t_derate_c + 1e4, cfg) == 0.0
+
+
+@pytest.mark.parametrize("dt, heat, name", [
+    (0.0, 1000.0, "dt_s"),
+    (-0.5, 1000.0, "dt_s"),
+    (math.nan, 1000.0, "dt_s"),
+    # One Euler step longer than tau overshoots: 1e5 W for 500 s read
+    # 173.8 C, past the 60.7 C steady state.
+    (500.0, 1e5, "dt_s"),
+    (SimConfig.thermal_tau_s * (1.0 + 2.0 ** -52), 1e5, "dt_s"),
+    (0.5, -1e9, "heat_input_w"),
+    (0.5, -1e-300, "heat_input_w"),
+    (0.5, math.nan, "heat_input_w"),
+    (0.5, math.inf, "heat_input_w"),
+])
+def test_thermal_step_refuses_what_the_walk_assumes(dt, heat, name):
+    with pytest.raises(ValueError, match=name):
+        ps.thermal_step(25.0, heat, SimConfig(), dt)
+
+
+def test_thermal_step_takes_a_step_of_tau_and_zero_heat():
+    cfg = SimConfig()
+    # With dt = tau the step lands on the steady state.
+    target = cfg.t_ambient_c + 1e5 * cfg.k_scale_c_per_w
+    assert ps.thermal_step(cfg.t_ambient_c, 1e5, cfg, cfg.thermal_tau_s) == pytest.approx(target)
+    assert ps.thermal_step(40.0, -0.0, cfg, 0.5) < 40.0
+
+
+def _bound_case(rng):
+    """(g, config, dt) of one random walk: dt from 1 ms up to tau, tau from
+    dt to 120 s, ambient from -20 to 40 C, and sparse, dense or constant
+    heat up to 2e5 W."""
+    tau = float(np.exp(rng.uniform(np.log(1e-3), np.log(120.0))))
+    dt = tau if rng.random() < 0.1 else float(np.exp(rng.uniform(np.log(1e-3), np.log(tau))))
+    t_amb = float(rng.uniform(-20.0, 40.0))
+    cfg = SimConfig(thermal_tau_s=tau, t_ambient_c=t_amb,
+                    t_max_c=t_amb + float(rng.uniform(1.0, 80.0)),
+                    t_derate_c=t_amb, thermal_ref_power_w=float(rng.uniform(1e3, 2e5)))
+    n = int(rng.integers(2, 3000))
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        heat = np.where(rng.random(n) < rng.uniform(0.001, 0.1), rng.uniform(0.0, 2e5, n), 0.0)
+    elif kind == 1:
+        heat = rng.uniform(0.0, 2e5, n)
+    else:
+        heat = np.full(n, rng.uniform(0.0, 2e5))
+    return heat * cfg.k_scale_c_per_w, cfg, dt
+
+
+def test_node_bound_covers_every_walked_temperature():
+    rng = np.random.default_rng(20261019)
+    for case in range(400):
+        g, cfg, dt = _bound_case(rng)
+        bound = shaving._node_bound_c(g, cfg, dt)
+        temps = g.copy()
+        shaving._thermal_walk(memoryview(temps), cfg.t_ambient_c, cfg, dt)
+        assert math.isfinite(bound), case
+        assert temps.max() <= bound, (case, temps.max(), bound)
+        # Not a vacuous bound: it stays within the heat's own steady state
+        # plus one block's worth of input.
+        assert bound <= cfg.t_ambient_c + (1 + 2 * shaving._BOUND_BLOCK) * g.max() + 1e-9
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan])
+def test_node_bound_gives_up_on_negative_or_nan_input(bad):
+    cfg = SimConfig()
+    g = np.full(500, 10.0)
+    g[123] = bad
+    assert shaving._node_bound_c(g, cfg, 0.005) == math.inf
+
+
+def test_node_bound_is_tight_on_the_shipped_trace(preset_results):
+    # The bound sits within a degree of the walk's maximum, below the
+    # de-rating knee: this is why compare walks no node by default.
+    for name, result in preset_results.items():
+        cfg = result.config
+        g = shaving._node_input(result, np.empty(result.n_steps))
+        bound = shaving._node_bound_c(g, cfg, result.dt_s)
+        assert result.temperature_c.max() <= bound < result.temperature_c.max() + 1.0, name
+        assert bound < cfg.t_derate_c, name
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Covers:
  6. Comparison CSV layout
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 import powershave as ps
-from powershave import SimConfig, ThresholdSpec, sweep
+from powershave import SimConfig, ThresholdSpec, shaving, sweep
 
 from conftest import STRATEGIES, make_trace, strategy_spec
 
@@ -428,6 +429,26 @@ def test_compare_rows_equal_direct_simulations(cmp_setup, listing):
                for row, (_, kind) in zip(rows, listing) if kind == "none")
 
 
+@pytest.mark.parametrize("t_derate_c, walks", [(70.0, 0), (63.0, 2), (25.0, 5)],
+                         ids=["bites-nowhere", "bites-battery-and-ideal", "bites-everywhere"])
+def test_compare_rows_equal_direct_simulations_where_derating_bites(
+        default_trace, monkeypatch, t_derate_c, walks):
+    # On the shipped trace the nodes peak at 62.1 C (none, capacitor,
+    # supercap) and 64.2 C (battery, ideal), so at 63 C compare walks two
+    # nodes and skips three.
+    cfg = SimConfig(t_derate_c=t_derate_c)
+    pairs = [(name, strategy_spec(name)) for name in STRATEGIES]
+    walked = []
+    walk = shaving._thermal_walk
+    monkeypatch.setattr(shaving, "_thermal_walk", lambda *args: walked.append(1) or walk(*args))
+    rows = ps.compare_strategies(default_trace, pairs, cfg)
+    monkeypatch.undo()
+    assert len(walked) == walks
+    direct = _direct_rows(default_trace, pairs, cfg)
+    assert [[repr(v) for v in dataclasses.astuple(row)] for row in rows] == [
+        [repr(v) for v in dataclasses.astuple(row)] for row in direct]
+
+
 @pytest.mark.parametrize("listing, first", [
     ((("none", "none"), ("ideal", "ideal")), "none"),
     ((("cap", "capacitor"),), "cap"),
@@ -450,8 +471,8 @@ def test_compare_takes_a_mapping(cmp_setup):
 
 def test_compare_holds_one_simulation_at_a_time(cmp_setup, monkeypatch):
     trace, cfg, _ = cmp_setup
-    simulate = sweep.simulate_shaving
-    results = []        # a weak reference to each simulation's result
+    simulate = sweep._simulate_series
+    results = []        # a weak reference to each simulation's series
     alive_at_start = []
 
     def recording(*args):
@@ -460,7 +481,7 @@ def test_compare_holds_one_simulation_at_a_time(cmp_setup, monkeypatch):
         results.append(weakref.ref(result))
         return result
 
-    monkeypatch.setattr(sweep, "simulate_shaving", recording)
+    monkeypatch.setattr(sweep, "_simulate_series", recording)
     pairs = [(name, strategy_spec(name)) for name in STRATEGIES]
     rows = ps.compare_strategies(trace, pairs, cfg)
     assert len(rows) == len(STRATEGIES)

@@ -10,8 +10,10 @@ Covers:
  6. SynthConfig JSON round trip and field checking
 """
 
+import functools
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -530,8 +532,9 @@ def naive_trace_csv(tr):
     return "\n".join(lines) + "\n"
 
 
-# (dt_s, origin_time_s, whether load_trace reads the time stamps back as
-# uniform) of the time stamps written below.
+# (dt_s, origin_time_s, whether the time stamps keep load_trace's gap
+# rule) of the time stamps written below.  PowerTrace refuses an axis of
+# more than one stamp that breaks the rule.
 TIME_AXES = (
     (1.0 / 3000.0, 12.345, True),    # repr(dt) has 19 decimals: every row by repr
     (0.005, 0.0, True),              # the shipped axis
@@ -544,7 +547,8 @@ TIME_AXES = (
     (0.5, -0.49993896484375, True),  # row 1 is 2**-14 exactly, below 1e-4
     (8.0, 99999999990000.0, True),   # 10 * stamp crosses 10**15 at row 1250
     (123456789012.3, 0.0, True),     # 10 * stamp passes 10**15, then 2**53
-    (0.1, 999999999999000.0, False), # 10 * origin is past 10**15
+    (0.1, 999999999999000.0, False), # 10 * origin is past 10**15; gaps of 0 and 0.125
+    (100.0, 999999999999000.0, True), # 10 * origin is past 10**15
     (4.0, 1e16 - 16384.0, True),     # stamps cross 1e16 at row 4096
 )
 
@@ -563,15 +567,64 @@ def test_write_trace_matches_per_cell_repr(offset, dt, origin, uniform):
     samples = rng.choice(pool, size=n)
     # Repeats that straddle the block boundary.
     samples[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = -0.0
-    tr = ps.PowerTrace(dt_s=dt, samples=samples, rack_max_w=2e16,
-                       source_label="awkward", origin_time_s=origin)
+    make = functools.partial(ps.PowerTrace, dt_s=dt, samples=samples, rack_max_w=2e16,
+                             source_label="awkward", origin_time_s=origin)
+    if n > 1 and not uniform:
+        with pytest.raises(ValueError, match="origin_time_s .* and dt_s .* give time "
+                                             "stamps that load_trace refuses"):
+            make()
+        return
+    tr = make()
     buf = io.StringIO()
     ps.write_trace(tr, buf)
     assert buf.getvalue() == naive_trace_csv(tr)
-    if n > 1 and uniform:
+    if n > 1:
         back = ps.load_trace(io.StringIO(buf.getvalue()))
         assert back.samples.tobytes() == tr.samples.tobytes()
         assert back.origin_time_s == origin
+
+
+def test_every_constructed_trace_round_trips():
+    # Each random axis is refused by PowerTrace, by name, exactly when its
+    # stamps break load_trace's gap rule, here restated; every other one
+    # round-trips through the CSV.
+    rng = np.random.default_rng(18)
+    labels = ["", "rack 7", "a=b, c", "µs trace"]
+    outcomes = {True: 0, False: 0}
+    for case in range(300):
+        dt = float(10.0 ** rng.uniform(-9.0, 6.0))
+        origin = float(rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 12.0))
+        n = int(rng.integers(2, 400))
+        samples = rng.uniform(0.0, 5000.0, n)
+        label = labels[case % len(labels)]
+        stamps = origin + np.arange(n) * dt
+        gaps = np.diff(stamps)
+        keeps_rule = bool((gaps > 0.0).all() and (np.abs(gaps - dt) <= 0.005 * dt).all())
+        outcomes[keeps_rule] += 1
+        make = functools.partial(ps.PowerTrace, dt_s=dt, samples=samples, rack_max_w=6000.0,
+                                 source_label=label, origin_time_s=origin)
+        if not keeps_rule:
+            with pytest.raises(ValueError, match="origin_time_s .* and dt_s"):
+                make()
+            continue
+        tr = make()
+        back = ps.load_trace(io.StringIO(written(ps.write_trace, tr)))
+        assert back.samples.tobytes() == tr.samples.tobytes(), case
+        assert (back.dt_s, back.origin_time_s, back.source_label) == (dt, origin, label), case
+    assert min(outcomes.values()) >= 15, outcomes
+
+
+@pytest.mark.parametrize("origin, dt, n, fault", [
+    (1e9, 1e-6, 1000, "irregular sampling at data row 2"),     # an epoch with µs steps
+    (1e6, 1e-9, 1000, "irregular sampling at data row 2"),
+    (1e300, 0.5, 2, "timestamps not strictly increasing at data row 2"),
+    (0.0, 1e308, 3, "the last time stamp is not finite"),
+])
+def test_power_trace_refuses_an_axis_load_trace_refuses(origin, dt, n, fault):
+    with pytest.raises(ValueError, match=re.escape(
+            f"origin_time_s {origin!r} and dt_s {dt!r} give time stamps that "
+            f"load_trace refuses: {fault}")):
+        ps.PowerTrace(dt_s=dt, samples=np.ones(n), rack_max_w=2.0, origin_time_s=origin)
 
 
 def test_write_trace_to_binary_stream_and_path(tmp_path):
