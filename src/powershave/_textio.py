@@ -1,5 +1,8 @@
 """Text I/O shared by every powershave file format, the one JSON codec of
-the config dataclasses, and the field rule those dataclasses keep.
+the config dataclasses, and the field rule that every record dataclass
+keeps (check_fields): each number field holds a finite Python number of
+its type, and a field whose metadata is POSITIVE or NON_NEGATIVE also
+keeps that sign.
 
 Every writer has the shape writer(obj, dest), and every trace or config
 loader takes a source; dest and source are a path or a stream, and
@@ -197,6 +200,13 @@ def write_config(obj, dest, sort_keys: bool = True) -> None:
     write_json(_config_dict(obj), dest, sort_keys)
 
 
+# Field metadata for a number field's sign, which check_fields keeps:
+# field(default=..., metadata=POSITIVE).
+POSITIVE = {"sign": "positive"}
+NON_NEGATIVE = {"sign": "non-negative"}
+_SIGN_HOLDS = {"positive": lambda x: x > 0, "non-negative": lambda x: x >= 0}
+
+
 def number_field(name: str, value, kind=float):
     """value as a Python kind (int or float): an integral number for int, a
     finite real number for float, never a bool.  Raises ValueError naming
@@ -216,13 +226,19 @@ def number_field(name: str, value, kind=float):
 
 
 def check_fields(obj) -> None:
-    """Hold every int and float field of the config dataclass obj to
-    number_field and store the Python number it returns, so that equal
-    configs write equal bytes; a float | None field may also hold None.
-    NaN passes every one-sided bound, so each config dataclass calls this
-    before its own checks."""
+    """Hold every int and float field of the dataclass obj to number_field
+    and store the Python number it returns, so that equal records write
+    equal bytes; a float | None field may also hold None.  A number field
+    declared with metadata POSITIVE (> 0) or NON_NEGATIVE (>= 0) must also
+    keep that sign.  Fields are checked in declaration order.  NaN passes
+    every one-sided bound and number_field refuses it, so each dataclass
+    calls this before its own cross-field checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in ("int", "float") or f.type == "float | None" and value is not None:
             kind = int if f.type == "int" else float
-            object.__setattr__(obj, f.name, number_field(f.name, value, kind))
+            number = number_field(f.name, value, kind)
+            sign = f.metadata.get("sign")
+            if sign and not _SIGN_HOLDS[sign](number):
+                raise ValueError(f"{f.name} must be {sign}, got {value!r}")
+            object.__setattr__(obj, f.name, number)

@@ -33,9 +33,10 @@ at soc_max_frac.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from ._textio import check_fields, read_config, read_package_data, write_config
+from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, read_config,
+                      read_package_data, write_config)
 
 __all__ = [
     "BUILTIN_DEVICE_NAMES",
@@ -73,11 +74,11 @@ def capacitor_energy(capacitance_f: float, v_max: float, v_min: float = 0.0) -> 
 @dataclass(frozen=True)
 class DeviceSpec:
     kind: str
-    energy_capacity_j: float
-    max_discharge_w: float
-    max_charge_w: float
-    response_tau_s: float = 0.0
-    switch_latency_s: float = 0.0
+    energy_capacity_j: float = field(metadata=POSITIVE)
+    max_discharge_w: float = field(metadata=POSITIVE)
+    max_charge_w: float = field(metadata=NON_NEGATIVE)
+    response_tau_s: float = field(default=0.0, metadata=NON_NEGATIVE)
+    switch_latency_s: float = field(default=0.0, metadata=NON_NEGATIVE)
     round_trip_efficiency: float = 1.0
     soc_min_frac: float = 0.0
     soc_max_frac: float = 1.0
@@ -86,16 +87,6 @@ class DeviceSpec:
         check_fields(self)
         if self.kind not in DEVICE_KINDS:
             raise ValueError(f"kind must be one of {DEVICE_KINDS}, got {self.kind!r}")
-        if not (self.energy_capacity_j > 0.0):
-            raise ValueError("energy_capacity_j must be positive")
-        if not (self.max_discharge_w > 0.0):
-            raise ValueError("max_discharge_w must be positive")
-        if self.max_charge_w < 0.0:
-            raise ValueError("max_charge_w must be non-negative")
-        if self.response_tau_s < 0.0:
-            raise ValueError("response_tau_s must be non-negative")
-        if self.switch_latency_s < 0.0:
-            raise ValueError("switch_latency_s must be non-negative")
         if not (0.0 < self.round_trip_efficiency <= 1.0):
             raise ValueError("round_trip_efficiency must be in (0, 1]")
         if not (0.0 <= self.soc_min_frac < self.soc_max_frac <= 1.0):

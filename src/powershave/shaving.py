@@ -67,12 +67,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._textio import (check_fields, read_config, write_columns_csv, write_config,
-                      write_json)
+from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, read_config,
+                      write_columns_csv, write_config, write_json)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .devices import DeviceSpec, device_halves, init_state
@@ -110,44 +110,28 @@ _BALANCE_TOL_FRAC = 1e-6
 @dataclass(frozen=True)
 class SimConfig:
     threshold: ThresholdSpec = ThresholdSpec(fraction_of_max=0.7)
-    p_infra_w: float = 20000.0
+    p_infra_w: float = field(default=20000.0, metadata=NON_NEGATIVE)
     # One tenth of the default rack scale per second: the feed follows
     # second-scale load swings but not millisecond burst edges.
-    grid_ramp_limit_w_per_s: float = 14000.0
-    restart_penalty_s: float = 60.0
-    gpu_unit_w: float = 700.0
-    heat_factor: float = 1.3
-    thermal_tau_s: float = 120.0
+    grid_ramp_limit_w_per_s: float = field(default=14000.0, metadata=POSITIVE)
+    restart_penalty_s: float = field(default=60.0, metadata=NON_NEGATIVE)
+    gpu_unit_w: float = field(default=700.0, metadata=POSITIVE)
+    heat_factor: float = field(default=1.3, metadata=POSITIVE)
+    thermal_tau_s: float = field(default=120.0, metadata=POSITIVE)
     t_ambient_c: float = 25.0
     t_max_c: float = 75.0
     t_derate_c: float = 70.0
-    derate_slope_per_c: float = 0.01
-    thermal_ref_power_w: float = 140000.0
+    derate_slope_per_c: float = field(default=0.01, metadata=NON_NEGATIVE)
+    thermal_ref_power_w: float = field(default=140000.0, metadata=POSITIVE)
 
     def __post_init__(self):
         check_fields(self)
         if not isinstance(self.threshold, ThresholdSpec):
             raise ValueError("threshold must be a ThresholdSpec")
-        if self.p_infra_w < 0.0:
-            raise ValueError("p_infra_w must be non-negative")
-        if not (self.grid_ramp_limit_w_per_s > 0.0):
-            raise ValueError("grid_ramp_limit_w_per_s must be positive")
-        if self.restart_penalty_s < 0.0:
-            raise ValueError("restart_penalty_s must be non-negative")
-        if not (self.gpu_unit_w > 0.0):
-            raise ValueError("gpu_unit_w must be positive")
-        if not (self.heat_factor > 0.0):
-            raise ValueError("heat_factor must be positive")
-        if not (self.thermal_tau_s > 0.0):
-            raise ValueError("thermal_tau_s must be positive")
         if not (self.t_max_c > self.t_ambient_c):
             raise ValueError("t_max_c must exceed t_ambient_c")
         if self.t_derate_c < self.t_ambient_c:
             raise ValueError("t_derate_c must be at least t_ambient_c")
-        if self.derate_slope_per_c < 0.0:
-            raise ValueError("derate_slope_per_c must be non-negative")
-        if not (self.thermal_ref_power_w > 0.0):
-            raise ValueError("thermal_ref_power_w must be positive")
 
     @property
     def k_scale_c_per_w(self) -> float:
@@ -616,10 +600,8 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
         runs = ((0, n),)
     else:
         r_step = math.inf
-        # (start, stop) of each run of steps above theta.
-        hot = np.concatenate(([False], theta < demand_a, [False]))
-        edges = np.flatnonzero(hot[:-1] != hot[1:]).tolist()
-        runs = zip(edges[0::2], edges[1::2])
+        starts, stops, _ = _runs_above(demand_a, theta)
+        runs = zip(starts.tolist(), stops.tolist())
 
     # Device state as plain values: stored, and delivered, the power of the
     # last step if it discharged, else 0.0.  delivered is where the next

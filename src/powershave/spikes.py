@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 
-from ._textio import check_fields, write_json, write_text
+from ._textio import POSITIVE, check_fields, write_json, write_text
 from .trace import PowerTrace
 
 __all__ = [
@@ -35,7 +35,7 @@ class ThresholdSpec:
     """Detection threshold, given either in watts or as a fraction of the
     rack nameplate.  Exactly one of the two must be set."""
 
-    absolute_w: float | None = None
+    absolute_w: float | None = field(default=None, metadata=POSITIVE)
     fraction_of_max: float | None = None
 
     def __post_init__(self):
@@ -44,8 +44,6 @@ class ThresholdSpec:
         has_frac = self.fraction_of_max is not None
         if has_abs == has_frac:
             raise ValueError("set exactly one of absolute_w or fraction_of_max")
-        if has_abs and not (self.absolute_w > 0.0):
-            raise ValueError(f"absolute_w must be positive, got {self.absolute_w}")
         if has_frac and not (0.0 < self.fraction_of_max <= 1.0):
             raise ValueError(f"fraction_of_max must be in (0, 1], got {self.fraction_of_max}")
 

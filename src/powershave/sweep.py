@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 
-from ._textio import plain_int, plain_numbers, read_json_object, read_text, write_json, write_text
+from ._textio import (NON_NEGATIVE, check_fields, plain_int, plain_numbers,
+                      read_json_object, read_text, write_json, write_text)
 from .trace import PowerTrace
 from .shaving import (SimConfig, _gain_pct, _gpus_saved_grid, _simulate_series,
                       _useful_j)
@@ -120,15 +121,13 @@ def sweep_gpus_saved(trace: PowerTrace, threshold_fracs=DEFAULT_THRESHOLD_FRACS,
 class ComparisonRow:
     strategy_name: str
     computational_gain_pct: float
-    dummy_energy_j: float
-    total_unserved_energy_j: float
-    device_energy_throughput_j: float
+    dummy_energy_j: float = field(metadata=NON_NEGATIVE)
+    total_unserved_energy_j: float = field(metadata=NON_NEGATIVE)
+    device_energy_throughput_j: float = field(metadata=NON_NEGATIVE)
     peak_grid_w: float
 
     def __post_init__(self):
-        if (self.dummy_energy_j < 0.0 or self.total_unserved_energy_j < 0.0
-                or self.device_energy_throughput_j < 0.0):
-            raise ValueError("energies must be non-negative")
+        check_fields(self)
 
 
 def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list:

@@ -17,13 +17,13 @@ floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import (check_fields, number_field, plain_float, read_config,
-                      read_package_data, read_text, write_columns_csv,
-                      write_config)
+from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, number_field,
+                      plain_float, read_config, read_package_data, read_text,
+                      write_columns_csv, write_config)
 
 __all__ = [
     "TraceFormatError",
@@ -85,19 +85,14 @@ class PowerTrace:
     frozen after construction; operations return new traces.
     """
 
-    dt_s: float
+    dt_s: float = field(metadata=POSITIVE)
     samples: np.ndarray
-    rack_max_w: float
+    rack_max_w: float = field(metadata=POSITIVE)
     source_label: str = ""
     origin_time_s: float = 0.0
 
     def __post_init__(self):
-        if not (self.dt_s > 0.0 and math.isfinite(self.dt_s)):
-            raise ValueError(f"dt_s must be positive and finite, got {self.dt_s}")
-        if not (self.rack_max_w > 0.0 and math.isfinite(self.rack_max_w)):
-            raise ValueError(f"rack_max_w must be positive and finite, got {self.rack_max_w}")
-        if not math.isfinite(self.origin_time_s):
-            raise ValueError(f"origin_time_s must be finite, got {self.origin_time_s}")
+        check_fields(self)
         # write_trace puts the label on one '# label=' line, whose value
         # load_trace strips.
         label = self.source_label
@@ -290,9 +285,10 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     Expected layout: optional '#' comment lines carrying 'rack_max_w=<float>'
     and 'label=<text>' metadata, a 'timestamp_s,power_w' header, then one
     sample per row.  Sampling must be uniform; gaps are tolerated within
-    0.5% of the median interval.  rack_max_w may be supplied as an override
-    when the file carries no metadata.  Every number keeps _textio's number
-    rule.
+    0.5% of the median interval, or of the interval a 'dt_s=<float>' line
+    declares.  A single sample fixes no interval, so it needs that line.
+    rack_max_w may be supplied as an override when the file carries no
+    metadata.  Every number keeps _textio's number rule.
 
     The text is parsed in blocks of lines by array code (_parse_block); a
     block of data rows alone is parsed as it stands, without splitting it
@@ -326,7 +322,7 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     del raw, blocks
     if t_arr.size == 0:
         raise TraceFormatError("trace has no samples")
-    if t_arr.size < 2:
+    if t_arr.size < 2 and "dt_s" not in meta:
         raise CorruptTraceError("trace needs at least two samples to fix the interval")
 
     def interval(gaps):
@@ -347,9 +343,9 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     return PowerTrace(
         dt_s=dt,
         samples=powers,
-        rack_max_w=float(rack),
+        rack_max_w=rack,
         source_label=meta.get("label", ""),
-        origin_time_s=float(t_arr[0]),
+        origin_time_s=t_arr[0],
     )
 
 
@@ -509,24 +505,20 @@ class SynthConfig:
     accelerators and values near 1 mean fully staggered ones.
     """
 
-    n_accelerators: int
-    iteration_period_s: float
+    n_accelerators: int = field(metadata=POSITIVE)
+    iteration_period_s: float = field(metadata=POSITIVE)
     burst_duration_s: tuple[float, float]
-    burst_power_w: float
+    burst_power_w: float = field(metadata=POSITIVE)
     comm_power_w: float
     idle_power_w: float
     jitter_frac: float
-    inference_rate_hz: float
-    seed: int
+    inference_rate_hz: float = field(metadata=NON_NEGATIVE)
+    seed: int = field(metadata=NON_NEGATIVE)
     duration_s: float
-    dt_s: float
+    dt_s: float = field(metadata=POSITIVE)
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_accelerators < 1:
-            raise ValueError("n_accelerators must be at least 1")
-        if not (self.iteration_period_s > 0.0):
-            raise ValueError("iteration_period_s must be positive")
         pair = self.burst_duration_s
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             raise ValueError(f"burst_duration_s must be a (low, high) pair, got {pair!r}")
@@ -536,19 +528,11 @@ class SynthConfig:
             raise ValueError(f"burst_duration_s range must satisfy 0 < low <= high, got {self.burst_duration_s}")
         if hi >= self.iteration_period_s:
             raise ValueError("burst_duration_s must leave room in the iteration period")
-        if not (self.burst_power_w > 0.0):
-            raise ValueError("burst_power_w must be positive")
         if not (0.0 <= self.idle_power_w <= self.comm_power_w <= self.burst_power_w):
             raise ValueError("power levels must satisfy 0 <= idle_power_w <= "
                              "comm_power_w <= burst_power_w")
         if not (0.0 <= self.jitter_frac < 1.0):
             raise ValueError(f"jitter_frac must be in [0, 1), got {self.jitter_frac}")
-        if self.inference_rate_hz < 0.0:
-            raise ValueError("inference_rate_hz must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if not (self.dt_s > 0.0):
-            raise ValueError("dt_s must be positive")
         if self.duration_s < 10.0 * self.iteration_period_s:
             raise ValueError("duration_s must cover at least 10 iteration periods")
         # synthesize_trace's round(duration_s / dt_s) samples; the quotient

@@ -305,6 +305,24 @@ def test_simulate_bad_device_spec_value_exit2(work, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags, document, message", [
+    (["--device", "none", "--config"], dict(LOOSE_SIM, gpu_unit_w=0),
+     "gpu_unit_w must be positive, got 0"),
+    (["--device"], {"kind": "battery", "energy_capacity_j": 5e4, "max_discharge_w": -1,
+                    "max_charge_w": 12000.0}, "max_discharge_w must be positive, got -1"),
+], ids=["sim-config", "device-spec"])
+def test_simulate_field_sign_exit2(work, tmp_path, flags, document, message):
+    # The bad file is the value of the last flag.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    proc = run_cli(["simulate", "--trace", str(work["trace"]), *flags, str(path),
+                    "--out", str(tmp_path / "new")], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("capacitor", "switch_latency_s", 0.05),    # passive kinds do not switch
     ("supercapacitor", "switch_latency_s", 0.05),

@@ -231,7 +231,7 @@ def oracle_load_trace(raw: str, rack_max_w=None):
         raise TraceFormatError("missing 'timestamp_s,power_w' header")
     if len(times) == 0:
         raise TraceFormatError("trace has no samples")
-    if len(times) < 2:
+    if len(times) < 2 and meta_dt is None:
         raise CorruptTraceError("trace needs at least two samples to fix the interval")
 
     t_arr = np.asarray(times)
@@ -578,10 +578,9 @@ def test_write_trace_matches_per_cell_repr(offset, dt, origin, uniform):
     buf = io.StringIO()
     ps.write_trace(tr, buf)
     assert buf.getvalue() == naive_trace_csv(tr)
-    if n > 1:
-        back = ps.load_trace(io.StringIO(buf.getvalue()))
-        assert back.samples.tobytes() == tr.samples.tobytes()
-        assert back.origin_time_s == origin
+    back = ps.load_trace(io.StringIO(buf.getvalue()))
+    assert back.samples.tobytes() == tr.samples.tobytes()
+    assert back.origin_time_s == origin
 
 
 def test_every_constructed_trace_round_trips():
@@ -612,6 +611,45 @@ def test_every_constructed_trace_round_trips():
         assert back.samples.tobytes() == tr.samples.tobytes(), case
         assert (back.dt_s, back.origin_time_s, back.source_label) == (dt, origin, label), case
     assert min(outcomes.values()) >= 15, outcomes
+
+
+def test_numpy_numbers_round_trip_as_python_floats():
+    kwargs = dict(dt_s=0.005, samples=np.array([5.0, 6.0]), rack_max_w=10.0,
+                  origin_time_s=1.0)
+    tr = ps.PowerTrace(**dict(kwargs, dt_s=np.float64(0.005), rack_max_w=np.float64(10.0),
+                              origin_time_s=np.float64(1.0)))
+    assert [type(v) for v in (tr.dt_s, tr.rack_max_w, tr.origin_time_s)] == [float] * 3
+    text = written(ps.write_trace, tr)
+    assert text == written(ps.write_trace, ps.PowerTrace(**kwargs))
+    assert text.startswith("# rack_max_w=10.0\n# dt_s=0.005\n")
+    back = ps.load_trace(io.StringIO(text))
+    assert (back.dt_s, back.rack_max_w, back.origin_time_s) == (0.005, 10.0, 1.0)
+
+
+def test_trace_refuses_bool_dt():
+    with pytest.raises(ValueError, match=re.escape("dt_s must be a number, got True")):
+        ps.PowerTrace(dt_s=True, samples=np.array([5.0, 6.0]), rack_max_w=10.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ps.PowerTrace(dt_s=0.005, samples=np.array([5.0]), rack_max_w=10.0),
+    lambda: ps.resample(make_trace([1.0, 2.0, 3.0, 4.0], dt=0.01, rack_max=10.0), 0.04),
+], ids=["one-sample", "resample-to-one-cell"])
+def test_one_sample_trace_round_trips(make):
+    # The '# dt_s=' line fixes the interval that one sample cannot.
+    tr = make()
+    assert tr.n_samples == 1
+    back = ps.load_trace(io.StringIO(written(ps.write_trace, tr)))
+    assert back.samples.tobytes() == tr.samples.tobytes()
+    assert (back.dt_s, back.rack_max_w, back.origin_time_s, back.source_label) == (
+        tr.dt_s, tr.rack_max_w, tr.origin_time_s, tr.source_label)
+
+
+def test_one_sample_without_declared_interval_is_refused():
+    text = "# rack_max_w=10.0\ntimestamp_s,power_w\n0.0,5.0\n"
+    with pytest.raises(CorruptTraceError, match="^trace needs at least two samples "
+                                                "to fix the interval$"):
+        ps.load_trace(io.StringIO(text))
 
 
 @pytest.mark.parametrize("origin, dt, n, fault", [
