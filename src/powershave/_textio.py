@@ -5,9 +5,11 @@ its type, and a field whose metadata is POSITIVE or NON_NEGATIVE also
 keeps that sign.
 
 Every writer has the shape writer(obj, dest), and every trace or config
-loader takes a source; dest and source are a path or a stream, and
-write_text and read_text are the only code that tells them apart.  A path
-is opened with newline="", so it gets the same bytes as a text or binary
+loader takes a source; dest and source are a path or a stream.  write_text
+is the one writer and read_blocks the one reader (read_text joins its
+blocks): they are the only code that tells paths, text streams and binary
+streams apart, and that encodes or decodes UTF-8.  A path is read as bytes
+and written with newline="", so it holds the same bytes as a binary
 stream.
 
 Every number read from text, in a trace, a grid CSV or a CLI flag, keeps
@@ -17,6 +19,7 @@ what float() or int() accepts.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import numbers
@@ -92,15 +95,50 @@ def write_json(obj, dest, sort_keys: bool = True) -> None:
     write_text(dest, [text + "\n"])
 
 
-def read_text(source) -> str:
-    """The text of a stream or of the file at path source; bytes are
-    decoded as UTF-8."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
+def read_blocks(source, size: int):
+    """Yield the text of a text or binary stream, or of the file at path
+    source, in blocks, reading size characters (bytes for a binary
+    source) at a time; a negative size reads it whole, as one block.
+    Every block but the last ends just after a '\n', so each holds whole
+    lines.  Bytes are decoded as UTF-8 one read at a time, so neither the
+    bytes nor the text of the whole source are held.
+
+    A byte that is not UTF-8 raises UnicodeDecodeError.  Its object is
+    the bytes from the end of the last block yielded, and start is the
+    bad byte's position in them, so object[:start] decodes to the text
+    between that block and the bad byte."""
+    if not hasattr(source, "read"):
         with open(source, "rb") as fh:
-            raw = fh.read()
-    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            yield from read_blocks(fh, size)
+        return
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    rest = ""
+    while True:
+        data = source.read(size)
+        end = size < 0 or not data
+        if isinstance(data, bytes):
+            try:
+                data = decoder.decode(data, final=end)
+            except UnicodeDecodeError as exc:
+                head = rest.encode("utf-8")
+                raise UnicodeDecodeError(exc.encoding, head + exc.object,
+                                         len(head) + exc.start, len(head) + exc.end,
+                                         exc.reason) from None
+        text = rest + data
+        cut = len(text) if end else text.rfind("\n") + 1
+        # Only the block is held while the caller works on it.
+        block, rest = text[:cut], text[cut:]
+        del data, text
+        if block:
+            yield block
+        if end:
+            return
+
+
+def read_text(source) -> str:
+    """The text of a stream or of the file at path source, read whole
+    (read_blocks)."""
+    return "".join(read_blocks(source, -1))
 
 
 def read_package_data(name: str, load):

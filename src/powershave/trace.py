@@ -1,6 +1,6 @@
 """Rack power-draw traces: container type, CSV round-trip, resampling, synthesis.
 
-load_trace reads a trace through _textio.read_text and write_trace writes
+load_trace reads a trace through _textio.read_blocks and write_trace writes
 one through _textio.write_columns_csv, so both take a path or a stream;
 the synth config has the same pair, over _textio's JSON helpers.
 
@@ -17,12 +17,14 @@ floor.
 from __future__ import annotations
 
 import math
+import re
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, number_field,
-                      plain_float, read_config, read_package_data, read_text,
+                      plain_float, read_blocks, read_config, read_package_data,
                       write_columns_csv, write_config)
 
 __all__ = [
@@ -205,8 +207,8 @@ def _parse_lines(lines: list, lineno: int, meta: dict, header_seen: bool):
     return times, powers, header_seen
 
 
-# Characters of trace text parsed at a time; it bounds the token lists
-# held at once.
+# Characters of trace text read and parsed at a time; it bounds the text
+# and the token lists held at once.
 _PARSE_BLOCK_CHARS = 1 << 18
 
 # The bytes a data row may hold besides its one ',' and its line end: the
@@ -279,6 +281,12 @@ def _parse_block(chunk: str, meta: dict, header_seen: bool):
     return parsed and (*parsed, header_seen, len(lines))
 
 
+# Blank and '#' comment lines, then one more line, each ended by '\n': until
+# the header is seen, a block is split where this match ends, a line end
+# of splitlines().
+_HEAD_LINES = re.compile(r"(?:\s*(?:#.*)?\n)*.*\n?")
+
+
 def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     """Parse a trace from a CSV byte/text stream or path.
 
@@ -288,38 +296,53 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     0.5% of the median interval, or of the interval a 'dt_s=<float>' line
     declares.  A single sample fixes no interval, so it needs that line.
     rack_max_w may be supplied as an override when the file carries no
-    metadata.  Every number keeps _textio's number rule.
+    metadata.  Every number keeps _textio's number rule, and a byte that
+    is not UTF-8 is refused naming its line.
 
-    The text is parsed in blocks of lines by array code (_parse_block); a
-    block of data rows alone is parsed as it stands, without splitting it
-    into lines.  Only a block with a bad line is read again line by line,
-    which names the first such line.
+    The source is read in blocks of whole lines (_textio.read_blocks), so
+    the call holds the parsed columns and one block, never the file's
+    bytes or its whole text.  Each block is parsed by array code
+    (_parse_block); a block of data rows alone is parsed as it stands,
+    without splitting it into lines.  Until the header is seen, a block is
+    parsed in two pieces, split just after the first line that is neither
+    blank nor a comment, so that the data rows after the header are such a
+    block.  Only a block with a bad line is read again line by line, which
+    names the first such line.
     """
-    raw = read_text(source)
     meta: dict = {}
-    blocks: list = []
+    t_blocks: list = []
+    p_blocks: list = []
     header_seen = False
-    pos = lineno = 0
-    while pos < len(raw):
-        # A cut just after "\n" is a line end of splitlines(), whatever
-        # line ending the text uses.
-        end = raw.find("\n", pos + _PARSE_BLOCK_CHARS) + 1 or len(raw)
-        chunk = raw[pos:end]
-        pos = end
-        block = _parse_block(chunk, meta, header_seen)
-        if block is None:
-            lines = chunk.splitlines()
-            block = *_parse_lines(lines, lineno, meta, header_seen), len(lines)
-        t, p, header_seen, n_lines = block
-        blocks.append((t, p))
-        lineno += n_lines
+    lineno = 0
+    with closing(read_blocks(source, _PARSE_BLOCK_CHARS)) as chunks:
+        try:
+            for chunk in chunks:
+                cut = len(chunk) if header_seen else _HEAD_LINES.match(chunk).end()
+                for piece in filter(None, (chunk[:cut], chunk[cut:])):
+                    block = _parse_block(piece, meta, header_seen)
+                    if block is None:
+                        lines = piece.splitlines()
+                        block = *_parse_lines(lines, lineno, meta, header_seen), len(lines)
+                    t, p, header_seen, n_lines = block
+                    t_blocks.append(t)
+                    p_blocks.append(p)
+                    lineno += n_lines
+        except UnicodeDecodeError as exc:
+            # '?' stands for the bad byte, so that its line is counted even
+            # where the text before it ends with a line break.
+            before = exc.object[:exc.start].decode("utf-8") + "?"
+            raise TraceFormatError(
+                f"line {lineno + len(before.splitlines())}: not UTF-8 text "
+                f"(byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
 
     if not header_seen:
         raise TraceFormatError("missing 'timestamp_s,power_w' header")
-    t_arr, powers = map(np.concatenate, zip(*blocks))
-    # The text and the block arrays are dropped before the checks below
-    # allocate: they would otherwise set the call's memory peak.
-    del raw, blocks
+    # Each column's blocks are dropped once it is joined, so the joins
+    # hold at most three columns of samples at once.
+    t_arr = np.concatenate(t_blocks)
+    del t_blocks
+    powers = np.concatenate(p_blocks)
+    del p_blocks
     if t_arr.size == 0:
         raise TraceFormatError("trace has no samples")
     if t_arr.size < 2 and "dt_s" not in meta:
@@ -466,13 +489,21 @@ def resample(trace: PowerTrace, dt_new_s: float) -> PowerTrace:
     energy is conserved except where the covered span shifts by a fraction
     of a cell at the trace end.  Point-picking instead of averaging would
     alias decimated traces and lose unbounded energy.
+
+    dt_new_s must be a positive finite number that leaves a finite number
+    of new samples; ValueError naming it otherwise.
     """
-    if not (dt_new_s > 0.0):
-        raise ValueError(f"dt_new_s must be positive, got {dt_new_s}")
+    dt_new_s = number_field("dt_new_s", dt_new_s)
+    if not dt_new_s > 0.0:
+        raise ValueError(f"dt_new_s must be positive, got {dt_new_s!r}")
     if dt_new_s == trace.dt_s:
         return trace
     span = trace.n_samples * trace.dt_s
-    n_new = max(1, int(round(span / dt_new_s)))
+    cells = span / dt_new_s
+    if not math.isfinite(cells):
+        raise ValueError(f"dt_new_s must leave a finite number of samples in the "
+                         f"trace's {span!r} s, got {dt_new_s!r}")
+    n_new = max(1, int(round(cells)))
     # Integral of the staircase at the original knots; piecewise linear
     # in between, so interp evaluates it exactly at the new cell edges.
     knots = np.arange(trace.n_samples + 1) * trace.dt_s

@@ -220,6 +220,15 @@ def test_analyze_bad_bins_exit2(work, tmp_path, bins):
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "--bins" in proc.stderr
+
+
+def test_analyze_trace_not_utf8_exit2(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"# rack_max_w=10.0\ntimestamp_s,power_w\n0.0,1.0\n0.5,\xff\n")
+    proc = run_cli(["analyze", "--trace", str(trace), "--out", str(tmp_path)],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: line 4: not UTF-8 text (byte 0xff: invalid start byte)" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "spike_stats.json").exists()
 

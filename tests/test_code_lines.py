@@ -4,6 +4,7 @@ blank lines do not."""
 
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -100,3 +101,19 @@ def test_against_prints_each_file_then_and_now(tmp_path, monkeypatch, capsys):
     assert code_lines.main(["pkg"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "    16  pkg/a.py", "     1  pkg/sub/b.py", "    17  total"]
+
+
+def test_against_reads_git_as_utf8_whatever_the_locale(tmp_path):
+    # Under -X warn_default_encoding, text I/O that takes the locale's
+    # encoding warns, and -W makes that an error; CI runs the tool so.
+    (tmp_path / "a.py").write_text("s = 'µs'\n", encoding="utf-8")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", str(_TOOL),
+                           "--against", "HEAD", "a.py"],
+                          cwd=tmp_path, capture_output=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     1       1      +0  a.py",
+                                        "     1       1      +0  total"]

@@ -14,6 +14,7 @@ import functools
 import io
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -336,11 +337,25 @@ def _generated_trace_text(rng) -> str:
     return text
 
 
+def _source(text: str, kind: int, tmp_path):
+    """text as a text stream (kind 0), a binary stream (1) or the path of
+    a file (2)."""
+    if kind == 0:
+        return io.StringIO(text)
+    if kind == 1:
+        return io.BytesIO(text.encode("utf-8"))
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
 @pytest.mark.parametrize("block_chars", [None, 16, 100])
-def test_load_trace_matches_per_line_oracle(monkeypatch, block_chars):
+def test_load_trace_matches_per_line_oracle(monkeypatch, tmp_path, block_chars):
     """load_trace accepts what the per-line parser accepts, with the same
-    bits, and rejects the rest with the same exception and message.  Small
-    parse blocks move block edges onto comments, blanks and the header."""
+    bits, and rejects the rest with the same exception and message, from
+    a text stream, a binary stream and a path alike.  Small parse blocks
+    move block edges onto comments, blanks and the header, and binary
+    reads of 16 bytes cut the generated non-ASCII text."""
     if block_chars is not None:
         monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
     rng = np.random.default_rng(2024 + (block_chars or 0))
@@ -348,16 +363,16 @@ def test_load_trace_matches_per_line_oracle(monkeypatch, block_chars):
     for case in range(300):
         text = _generated_trace_text(rng)
         override = 4000.0 if case % 7 == 0 else None
+        source = _source(text, case % 3, tmp_path)
         try:
             want = oracle_load_trace(text, rack_max_w=override)
         except ValueError as exc:
             rejected += 1
             with pytest.raises(type(exc)) as err:
-                ps.load_trace(io.StringIO(text), rack_max_w=override)
+                ps.load_trace(source, rack_max_w=override)
             assert str(err.value) == str(exc), text
             continue
         accepted += 1
-        source = io.BytesIO(text.encode("utf-8")) if case % 2 else io.StringIO(text)
         # A valid file never needs the per-line parser.
         with monkeypatch.context() as patched:
             patched.setattr(trace_mod, "_parse_lines", None)
@@ -425,6 +440,24 @@ def test_crlf_and_comment_blocks_offered_to_parse_rows_once(monkeypatch, copy):
     assert len(rows) == len(blocks)
 
 
+def test_first_block_data_rows_skip_the_line_split(monkeypatch):
+    # The first block is split just after the header, so its data rows,
+    # like every later block, reach _parse_rows as they stand.
+    tr = make_trace(np.arange(2000.0), dt=0.005)
+    text = written(ps.write_trace, tr)
+    blocks, rows = [], []
+    parse_block, parse_rows = trace_mod._parse_block, trace_mod._parse_rows
+    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 4096)
+    monkeypatch.setattr(trace_mod, "_parse_block",
+                        lambda *args: blocks.append(args[0]) or parse_block(*args))
+    monkeypatch.setattr(trace_mod, "_parse_rows",
+                        lambda text: rows.append(text) or parse_rows(text))
+    assert ps.load_trace(io.StringIO(text)).samples.tobytes() == tr.samples.tobytes()
+    assert blocks[0] == text[:text.index("timestamp_s,power_w\n") + 20]
+    assert len(blocks) == len(rows) >= 4
+    assert all(row is block for row, block in zip(rows[1:], blocks[1:]))
+
+
 @pytest.mark.parametrize("block_chars", [None, 64])
 @pytest.mark.parametrize("pair", [("0.1", "0.105,1,2"), ("0.1,1,2", "0.105")])
 def test_load_refuses_missing_comma_beside_extra_comma(monkeypatch, block_chars, pair):
@@ -480,6 +513,104 @@ def test_load_refuses_row_as_oracle_does(monkeypatch, block_chars, row, message)
     with pytest.raises(want.type) as err:
         ps.load_trace(io.StringIO(text))
     assert str(err.value) == str(want.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_multibyte_text_cut_by_a_read_loads_as_whole(monkeypatch, tmp_path, kind):
+    # A binary source is read _PARSE_BLOCK_CHARS bytes at a time, so these
+    # sizes cut the label's and the comment's two-, three- and four-byte
+    # characters at every offset.
+    label = "rack Zürich ⚡ ١٢ 𝔘"
+    text = (f"# rack_max_w=1000.0\n# label={label}\n# µs ⚡ note\n"
+            + _joined(["timestamp_s,power_w"] + _data_rows(3)))
+    want = ps.load_trace(io.StringIO(text))
+    assert want.source_label == label
+    for size in range(1, 12):
+        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", size)
+        got = ps.load_trace(_source(text, kind, tmp_path))
+        assert got.source_label == label, size
+        assert got.samples.tobytes() == want.samples.tobytes(), size
+        assert (got.dt_s, got.origin_time_s) == (want.dt_s, want.origin_time_s)
+
+
+@pytest.mark.parametrize("block_chars", [None, 7, 64])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("row, bad, reason", [
+    (20, "0.1,3@", "byte 0xff: invalid start byte"),
+    (1, "# label=a@b", "byte 0xff: invalid start byte"),
+    (40, "0.2,\u26a1@", "byte 0xe2: invalid continuation byte"),
+    (45, "@", "byte 0xe2: unexpected end of data"),
+], ids=["row", "label", "continuation", "end"])
+def test_load_refuses_a_byte_that_is_not_utf8_naming_its_line(
+        monkeypatch, tmp_path, block_chars, ending, row, bad, reason):
+    # '@' marks where the bad bytes go: 0xff, or the first two bytes of
+    # '⚡', whose third byte is the next character or missing at the end.
+    # The error names the line as splitlines() counts it, never a position
+    # within a read.
+    lines = _HEAD + _data_rows(43)
+    lines.insert(row, bad)
+    cut = b"\xff" if "byte 0xff" in reason else b"\xe2\x9a"
+    data = ending.join(lines).encode("utf-8").replace(b"@", cut)
+    if row < len(lines) - 1:
+        data += ending.encode("ascii")
+    if block_chars is not None:
+        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    for source in (io.BytesIO(data), path):
+        with pytest.raises(TraceFormatError) as err:
+            ps.load_trace(source)
+        assert str(err.value) == f"line {row + 1}: not UTF-8 text ({reason})"
+
+
+@pytest.mark.parametrize("fault", [b"0.5,x", b"0.5,\xff"])
+def test_load_failing_in_a_late_block_closes_its_file(monkeypatch, tmp_path, fault):
+    # The file is closed as the error leaves load_trace, while its
+    # traceback still holds the call's frames; a file left to the garbage
+    # collector would warn (ResourceWarning), which fails the suite.
+    from powershave import _textio
+    lines = _HEAD + _data_rows(400)
+    path = tmp_path / "t.csv"
+    path.write_bytes(_joined(lines[:300]).encode("ascii") + fault + b"\n"
+                     + _joined(lines[300:]).encode("ascii"))
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(_textio, "open", recording_open, raising=False)
+    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 256)
+    with pytest.raises(TraceFormatError, match="^line 301: ") as err:
+        ps.load_trace(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def _traced_peak(load, *args) -> int:
+    """The tracemalloc peak of one call load(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        load(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_trace_memory_grows_by_the_parsed_samples_alone(tmp_path):
+    # From n to 6n samples the traced peak of a load from a path grows by
+    # at most three float64 columns per added sample (times, powers and
+    # one more array of the size of a column) plus 2 MiB: the call never
+    # holds the file's bytes or its whole text, each about 27 bytes a
+    # sample here.
+    rng = np.random.default_rng(31)
+    n = 50_000
+    peaks = []
+    for size in (n, 6 * n):
+        path = tmp_path / f"{size}.csv"
+        ps.write_trace(make_trace(rng.uniform(0.0, 150_000.0, size), dt=0.005,
+                                  rack_max=150_000.0), path)
+        peaks.append(_traced_peak(ps.load_trace, path))
+    assert peaks[1] - peaks[0] <= 3 * 8 * 5 * n + 2 * 2**20, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +830,18 @@ def test_resample_hand_example_upsample():
 
 def test_resample_rejects_bad_dt():
     tr = make_trace([100.0], dt=0.01, rack_max=1000.0)
-    with pytest.raises(ValueError):
-        ps.resample(tr, 0.0)
-    with pytest.raises(ValueError):
-        ps.resample(tr, -0.01)
+    for dt_new, message in [
+        (0.0, "dt_new_s must be positive, got 0.0"),
+        (-0.01, "dt_new_s must be positive, got -0.01"),
+        (math.inf, "dt_new_s must be finite, got inf"),
+        (math.nan, "dt_new_s must be finite, got nan"),
+        (True, "dt_new_s must be a number, got True"),
+        # 0.01 / 1e-320 overflows to inf.
+        (1e-320, "dt_new_s must leave a finite number of samples in the trace's "
+                 "0.01 s, got 1e-320"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ps.resample(tr, dt_new)
 
 
 def test_resample_energy_bound():

@@ -59,7 +59,7 @@ def _python_files(path: str) -> list:
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True,
-                          text=True).stdout
+                          encoding="utf-8").stdout
 
 
 def _counts_at(rev: str, path: str) -> dict:
