@@ -19,7 +19,6 @@ what float() or int() accepts.
 
 from __future__ import annotations
 
-import codecs
 import json
 import math
 import numbers
@@ -98,47 +97,48 @@ def write_json(obj, dest, sort_keys: bool = True) -> None:
 def read_blocks(source, size: int):
     """Yield the text of a text or binary stream, or of the file at path
     source, in blocks, reading size characters (bytes for a binary
-    source) at a time; a negative size reads it whole, as one block.
-    Every block but the last ends just after a '\n', so each holds whole
-    lines.  Bytes are decoded as UTF-8 one read at a time, so neither the
-    bytes nor the text of the whole source are held.
+    source) at a time.  Every block but the last ends just after a '\n',
+    so each holds whole lines.  Reads with no '\n' are held until one
+    comes, each scanned once, so only a source with no '\n' is held
+    whole.
 
-    A byte that is not UTF-8 raises UnicodeDecodeError.  Its object is
-    the bytes from the end of the last block yielded, and start is the
-    bad byte's position in them, so object[:start] decodes to the text
-    between that block and the bad byte."""
+    A block of bytes is decoded as UTF-8 whole: UTF-8 never puts the byte
+    of '\n' inside a character, so a cut just after it cuts none.  A byte
+    that is not UTF-8 raises UnicodeDecodeError from its block, so the
+    error's object[:start] decodes to the text between the last block
+    yielded and the bad byte."""
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             yield from read_blocks(fh, size)
         return
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    rest = ""
-    while True:
-        data = source.read(size)
-        end = size < 0 or not data
-        if isinstance(data, bytes):
-            try:
-                data = decoder.decode(data, final=end)
-            except UnicodeDecodeError as exc:
-                head = rest.encode("utf-8")
-                raise UnicodeDecodeError(exc.encoding, head + exc.object,
-                                         len(head) + exc.start, len(head) + exc.end,
-                                         exc.reason) from None
-        text = rest + data
-        cut = len(text) if end else text.rfind("\n") + 1
-        # Only the block is held while the caller works on it.
-        block, rest = text[:cut], text[cut:]
-        del data, text
-        if block:
+    held = []
+    while data := source.read(size):
+        cut = data.rfind(b"\n" if isinstance(data, bytes) else "\n") + 1
+        if cut:
+            block = _decoded(data[:0].join([*held, data[:cut]]))
+            held = [data[cut:]]
+            # Only the block is held while the caller works on it.
+            del data
             yield block
-        if end:
-            return
+        else:
+            held.append(data)
+    # data is the empty read that ended the source, "" or b"".
+    if block := data.join(held):
+        yield _decoded(block)
+
+
+def _decoded(block):
+    return block.decode("utf-8") if isinstance(block, bytes) else block
+
+
+# Characters (bytes from a binary source) that read_text reads at a time.
+_READ_TEXT_SIZE = 1 << 18
 
 
 def read_text(source) -> str:
-    """The text of a stream or of the file at path source, read whole
-    (read_blocks)."""
-    return "".join(read_blocks(source, -1))
+    """The text of a stream or of the file at path source (read_blocks,
+    joined)."""
+    return "".join(read_blocks(source, _READ_TEXT_SIZE))
 
 
 def read_package_data(name: str, load):

@@ -17,7 +17,6 @@ floor.
 from __future__ import annotations
 
 import math
-import re
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -281,12 +280,6 @@ def _parse_block(chunk: str, meta: dict, header_seen: bool):
     return parsed and (*parsed, header_seen, len(lines))
 
 
-# Blank and '#' comment lines, then one more line, each ended by '\n': until
-# the header is seen, a block is split where this match ends, a line end
-# of splitlines().
-_HEAD_LINES = re.compile(r"(?:\s*(?:#.*)?\n)*.*\n?")
-
-
 def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     """Parse a trace from a CSV byte/text stream or path.
 
@@ -303,11 +296,8 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     the call holds the parsed columns and one block, never the file's
     bytes or its whole text.  Each block is parsed by array code
     (_parse_block); a block of data rows alone is parsed as it stands,
-    without splitting it into lines.  Until the header is seen, a block is
-    parsed in two pieces, split just after the first line that is neither
-    blank nor a comment, so that the data rows after the header are such a
-    block.  Only a block with a bad line is read again line by line, which
-    names the first such line.
+    without splitting it into lines.  Only a block with a bad line is read
+    again line by line, which names the first such line.
     """
     meta: dict = {}
     t_blocks: list = []
@@ -317,16 +307,14 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     with closing(read_blocks(source, _PARSE_BLOCK_CHARS)) as chunks:
         try:
             for chunk in chunks:
-                cut = len(chunk) if header_seen else _HEAD_LINES.match(chunk).end()
-                for piece in filter(None, (chunk[:cut], chunk[cut:])):
-                    block = _parse_block(piece, meta, header_seen)
-                    if block is None:
-                        lines = piece.splitlines()
-                        block = *_parse_lines(lines, lineno, meta, header_seen), len(lines)
-                    t, p, header_seen, n_lines = block
-                    t_blocks.append(t)
-                    p_blocks.append(p)
-                    lineno += n_lines
+                block = _parse_block(chunk, meta, header_seen)
+                if block is None:
+                    lines = chunk.splitlines()
+                    block = *_parse_lines(lines, lineno, meta, header_seen), len(lines)
+                t, p, header_seen, n_lines = block
+                t_blocks.append(t)
+                p_blocks.append(p)
+                lineno += n_lines
         except UnicodeDecodeError as exc:
             # '?' stands for the bad byte, so that its line is counted even
             # where the text before it ends with a line break.

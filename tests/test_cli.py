@@ -220,6 +220,8 @@ def test_analyze_bad_bins_exit2(work, tmp_path, bins):
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "--bins" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "spike_stats.json").exists()
 
 
 def test_analyze_trace_not_utf8_exit2(tmp_path):

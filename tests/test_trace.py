@@ -14,6 +14,7 @@ import functools
 import io
 import math
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -440,24 +441,6 @@ def test_crlf_and_comment_blocks_offered_to_parse_rows_once(monkeypatch, copy):
     assert len(rows) == len(blocks)
 
 
-def test_first_block_data_rows_skip_the_line_split(monkeypatch):
-    # The first block is split just after the header, so its data rows,
-    # like every later block, reach _parse_rows as they stand.
-    tr = make_trace(np.arange(2000.0), dt=0.005)
-    text = written(ps.write_trace, tr)
-    blocks, rows = [], []
-    parse_block, parse_rows = trace_mod._parse_block, trace_mod._parse_rows
-    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 4096)
-    monkeypatch.setattr(trace_mod, "_parse_block",
-                        lambda *args: blocks.append(args[0]) or parse_block(*args))
-    monkeypatch.setattr(trace_mod, "_parse_rows",
-                        lambda text: rows.append(text) or parse_rows(text))
-    assert ps.load_trace(io.StringIO(text)).samples.tobytes() == tr.samples.tobytes()
-    assert blocks[0] == text[:text.index("timestamp_s,power_w\n") + 20]
-    assert len(blocks) == len(rows) >= 4
-    assert all(row is block for row, block in zip(rows[1:], blocks[1:]))
-
-
 @pytest.mark.parametrize("block_chars", [None, 64])
 @pytest.mark.parametrize("pair", [("0.1", "0.105,1,2"), ("0.1,1,2", "0.105")])
 def test_load_refuses_missing_comma_beside_extra_comma(monkeypatch, block_chars, pair):
@@ -584,6 +567,30 @@ def test_load_failing_in_a_late_block_closes_its_file(monkeypatch, tmp_path, fau
     with pytest.raises(TraceFormatError, match="^line 301: ") as err:
         ps.load_trace(path)
     assert len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize("stream", [io.StringIO, io.BytesIO], ids=["text", "binary"])
+def test_reads_without_a_line_feed_are_scanned_once(stream):
+    # Lines that end in a bare '\r' hold no '\n', so every read is held
+    # until the source ends.  Copying or scanning all the text held at
+    # each of these 60,000 reads would take time quadratic in its length,
+    # ~29 G characters here, against a block each read for the same text
+    # with '\n' endings.
+    from powershave._textio import read_blocks
+
+    def timed(ending):
+        text = ("0.5,1" + ending) * 160_000
+        source = stream(text.encode("ascii") if stream is io.BytesIO else text)
+        start = time.perf_counter()
+        blocks = list(read_blocks(source, 16))
+        elapsed = time.perf_counter() - start
+        assert "".join(blocks) == text
+        return elapsed, len(blocks)
+
+    lf, n_lf = timed("\n")
+    cr, n_cr = timed("\r")
+    assert n_lf > 50_000 and n_cr == 1
+    assert cr <= 5 * lf + 0.05, (cr, lf)
 
 
 def _traced_peak(load, *args) -> int:
