@@ -28,32 +28,51 @@ from importlib import resources
 import numpy as np
 
 # Rows per block of the CSV writer.  Each column of a block is formatted
-# once per distinct value, and only one block's strings are held at once.
+# once per distinct value, and only one block's tables are held at once.
 CSV_BLOCK_ROWS = 8192
+# Rows per chunk of text the CSV writer builds and yields: only one chunk's
+# cell strings and rows are held at once.
+CSV_CHUNK_ROWS = 1024
 
 
-def _column_text(col: np.ndarray) -> list:
-    """repr of every value of an 8-byte numeric block, calling repr once per
-    distinct bit pattern.  Keying on bits keeps -0.0 apart from 0.0.  A
-    block without repeats is formatted cell by cell: there is nothing to
-    save, and the lookup would cost time."""
+def _column_text(col: np.ndarray):
+    """The cell source of an 8-byte numeric block: a function cells(a, b)
+    that returns the repr of each value of col[a:b].  repr is called once
+    per distinct bit pattern of the block, keyed on bits so that -0.0
+    stays apart from 0.0; the source holds those texts and each row's
+    index into them.  A block without repeats is formatted cell by cell:
+    there is nothing to save, and the lookup would cost time."""
     bits = col.view(np.int64)
     ordered = np.sort(bits)    # np.unique (numpy 2.4) is ~15x slower on a block
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if distinct.size == bits.size:
-        return list(map(repr, col.tolist()))
+        return lambda a, b: list(map(repr, col[a:b].tolist()))
     texts = np.array(list(map(repr, distinct.view(col.dtype).tolist())), dtype=object)
-    return texts[np.searchsorted(distinct, bits)].tolist()
+    index = np.searchsorted(distinct, bits)
+    return lambda a, b: texts[index[a:b]].tolist()
+
+
+def _text_cells(text, block: np.ndarray, start: int):
+    """The cell source of a block whose texts text(block, start) gives, the
+    rows start, start + 1, ... of its column (see write_columns_csv).  text
+    runs once per block: its array code costs more per call than per row."""
+    texts = text(block, start)
+    return lambda a, b: texts[a:b]
 
 
 def _csv_chunks(header_lines, columns, texts):
     yield "".join(line + "\n" for line in header_lines)
     n = len(columns[0])
     for start in range(0, n, CSV_BLOCK_ROWS):
-        cells = [texts[i](col[start:start + CSV_BLOCK_ROWS], start) if i in texts
-                 else _column_text(col[start:start + CSV_BLOCK_ROWS])
+        size = min(CSV_BLOCK_ROWS, n - start)
+        cells = [_text_cells(texts[i], col[start:start + size], start) if i in texts
+                 else _column_text(col[start:start + size])
                  for i, col in enumerate(columns)]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        for a in range(0, size, CSV_CHUNK_ROWS):
+            rows = zip(*[cell(a, a + CSV_CHUNK_ROWS) for cell in cells])
+            yield "\n".join(map(",".join, rows)) + "\n"
+        # Dropped before the next block's tables are built.
+        del cells
 
 
 def write_text(dest, chunks) -> None:
@@ -135,10 +154,30 @@ def _decoded(block):
 _READ_TEXT_SIZE = 1 << 18
 
 
-def read_text(source) -> str:
+def not_utf8(exc: UnicodeDecodeError, lines_before: int) -> str:
+    """The refusal of a byte that is not UTF-8, naming its line as
+    splitlines() counts them: "line N: not UTF-8 text (byte 0xff: invalid
+    start byte)".  exc is raised by read_blocks after it yielded blocks of
+    lines_before lines."""
+    # '?' stands for the bad byte, so that its line is counted even where
+    # the text before it ends with a line break.
+    before = exc.object[:exc.start].decode("utf-8") + "?"
+    return (f"line {lines_before + len(before.splitlines())}: not UTF-8 text "
+            f"(byte {exc.object[exc.start]:#04x}: {exc.reason})")
+
+
+def read_text(source, what: str) -> str:
     """The text of a stream or of the file at path source (read_blocks,
-    joined)."""
-    return "".join(read_blocks(source, _READ_TEXT_SIZE))
+    joined).  A byte that is not UTF-8 raises ValueError naming what and
+    the byte's line (not_utf8)."""
+    blocks = []
+    try:
+        for block in read_blocks(source, _READ_TEXT_SIZE):
+            blocks.append(block)
+    except UnicodeDecodeError as exc:
+        lines = sum(len(block.splitlines()) for block in blocks)
+        raise ValueError(f"{what} {not_utf8(exc, lines)}") from None
+    return "".join(blocks)
 
 
 def read_package_data(name: str, load):
@@ -182,10 +221,11 @@ def plain_numbers(fields, what: str, kind=plain_float, first: int = 1) -> tuple:
 
 def read_json_object(source, what: str) -> dict:
     """The JSON object in source (see read_text).  Raises ValueError,
-    naming what, for text that is not JSON or whose value is not an
-    object."""
+    naming what, for text that is not UTF-8 or not JSON, or whose value is
+    not an object."""
+    text = read_text(source, what)
     try:
-        data = json.loads(read_text(source))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad {what} JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -278,7 +278,8 @@ class _Series:
     but the thermal node, the ramp check and the curtailed GPU-seconds,
     which only simulate_shaving adds.  All series share the trace length;
     stored_j is identically zero for the "none" and "ideal" strategies
-    (nothing finite to track)."""
+    (nothing finite to track).  p_comp_demand is the trace's samples
+    array itself, so it is read-only."""
 
     strategy: str
     threshold_w: float
@@ -406,7 +407,8 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
     p_infra = config.p_infra_w
     n = trace.n_samples
 
-    demand_a = trace.samples.astype(float, copy=True)
+    # The trace's own frozen float64 samples: nothing writes the demand.
+    demand_a = trace.samples
     # A step the loop does not walk or that sheds nothing serves its
     # demand, which is demand - 0.0 bit for bit, -0.0 included.
     served_a = demand_a.copy()

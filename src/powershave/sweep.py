@@ -217,7 +217,7 @@ def load_grid_csv(source, trace_label: str = "") -> SweepGrid:
     """Every cell keeps _textio's number rule.  An error names the row and
     the column, both counted from 1 and the header as row 1; blank lines
     are not rows."""
-    lines = [ln for ln in read_text(source).splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(source, "grid CSV").splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("grid CSV needs a header and at least one row")
     header = lines[0].split(",")

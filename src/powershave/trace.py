@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, number_field,
-                      plain_float, read_blocks, read_config, read_package_data,
-                      write_columns_csv, write_config)
+                      not_utf8, plain_float, read_blocks, read_config,
+                      read_package_data, write_columns_csv, write_config)
 
 __all__ = [
     "TraceFormatError",
@@ -316,12 +316,7 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
                 p_blocks.append(p)
                 lineno += n_lines
         except UnicodeDecodeError as exc:
-            # '?' stands for the bad byte, so that its line is counted even
-            # where the text before it ends with a line break.
-            before = exc.object[:exc.start].decode("utf-8") + "?"
-            raise TraceFormatError(
-                f"line {lineno + len(before.splitlines())}: not UTF-8 text "
-                f"(byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
+            raise TraceFormatError(not_utf8(exc, lineno)) from None
 
     if not header_seen:
         raise TraceFormatError("missing 'timestamp_s,power_w' header")

@@ -117,7 +117,8 @@ def run_cli(args, cwd, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "powershave", *args],
-                          cwd=str(cwd), env=env, capture_output=True, text=True)
+                          cwd=str(cwd), env=env, capture_output=True, text=True,
+                          encoding="utf-8")
 
 
 def written(write, obj) -> str:

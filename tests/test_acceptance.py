@@ -250,7 +250,7 @@ def test_criterion_8_reproducibility(tmp_path):
         "inference_rate_hz": 3.0, "seed": 99, "duration_s": 45.0, "dt_s": 0.005,
     }
     cfg_path = tmp_path / "synth.json"
-    cfg_path.write_text(json.dumps(synth_cfg))
+    cfg_path.write_text(json.dumps(synth_cfg), encoding="utf-8")
 
     def run(*args):
         proc = run_cli(args, cwd=tmp_path)

@@ -57,9 +57,9 @@ def work(tmp_path_factory):
     """Shared inputs: a short trace for simulations, config files."""
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "short_synth.json"
-    cfg.write_text(json.dumps(SHORT_SYNTH))
+    cfg.write_text(json.dumps(SHORT_SYNTH), encoding="utf-8")
     loose = root / "loose_sim.json"
-    loose.write_text(json.dumps(LOOSE_SIM))
+    loose.write_text(json.dumps(LOOSE_SIM), encoding="utf-8")
     gen = root / "gen"
     proc = run_cli(["synth", "--config", str(cfg), "--out", str(gen)], cwd=root)
     assert proc.returncode == 0, proc.stderr
@@ -81,7 +81,7 @@ def default_trace_dir(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 def test_synth_writes_trace_and_manifest(work):
-    text = work["trace"].read_text()
+    text = work["trace"].read_text(encoding="utf-8")
     assert text.startswith("# rack_max_w=")
     assert "# dt_s=" in text
     assert "timestamp_s,power_w" in text
@@ -95,7 +95,7 @@ def test_synth_missing_seed_exit2(work, tmp_path):
     cfg = dict(SHORT_SYNTH)
     del cfg["seed"]
     path = tmp_path / "noseed.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path)],
                    cwd=tmp_path)
     assert proc.returncode == 2
@@ -106,7 +106,7 @@ def test_synth_missing_seed_exit2(work, tmp_path):
 def test_synth_bad_config_value_exit2(tmp_path, field, value):
     cfg = dict(SHORT_SYNTH, **{field: value})
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path)],
                    cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -134,7 +134,7 @@ def test_synth_int_and_float_values_are_one_workload(tmp_path):
     outs = (tmp_path / "int", tmp_path / "float")
     for out, power in zip(outs, (700, 700.0)):
         path = tmp_path / f"{out.name}.json"
-        path.write_text(json.dumps(dict(SHORT_SYNTH, burst_power_w=power)))
+        path.write_text(json.dumps(dict(SHORT_SYNTH, burst_power_w=power)), encoding="utf-8")
         proc = run_cli(["synth", "--config", str(path), "--out", str(out)], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
     assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
@@ -145,7 +145,7 @@ def test_synth_int_and_float_values_are_one_workload(tmp_path):
 
 def test_synth_power_levels_out_of_order_names_fields(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(dict(SHORT_SYNTH, comm_power_w=900.0)))
+    path.write_text(json.dumps(dict(SHORT_SYNTH, comm_power_w=900.0)), encoding="utf-8")
     proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "new")],
                    cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -296,7 +296,7 @@ def test_simulate_unknown_device_exit2(work, tmp_path):
 ])
 def test_simulate_bad_config_value_exit2(work, tmp_path, config, field):
     path = tmp_path / "bad_sim.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", "none",
                     "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -308,7 +308,7 @@ def test_simulate_bad_device_spec_value_exit2(work, tmp_path):
     spec = {"kind": "battery", "energy_capacity_j": "lots", "max_discharge_w": 35000.0,
             "max_charge_w": 35000.0}
     path = tmp_path / "bad_device.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", str(path),
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -325,11 +325,33 @@ def test_simulate_bad_device_spec_value_exit2(work, tmp_path):
 def test_simulate_field_sign_exit2(work, tmp_path, flags, document, message):
     # The bad file is the value of the last flag.
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(document), encoding="utf-8")
     proc = run_cli(["simulate", "--trace", str(work["trace"]), *flags, str(path),
                     "--out", str(tmp_path / "new")], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["synth", "--config"], "synth config"),
+    (["simulate", "--device", "none", "--config"], "sim config"),
+    (["compare", "--config"], "sim config"),
+    (["simulate", "--device"], "device spec"),
+], ids=["synth-config", "simulate-config", "compare-config", "device-spec"])
+def test_file_not_utf8_names_its_kind_and_line_exit2(work, tmp_path, argv, kind):
+    # Each file loader refuses a byte that is not UTF-8 in load_trace's
+    # wording, after the file's kind.  The bad file is the value of the
+    # last flag.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{\n  "seed": 1,\n  "label": "\xff"\n}\n')
+    if argv[0] != "synth":
+        argv = [argv[0], "--trace", str(work["trace"]), *argv[1:]]
+    proc = run_cli([*argv, str(path), "--out", str(tmp_path / "new")], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert (f"error: {kind} line 3: not UTF-8 text (byte 0xff: invalid start byte)"
+            in proc.stderr)
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "new").exists()
 
@@ -343,7 +365,7 @@ def test_simulate_device_spec_wrong_kind_field_exit2(work, tmp_path, kind, field
     spec = {"kind": kind, "energy_capacity_j": 5e4, "max_discharge_w": 12000.0,
             "max_charge_w": 12000.0, field: value}
     path = tmp_path / "bad_device.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", str(path),
                     "--out", str(tmp_path / "new")], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -361,7 +383,7 @@ def test_simulate_threshold_flag_replaces_config_threshold(work, tmp_path, flag,
     # A run with the flag equals a run whose config file holds that
     # threshold: same summary, same recorded sim_config digest.
     held = tmp_path / "held.json"
-    held.write_text(json.dumps(dict(LOOSE_SIM, threshold=threshold)))
+    held.write_text(json.dumps(dict(LOOSE_SIM, threshold=threshold)), encoding="utf-8")
     outs = (tmp_path / "flag", tmp_path / "file")
     for out, argv in zip(outs, (["--config", str(work["loose"]), flag, value],
                                 ["--config", str(held)])):
@@ -385,7 +407,7 @@ NON_FINITE = [float("nan"), float("inf")]
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_simulate_non_finite_config_exit2(work, tmp_path, value):
     path = tmp_path / "bad_sim.json"
-    path.write_text(json.dumps({"p_infra_w": value}))
+    path.write_text(json.dumps({"p_infra_w": value}), encoding="utf-8")
     proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", "none",
                     "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -399,7 +421,7 @@ def test_simulate_non_finite_device_spec_exit2(work, tmp_path, value):
     spec = {"kind": "capacitor", "energy_capacity_j": value, "max_discharge_w": 12000.0,
             "max_charge_w": 12000.0}
     path = tmp_path / "bad_device.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     proc = run_cli(["simulate", "--trace", str(work["trace"]), "--device", str(path),
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -411,7 +433,7 @@ def test_simulate_non_finite_device_spec_exit2(work, tmp_path, value):
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_synth_non_finite_config_exit2(tmp_path, value):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(dict(SHORT_SYNTH, burst_power_w=value)))
+    path.write_text(json.dumps(dict(SHORT_SYNTH, burst_power_w=value)), encoding="utf-8")
     proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path)],
                    cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -426,7 +448,7 @@ def test_synth_dt_leaving_one_sample_exit2(tmp_path, dt_s):
     # reads, and at 2000 s none.
     cfg = read_json(PACKAGE_DIR / "data" / "default_synth.json")
     path = tmp_path / "coarse.json"
-    path.write_text(json.dumps(dict(cfg, dt_s=dt_s)))
+    path.write_text(json.dumps(dict(cfg, dt_s=dt_s)), encoding="utf-8")
     proc = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "new")],
                    cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -489,7 +511,7 @@ def test_unsupported_arithmetic_refused_exit2(work, earlier_out, tmp_path,
         argv += ["--device", "supercap"]
     if config is not None:
         path = tmp_path / "sim.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(path)]
     proc = run_cli(argv, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -507,7 +529,7 @@ def test_sweep_default_grid_shape(default_trace_dir, tmp_path):
     proc = run_cli(["sweep", "--trace", str(default_trace_dir / "trace.csv"),
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "grid.csv").read_text().strip().splitlines()
+    lines = (tmp_path / "grid.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 11          # header + 10 threshold rows
     assert all(len(line.split(",")) == 12 for line in lines)
     grid = read_json(tmp_path / "grid.json")
@@ -592,7 +614,7 @@ def test_compare_preset_dummy_pattern(default_trace_dir, tmp_path):
                     "--device", "capacitor", "--device", "supercap",
                     "--device", "battery", "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
+    lines = (tmp_path / "comparison.csv").read_text(encoding="utf-8").strip().splitlines()
     header = lines[0].split(",")
     rows = {r.split(",")[0]: dict(zip(header, r.split(","))) for r in lines[1:]}
     dummy = {name: float(row["dummy_energy_j"]) for name, row in rows.items()}
@@ -608,7 +630,7 @@ def test_compare_default_list(work, tmp_path):
                     "--config", str(work["loose"]), "--out", str(tmp_path)],
                    cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
+    lines = (tmp_path / "comparison.csv").read_text(encoding="utf-8").strip().splitlines()
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["none", "capacitor", "supercap", "battery", "ideal"]
 

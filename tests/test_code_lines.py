@@ -55,10 +55,10 @@ def test_code_lines_counts_exactly_the_code_lines():
 
 
 def test_main_prints_each_file_and_the_total(tmp_path, capsys):
-    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "a.py").write_text(SOURCE, encoding="utf-8")
     (tmp_path / "sub").mkdir()
-    (tmp_path / "sub" / "b.py").write_text("x = 1\n")
-    (tmp_path / "notes.txt").write_text("x = 1\n")
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"    16  {tmp_path / 'a.py'}",
@@ -75,15 +75,15 @@ def _git(repo, *args):
 def test_against_prints_each_file_then_and_now(tmp_path, monkeypatch, capsys):
     pkg = tmp_path / "pkg"
     (pkg / "sub").mkdir(parents=True)
-    (pkg / "a.py").write_text("x = 1\ny = 2\n")
-    (pkg / "gone.py").write_text("x = 1\n")
-    (pkg / "notes.txt").write_text("x = 1\n")
+    (pkg / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (pkg / "gone.py").write_text("x = 1\n", encoding="utf-8")
+    (pkg / "notes.txt").write_text("x = 1\n", encoding="utf-8")
     _git(tmp_path, "init", "-q")
     _git(tmp_path, "add", "-A")
     _git(tmp_path, "commit", "-q", "-m", "first")
-    (pkg / "a.py").write_text(SOURCE)
+    (pkg / "a.py").write_text(SOURCE, encoding="utf-8")
     (pkg / "gone.py").unlink()
-    (pkg / "sub" / "b.py").write_text("x = 1\n")
+    (pkg / "sub" / "b.py").write_text("x = 1\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert code_lines.main(["--against", "HEAD", "pkg"]) == 0
     assert capsys.readouterr().out.splitlines() == [

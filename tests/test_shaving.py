@@ -4,14 +4,16 @@ Covers:
  1. SimConfig validation and JSON round trip
  2. thermal_step fixed point, steady state, monotonicity; derate_factor
  3. simulate_shaving hand examples (ideal grid identity, bare-grid
-    curtailment, restart hold-down timing, overlapping holds), and the
-    temperature series replayed through thermal_step
+    curtailment, restart hold-down timing, overlapping holds), the
+    temperature series replayed through thermal_step, and the demand
+    series shared with the trace
  4. Grid cap and ramp-violation reporting
  5. Dummy-load scheduling under a tight ramp and its thermal effect
  6. computational_gain identity, constructed +100%, preset ordering
  7. gpus_saved hand checks and monotonicity
  8. Whole-run conservation on every run via the run_sim helper
- 9. Result CSV / summary JSON export layout
+ 9. Result CSV / summary JSON export layout, and the writer's chunk and
+    memory bounds
 
 Every simulation here goes through conftest.run_sim, which asserts the
 per-step power balance, the grid cap, and exact device bookkeeping.
@@ -21,16 +23,19 @@ import dataclasses
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import powershave as ps
 from powershave import SimConfig, ThresholdSpec, shaving
+from powershave._textio import CSV_BLOCK_ROWS, CSV_CHUNK_ROWS
 from powershave.devices import builtin_device_spec
 
 from conftest import (SHORT_SYNTH_CONFIG, loose_config, make_trace, run_sim,
-                      with_numpy_numbers, written)
+                      strategy_spec, with_numpy_numbers, written)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +436,17 @@ def test_device_covers_deficit():
     assert r.final_stored_j == pytest.approx(50.0 - 3.0)
 
 
+@pytest.mark.parametrize("strategy", ["none", "supercap", "ideal"])
+def test_demand_series_is_the_trace_samples(short_trace, strategy):
+    # The simulation reads the trace's frozen samples in place: no copy,
+    # and no way to write through the result.
+    result = run_sim(short_trace, strategy_spec(strategy), SimConfig())
+    assert np.shares_memory(result.p_comp_demand, short_trace.samples)
+    assert not result.p_comp_demand.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        result.p_comp_demand[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # 4. Grid cap and ramp reporting
 # ---------------------------------------------------------------------------
@@ -697,7 +713,6 @@ def naive_result_csv(result):
 @pytest.mark.parametrize("offset", [-1, 0, 1, None])
 def test_result_csv_matches_per_cell_repr(offset):
     from dataclasses import replace
-    from powershave._textio import CSV_BLOCK_ROWS
     n = 1 if offset is None else CSV_BLOCK_ROWS + offset
     rng = np.random.default_rng(n)
     pool = np.array(AWKWARD_FLOATS)
@@ -710,9 +725,13 @@ def test_result_csv_matches_per_cell_repr(offset):
     distinct = np.arange(n, dtype=float) * 1e-5
     distinct[0] = -0.0
     cols["stored_j"] = distinct
-    # Repeats that straddle the block boundary, among values unique to them.
+    # Repeats that straddle the block boundary, and signed zeros that
+    # alternate across a chunk boundary inside the first block, among
+    # values unique to them.
     straddle = np.arange(n, dtype=float) + 0.5
     straddle[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = -0.0
+    straddle[CSV_CHUNK_ROWS - 2:CSV_CHUNK_ROWS + 2:2] = -0.0
+    straddle[CSV_CHUNK_ROWS - 1:CSV_CHUNK_ROWS + 2:2] = 0.0
     straddle[0] = 0.0
     straddle[1:2] = -0.0
     cols["temperature_c"] = straddle
@@ -720,6 +739,84 @@ def test_result_csv_matches_per_cell_repr(offset):
     buf = io.StringIO()
     ps.write_result_csv(result, buf)
     assert buf.getvalue() == naive_result_csv(result)
+
+
+class ChunkSink:
+    """A text stream that records each chunk written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, chunk):
+        self.chunks.append(chunk)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+class DiscardSink:
+    """A text stream that keeps nothing written to it."""
+
+    def write(self, chunk):
+        pass
+
+    def writelines(self, chunks):
+        for _ in chunks:
+            pass
+
+
+@pytest.mark.parametrize("writer", ["write_result_csv", "write_trace"])
+def test_export_yields_at_most_a_chunk_of_rows_at_a_time(default_trace, preset_results,
+                                                         writer):
+    # After the header, no chunk the writer hands its stream holds more
+    # than CSV_CHUNK_ROWS rows, while the chunks still join to the file.
+    obj = preset_results["supercap"] if writer == "write_result_csv" else default_trace
+    assert default_trace.n_samples > 4 * CSV_BLOCK_ROWS
+    sink = ChunkSink()
+    getattr(ps, writer)(obj, sink)
+    buf = io.StringIO()
+    getattr(ps, writer)(obj, buf)
+    assert "".join(sink.chunks) == buf.getvalue()
+    rows = [chunk.count("\n") for chunk in sink.chunks[1:]]
+    assert sum(rows) == default_trace.n_samples
+    assert max(rows) <= CSV_CHUNK_ROWS
+
+
+def _block_table_bytes(result, start: int) -> int:
+    """What the export's tables of the block from row start hold: for each
+    column with repeats in the block, an index per row and one text per
+    distinct bit pattern."""
+    total = 0
+    for name in shaving._SERIES_NAMES:
+        block = np.ascontiguousarray(getattr(result, name))[start:start + CSV_BLOCK_ROWS]
+        distinct = np.unique(block.view(np.int64)).view(np.float64)
+        if distinct.size < block.size:
+            total += 8 * block.size + sum(8 + sys.getsizeof(repr(value))
+                                          for value in distinct.tolist())
+    return total
+
+
+def test_result_export_never_holds_a_block_of_text(preset_results):
+    # The export holds one block's tables and less than one block's text
+    # at a time, however many blocks the result has.
+    result = preset_results["supercap"]
+    assert result.n_steps > 4 * CSV_BLOCK_ROWS
+    buf = io.StringIO()
+    ps.write_result_csv(result, buf)
+    rows = buf.getvalue().split("\n")[1:-1]
+    starts = range(0, result.n_steps, CSV_BLOCK_ROWS)
+    block_text = max(sum(map(len, rows[start:start + CSV_BLOCK_ROWS])) + CSV_BLOCK_ROWS
+                     for start in starts)
+    tables = max(_block_table_bytes(result, start) for start in starts)
+    del buf, rows
+    tracemalloc.start()
+    try:
+        ps.write_result_csv(result, DiscardSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables + block_text, (peak, tables, block_text)
 
 
 def test_result_summary_json_fields():

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import powershave as ps
-from powershave import SimConfig, ThresholdSpec, shaving, sweep
+from powershave import SimConfig, ThresholdSpec, _textio, shaving, sweep
 
 from conftest import STRATEGIES, make_trace, strategy_spec
 
@@ -298,6 +298,23 @@ def test_load_grid_csv_names_bad_cell(text, where):
 def test_load_grid_csv_refuses_bad_shape(text, message):
     with pytest.raises(ValueError, match=f"^grid CSV {message}"):
         ps.load_grid_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("read_size", [None, 16])
+def test_load_grid_csv_refuses_a_byte_that_is_not_utf8_naming_its_line(
+        monkeypatch, tmp_path, read_size):
+    # Lines are counted as load_trace counts them, blank ones too, also
+    # where the bad byte comes in a later read.
+    data = b"threshold_frac/burst_s,0.0,0.1\n0.5,1,0\n\n0.7,1,0\n0.9,\xff,0\n"
+    if read_size is not None:
+        monkeypatch.setattr(_textio, "_READ_TEXT_SIZE", read_size)
+    path = tmp_path / "grid.csv"
+    path.write_bytes(data)
+    for source in (io.BytesIO(data), path):
+        with pytest.raises(ValueError) as err:
+            ps.load_grid_csv(source)
+        assert str(err.value) == ("grid CSV line 5: not UTF-8 text "
+                                  "(byte 0xff: invalid start byte)")
 
 
 @pytest.mark.parametrize("missing", ["threshold_fracs", "burst_lengths_s", "values"])

@@ -696,15 +696,18 @@ TIME_AXES = (
     pytest.param(offset, *axis, id=f"{offset}" + (f"-{axis[0]!r}-{axis[1]!r}" if i else ""))
     for i, axis in enumerate(TIME_AXES) for offset in (-1, 0, 1, None)])
 def test_write_trace_matches_per_cell_repr(offset, dt, origin, uniform):
-    from powershave._textio import CSV_BLOCK_ROWS
+    from powershave._textio import CSV_BLOCK_ROWS, CSV_CHUNK_ROWS
     n = 1 if offset is None else CSV_BLOCK_ROWS + offset
     rng = np.random.default_rng(n)
     pool = np.array([0.0, -0.0, 5e-324, 1e-310, 9999999999999998.0, 1e16,
                      1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1e-5,
                      1.0000000000000001e-05, 700.0, 0.1])
     samples = rng.choice(pool, size=n)
-    # Repeats that straddle the block boundary.
+    # Repeats that straddle the block boundary, and signed zeros that
+    # alternate across a chunk boundary inside the first block.
     samples[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = -0.0
+    samples[CSV_CHUNK_ROWS - 2:CSV_CHUNK_ROWS + 2:2] = -0.0
+    samples[CSV_CHUNK_ROWS - 1:CSV_CHUNK_ROWS + 2:2] = 0.0
     make = functools.partial(ps.PowerTrace, dt_s=dt, samples=samples, rack_max_w=2e16,
                              source_label="awkward", origin_time_s=origin)
     if n > 1 and not uniform:
