@@ -38,8 +38,9 @@ compare_strategies needs only the useful energy, so it first takes a
 proven upper bound on the node (_node_bound_c, a few array passes) and
 walks only where that bound passes t_derate_c: below it every de-rating
 factor is exactly 1.0 and the walk could change no bit of the energy.
-Both run one series pass, _simulate_series; simulate_shaving adds the
-ramp check, the curtailed GPU-seconds and the temperature series.
+Both run one series pass, _simulate_series, which also takes the ramp
+check and the curtailed GPU-seconds; simulate_shaving adds the
+temperature series.
 
 Only the steps that can change state run as scalar code.  The ideal
 device delivers the whole deficit, so it is array code.  Every other
@@ -101,7 +102,6 @@ _SERIES_NAMES = (
     "p_ext_charge", "p_dummy", "curtailed_w", "stored_j", "temperature_c",
 )
 
-_W_EPS = 1e-9
 # Power-balance tolerance as a fraction of rack_max_w, the same as the
 # invariant checks' BALANCE_TOL_FRAC in tests/conftest.py.
 _BALANCE_TOL_FRAC = 1e-6
@@ -178,12 +178,11 @@ def _thermal_walk(g_m, temp, config: SimConfig, dt: float) -> float:
     return temp
 
 
-def _node_input(series: _Series, out: np.ndarray) -> np.ndarray:
+def _node_input(served, dummy, config: SimConfig, out: np.ndarray) -> np.ndarray:
     """The thermal node's input of each step into out: the heat of served
     compute plus dummy load, times k_scale_c_per_w, multiplied in the order
     one thermal_step takes."""
-    config = series.config
-    np.add(series.p_comp_served, series.p_dummy, out=out)
+    np.add(served, dummy, out=out)
     out *= config.heat_factor
     out *= config.k_scale_c_per_w
     return out
@@ -274,12 +273,14 @@ def derate_factor(temp_c, config: SimConfig):
 
 @dataclass(frozen=True)
 class _Series:
-    """What one pass of the step loop gives: every field of a ShavingResult
-    but the thermal node, the ramp check and the curtailed GPU-seconds,
-    which only simulate_shaving adds.  All series share the trace length;
-    stored_j is identically zero for the "none" and "ideal" strategies
-    (nothing finite to track).  p_comp_demand is the trace's samples
-    array itself, so it is read-only."""
+    """What the series pass gives, for simulate and compare alike: every
+    field of a ShavingResult but the thermal node's temperature, which
+    only simulate_shaving adds.  A run's scalar figures are _figures of
+    it, so a new figure is a new field here.  All series share the trace
+    length; stored_j is identically zero for the "none" and "ideal"
+    strategies (nothing finite to track).  p_comp_demand is the trace's
+    samples array itself, so it is read-only.  ramp_violation_steps
+    holds the steps whose feed moved by more than the ramp limit allows."""
 
     strategy: str
     threshold_w: float
@@ -298,6 +299,8 @@ class _Series:
     total_unserved_energy_j: float
     unserved_spike_count: int
     device_energy_throughput_j: float
+    curtailed_gpu_seconds: float
+    ramp_violation_steps: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -311,20 +314,25 @@ class _Series:
     def final_stored_j(self) -> float:
         return float(self.stored_j[-1]) if self.n_steps else 0.0
 
-
-@dataclass(frozen=True)
-class ShavingResult(_Series):
-    """Per-step series plus run totals: a step loop's _Series, the
-    temperature of the thermal node, the curtailed GPU-seconds and the
-    steps that broke the ramp limit."""
-
-    temperature_c: np.ndarray
-    curtailed_gpu_seconds: float
-    ramp_violation_steps: np.ndarray
-
     @property
     def ramp_violation_count(self) -> int:
         return int(self.ramp_violation_steps.shape[0])
+
+
+def _figures(series: _Series) -> dict:
+    """A run's scalar figures: _Series' scalar fields plus n_steps,
+    final_stored_j, peak_grid_w and ramp_violation_count."""
+    names = [f.name for f in fields(_Series) if f.type in ("str", "float", "int")]
+    names += ["n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count"]
+    return {name: getattr(series, name) for name in names}
+
+
+@dataclass(frozen=True)
+class ShavingResult(_Series):
+    """Per-step series plus run totals: the series pass's _Series and the
+    temperature of the thermal node."""
+
+    temperature_c: np.ndarray
 
 
 def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float,
@@ -351,34 +359,17 @@ def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResul
     """Run the step-by-step co-simulation; see the module docstring for
     the feed policies.  spec is a DeviceSpec, "none", or "ideal"."""
     series = _simulate_series(trace, spec, config)
-    dt = series.dt_s
-    grid_a = series.p_grid
-    temp_a = np.empty(series.n_steps)
-    r_bound = config.grid_ramp_limit_w_per_s * dt * (1.0 + 1e-9) + _W_EPS
-    # temp_a[1:] holds |grid[i] - grid[i-1]| until the thermal pass below
-    # overwrites it.
-    jumps = temp_a[1:]
-    np.subtract(grid_a[1:], grid_a[:-1], out=jumps)
-    np.abs(jumps, out=jumps)
-    violations = np.flatnonzero(jumps > r_bound)
-    violations += 1
-
-    _node_input(series, temp_a)
-    _thermal_walk(memoryview(temp_a), config.t_ambient_c, config, dt)
-
-    # ceil(max(curtailed, 0) / gpu_w - 1e-9), in one temporary.
-    gpu_steps = np.maximum(series.curtailed_w, 0.0)
-    gpu_steps /= config.gpu_unit_w
-    gpu_steps -= 1e-9
-    np.ceil(gpu_steps, out=gpu_steps)
-    return ShavingResult(**vars(series), temperature_c=temp_a,
-                         curtailed_gpu_seconds=float(gpu_steps.sum() * dt),
-                         ramp_violation_steps=violations)
+    temp_a = _node_input(series.p_comp_served, series.p_dummy, config,
+                         np.empty(series.n_steps))
+    _thermal_walk(memoryview(temp_a), config.t_ambient_c, config, series.dt_s)
+    return ShavingResult(**vars(series), temperature_c=temp_a)
 
 
 def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
     """The series pass of simulate_shaving: its checks, the step loop (or
-    the ideal device's array code), the grid feed and the row totals."""
+    the ideal device's array code), the grid feed, the ramp check and the
+    run totals.  Its one scratch series ends as curtailed_w, so the pass
+    holds no series beyond the ones it returns."""
     if not isinstance(trace, PowerTrace):
         raise ValueError("trace must be a PowerTrace")
     if not isinstance(config, SimConfig):
@@ -417,6 +408,8 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
     charge_a = np.zeros(n)
     dummy_a = np.zeros(n)
     stored_a = np.zeros(n)
+    # Scratch until it takes the curtailed power, last.
+    curtailed_a = np.empty(n)
 
     if strategy == "ideal":
         # The feed takes p_infra plus demand up to theta, and the device
@@ -431,7 +424,7 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
         # grid_a is scratch until the post-pass below.
         unserved_events = _step_loop(
             demand_a, served_a, grid_a, discharge_a, charge_a, dummy_a,
-            stored_a, np.zeros(n), spec if strategy != "none" else None,
+            stored_a, curtailed_a, spec if strategy != "none" else None,
             config, theta, dt)
 
     # Nothing in the step reads the grid feed it draws, so the feed follows
@@ -441,7 +434,21 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
     grid_a += dummy_a
     grid_a += charge_a
     grid_a -= discharge_a
-    curtailed_a = np.subtract(demand_a, served_a)
+
+    # |grid[i] - grid[i-1]| into curtailed_a[1:]: step i breaks the ramp
+    # limit when it passes grid_ramp_limit_w_per_s * dt by a relative 1e-9.
+    jumps = curtailed_a[1:]
+    np.subtract(grid_a[1:], grid_a[:-1], out=jumps)
+    np.abs(jumps, out=jumps)
+    violations = np.flatnonzero(jumps > config.grid_ramp_limit_w_per_s * dt * (1.0 + 1e-9))
+    violations += 1
+    # The accelerators each step sheds, ceil(max(curtailed, 0) / gpu_w -
+    # 1e-9), into curtailed_a, and then the curtailed power itself.
+    np.maximum(np.subtract(demand_a, served_a, out=curtailed_a), 0.0, out=curtailed_a)
+    curtailed_a /= config.gpu_unit_w
+    curtailed_a -= 1e-9
+    gpu_seconds = float(np.ceil(curtailed_a, out=curtailed_a).sum() * dt)
+    np.subtract(demand_a, served_a, out=curtailed_a)
     return _Series(
         strategy=strategy,
         threshold_w=theta,
@@ -460,6 +467,8 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
         total_unserved_energy_j=float(curtailed_a.sum() * dt),
         unserved_spike_count=unserved_events,
         device_energy_throughput_j=float((discharge_a.sum() + charge_a.sum()) * dt),
+        curtailed_gpu_seconds=gpu_seconds,
+        ramp_violation_steps=violations,
     )
 
 
@@ -545,17 +554,20 @@ class _Shedding:
         return self._state()
 
 
-def _live_short(deficit, delivered, escal):
+def _live_short(deficit, delivered, escal, gpu_w):
     """What a step leaves unserved after the device delivered and the feed
     escalated by up to escal: the deficit's shortfall past both, or 0.0
-    below _W_EPS.  escal must be at least 0 (the step loop passes cap - c,
+    where it sheds no accelerator of gpu_w watts.  The shedding machine
+    sheds ceil(live / gpu_w - 1e-9) of them, so a shortfall is served
+    exactly when that quotient is not positive, and every event sheds at
+    least one.  escal must be at least 0 (the step loop passes cap - c,
     and the feed never passes the cap); then a deficit at or below
     delivered leaves 0.0."""
     shortfall = deficit - delivered
     if not escal < shortfall:
         escal = shortfall
     live = shortfall - escal
-    return 0.0 if live < _W_EPS else live
+    return live if live / gpu_w - 1e-9 > 0.0 else 0.0
 
 
 def _fill_need(need_a, d_eff_a, p_infra, theta):
@@ -595,6 +607,7 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
     skipped range, and feed_a keeps 0.0 there, not above the need, so the
     dummy pass gives it no dummy load, like every battery step."""
     p_infra = config.p_infra_w
+    gpu_w = config.gpu_unit_w
     cap = p_infra + theta
     n = demand_a.shape[0]
     if device is None or device.kind != "battery":
@@ -666,7 +679,7 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
                     stored_m[i] = stored
 
                 if theta < d_eff:
-                    live = _live_short(load - c, delivered, cap - c)
+                    live = _live_short(load - c, delivered, cap - c, gpu_w)
                     if live or in_event:
                         live_m[i] = live
                         blocked_w, expiry, in_event = shedding.end_step(i, live)
@@ -706,18 +719,17 @@ def _derated_j(served, temp, config: SimConfig, dt: float) -> float:
     return float(np.sum(served * derate_factor(temp, config)) * dt)
 
 
-def _useful_j(series: _Series) -> float:
-    """useful_compute_j of the result simulate_shaving builds from series,
-    bit for bit, walking the thermal node only when de-rating can bite.
+def _useful_j(served, dummy, config: SimConfig, dt: float) -> float:
+    """useful_compute_j of the result simulate_shaving builds from a series
+    pass's served and dummy power, bit for bit, walking the thermal node
+    only when de-rating can bite.
 
     Where derate_slope_per_c is 0, or _node_bound_c shows that no
     temperature passes t_derate_c, every factor is exactly 1.0, and
     served * 1.0 is served, so the sum of served * dt has the formula's
     bits."""
-    config, dt = series.config, series.dt_s
-    served = series.p_comp_served
     if config.derate_slope_per_c:
-        g = _node_input(series, np.empty(series.n_steps))
+        g = _node_input(served, dummy, config, np.empty(served.shape[0]))
         if _node_bound_c(g, config, dt) > config.t_derate_c:
             _thermal_walk(memoryview(g), config.t_ambient_c, config, dt)
             return _derated_j(served, g, config, dt)
@@ -782,12 +794,8 @@ def _gpus_saved_grid(trace: PowerTrace, threshold_fracs, min_bursts_s,
 # ---------------------------------------------------------------------------
 
 def result_summary_dict(result: ShavingResult) -> dict:
-    """ShavingResult's scalar fields and the figures derived from its
-    series: a new summary figure is a new scalar field."""
-    names = [f.name for f in fields(result) if f.type in ("str", "float", "int")]
-    names += ["n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count"]
-    return {name: getattr(result, name) for name in names} | {
-        "useful_compute_j": useful_compute_j(result)}
+    """The run's figures (_figures) and its useful_compute_j."""
+    return _figures(result) | {"useful_compute_j": useful_compute_j(result)}
 
 
 def write_result_csv(result: ShavingResult, dest) -> None:

@@ -24,8 +24,8 @@ import numpy as np
 from ._textio import (NON_NEGATIVE, check_fields, plain_int, plain_numbers,
                       read_json_object, read_text, write_json, write_text)
 from .trace import PowerTrace
-from .shaving import (SimConfig, _gain_pct, _gpus_saved_grid, _simulate_series,
-                      _useful_j)
+from .shaving import (SimConfig, _figures, _gain_pct, _gpus_saved_grid,
+                      _simulate_series, _useful_j)
 # Unused here; bench/tracer.py patches sweep.gpus_saved and sweep.simulate_shaving.
 from .shaving import gpus_saved, simulate_shaving  # noqa: F401
 
@@ -130,15 +130,24 @@ class ComparisonRow:
         check_fields(self)
 
 
+# (ComparisonRow field and CSV column, run figure) of each number after the
+# gain, in the row's field order; every figure is a result_summary_dict key.
+_ROW_FIGURES = (("dummy_energy_j", "total_dummy_energy_j"),
+                ("total_unserved_energy_j", "total_unserved_energy_j"),
+                ("device_energy_throughput_j", "device_energy_throughput_j"),
+                ("peak_grid_w", "peak_grid_w"))
+
+
 def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list:
     """Simulate each (name, device) pair on the same trace and config.
 
     strategies is an ordered mapping or sequence of (name, spec) pairs
     where spec is a DeviceSpec, "none", or "ideal".  Gains are relative
     to the device-free run, which is computed regardless of whether it
-    is listed.  Duplicate names are rejected.  One simulation is alive at
-    a time: the baseline's series are dropped once its useful energy and
-    totals are taken, and every "none" row is built from those totals.
+    is listed.  Duplicate names are rejected.  Each row is the name, the
+    gain and the _ROW_FIGURES of the run's summary (_summary).  One
+    simulation is alive at a time: the baseline's series are dropped once
+    its summary is taken, and every "none" row is built from that summary.
 
     Each row's numbers are those of simulate_shaving's result, bit for
     bit, but compare runs only the series pass (shaving._simulate_series)
@@ -147,10 +156,8 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     t_derate_c, every de-rating factor is exactly 1.0, so the useful
     energy is the served energy, and the walk would change no bit.
     """
-    if hasattr(strategies, "items"):
-        pairs = list(strategies.items())
-    else:
-        pairs = [(name, spec) for name, spec in strategies]
+    pairs = [(name, spec) for name, spec in (
+        strategies.items() if hasattr(strategies, "items") else strategies)]
     if not pairs:
         raise ValueError("at least one strategy is required")
     names = [name for name, _ in pairs]
@@ -158,28 +165,29 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate strategy names: {dupes}")
 
-    base_useful_j, base_totals = _row_inputs(_simulate_series(trace, "none", config))
+    base = _summary(trace, "none", config)
     rows = []
     for name, spec in pairs:
         try:
-            if spec == "none":
-                useful_j, totals = base_useful_j, base_totals
-            else:
-                useful_j, totals = _row_inputs(_simulate_series(trace, spec, config))
-            gain = _gain_pct(useful_j, base_useful_j)
+            summary = base if spec == "none" else _summary(trace, spec, config)
+            gain = _gain_pct(summary["useful_compute_j"], base["useful_compute_j"])
         except ValueError as exc:
             raise ValueError(f"strategy {name!r}: {exc}") from None
-        rows.append(ComparisonRow(name, gain, *totals))
+        rows.append(ComparisonRow(name, gain, **{
+            column: summary[figure] for column, figure in _ROW_FIGURES}))
     return rows
 
 
-def _row_inputs(series) -> tuple:
-    """What a comparison row needs of a simulation: its useful energy and
-    its row totals.  The caller keeps these, not the series, so they are
-    freed before the next simulation starts."""
-    return _useful_j(series), (
-        series.total_dummy_energy_j, series.total_unserved_energy_j,
-        series.device_energy_throughput_j, series.peak_grid_w)
+def _summary(trace, spec, config) -> dict:
+    """result_summary_dict of simulate_shaving(trace, spec, config), bit for
+    bit, from the series pass alone.  Of the series only the served and
+    dummy power outlive the figures, so the thermal node's input is never
+    held beside a whole run."""
+    series = _simulate_series(trace, spec, config)
+    figures = _figures(series)
+    served, dummy = series.p_comp_served, series.p_dummy
+    del series
+    return figures | {"useful_compute_j": _useful_j(served, dummy, config, trace.dt_s)}
 
 
 # ---------------------------------------------------------------------------

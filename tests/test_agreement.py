@@ -14,11 +14,13 @@ nothing else is shed.  Then
 4. the unserved energy is the spikes' summed energy_above_j, to a relative
    1e-12 (the two sums add in different orders).
 
-One exception is part of the model: a step whose shortfall is below
-shaving._W_EPS (1e-9 W) is served in full.  So a spike whose peak excess is
-below _W_EPS is detected but opens no event, and its steps keep their
-demand.  The expectations below leave such spikes out; the hand traces
-hold one, so the exception is exercised rather than avoided.
+One exception is part of the model: a step whose shortfall sheds no
+accelerator, because ceil(shortfall / gpu_unit_w - 1e-9) is 0, is served in
+full.  So a spike whose peak excess is at most 1e-9 of a unit is detected
+but opens no event, and its steps keep their demand.  The expectations below
+leave such spikes out; the hand traces hold one of 50 nW, above 1e-9 W but
+below 1e-9 of a 100 W or 350 W unit, so the exception is exercised rather
+than avoided.
 
 Equality 3 does not hold bit for bit on every step, and the test says so
 rather than choosing data that hides it.  The live shortfall is worked out
@@ -38,7 +40,6 @@ import numpy as np
 import pytest
 
 import powershave as ps
-from powershave.shaving import _W_EPS
 
 from conftest import SHORT_SYNTH_CONFIG, make_trace, run_sim
 
@@ -52,8 +53,9 @@ def check_answers_agree(trace, frac, gpu_unit_w):
     spikes = ps.detect_spikes(trace, threshold)
 
     demand = result.p_comp_demand
-    # The _W_EPS exception: these spikes are detected but never shed.
-    served_in_full = [sp for sp in spikes if not sp.peak_excess_w >= _W_EPS]
+    # The exception: these spikes are detected but shed no accelerator.
+    served_in_full = [sp for sp in spikes
+                      if not sp.peak_excess_w / gpu_unit_w - 1e-9 > 0.0]
     want_served = np.minimum(demand, theta)
     for sp in served_in_full:
         i0 = round((sp.start_s - trace.origin_time_s) / trace.dt_s)
@@ -86,8 +88,8 @@ HAND_CASES = {
     "spike at the end": ([100.0, 200.0, 100.0, 600.0, 650.0], 0.5),
     "one-sample spikes": ([100.0, 510.0, 100.0, 990.0, 100.0, 700.0], 0.5),
     "all above": ([700.0, 800.0, 900.0, 750.0], 0.6),
-    "below _W_EPS": ([100.0, 500.000000000001, 100.0, 800.0, 100.0], 0.5),
-    "only below _W_EPS": ([100.0, 500.000000000001, 500.0000000000005, 100.0], 0.5),
+    "sheds no unit": ([100.0, 500.00000005, 100.0, 800.0, 100.0], 0.5),
+    "only sheds no unit": ([100.0, 500.00000005, 500.00000002, 100.0], 0.5),
 }
 
 
@@ -98,7 +100,7 @@ def test_answers_agree_on_hand_traces(name, gpu_unit_w):
     trace = make_trace(samples, dt=0.005, rack_max=1000.0)
     found, served_in_full = check_answers_agree(trace, frac, gpu_unit_w)
     assert found >= 1
-    assert (served_in_full > 0) == name.endswith("_W_EPS")
+    assert (served_in_full > 0) == name.endswith("sheds no unit")
 
 
 @pytest.mark.parametrize("seed", [20260816, 1, 4242])

@@ -29,7 +29,6 @@ from powershave.devices import DEVICE_KINDS, PASSIVE_KINDS, DeviceSpec, init_sta
 from powershave.shaving import ShavingResult
 
 _TIME_EPS = 1e-12
-_W_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,8 @@ def reference_simulate_shaving(trace, spec, config, steps=None):
             shortfall = 0.0
         escal = min(shortfall, cap - c)
         live_short = shortfall - escal
-        if live_short < _W_EPS:
+        # A shortfall that sheds no accelerator is served.
+        if not live_short / gpu_w - 1e-9 > 0.0:
             live_short = 0.0
 
         served = d_eff - live_short
@@ -248,7 +248,7 @@ def reference_simulate_shaving(trace, spec, config, steps=None):
             dummy = 0.0
         grid = p_infra + served + dummy + absorbed - delivered
 
-        if i > 0 and abs(grid - g_prev) > r_step * (1.0 + 1e-9) + _W_EPS:
+        if i > 0 and abs(grid - g_prev) > r_step * (1.0 + 1e-9):
             violations.append(i)
 
         if live_short > 0.0:

@@ -5,8 +5,9 @@
    grid_ramp_limit_w_per_s, gpu_unit_w, thermal_ref_power_w and each
    device's energy capacity and ratings.  A product by a power of two is
    exact, so for all five strategies every power and energy series and
-   total is exactly s times the original; temperature_c, the event count,
-   the ramp-violation steps and the curtailed GPU-seconds are equal.
+   total is exactly s times the original wherever no value underflows
+   (see below); temperature_c, the event count, the ramp-violation steps
+   and the curtailed GPU-seconds are equal.
    gpus_saved over a grid is equal; each detected spike keeps its start,
    duration and peak fraction, and its peak excess and energy scale by s.
 2. Idle prefix.  Prepend K copies of the first sample, which lies below
@@ -14,19 +15,18 @@
    during the prefix) is equal on the original steps, the event count is
    equal and every ramp-violation step moves by exactly K.
 
-The domain.  Three constants of the model are absolute, not scale-free:
-shaving._W_EPS (1e-9 W; a live shortfall below it is served in full), the
-1e-9 in the accelerator-unit ceiling and the 1e-12 s whisker on spike
-durations.  The last two compare scale-free quotients and times, so only
-_W_EPS bounds the scaling relation: a shortfall within a factor 2**3 of it
-can be shed at one scale and served at another.  The cases here keep
-every shortfall far from it.  Their racks are 1 kW to 200 kW, so every
-power is far above 1e-9 W at every scale; their steps are at most five
-times the shortest preset lag (capacitor, 2 ms), so a lagged discharge
-leaves at least e**-5 of its request unserved rather than a residue near
-_W_EPS (the capacitor at 50 ms steps leaves about 1e-11 of it, a few
-nW); and each case checks that its unscaled run sheds no step by less
-than 2**6 * _W_EPS.  The idle prefix has no such bound: it moves no power.
+No power constant of the model is absolute.  Its whiskers, the 1e-9 in
+the accelerator-unit ceiling (which also decides whether a live shortfall
+is served: it is when it sheds no unit), the 1e-9 of the ramp bound and the
+1e-12 s on times, compare scale-free quotients and times.  So both
+relations hold for every input: the random cases include 50 ms steps, 25
+times the capacitor's 2 ms lag, where a lagged discharge leaves a residue
+of a few nW unserved.  The one limit is the float format's: a product by a
+power of two is exact only between normal numbers.  A passive device's
+lagged output decays by about e**-25 a step at 50 ms steps and can reach
+subnormal watts (1e-312 W), which round differently at each scale.  So a
+series value that is not s times the original must be below TINY at both
+scales.
 """
 
 from dataclasses import replace
@@ -35,7 +35,6 @@ import numpy as np
 import pytest
 
 import powershave as ps
-from powershave.shaving import _W_EPS
 
 from conftest import STRATEGIES, run_sim, strategy_spec
 
@@ -44,6 +43,8 @@ POWER_SERIES = ("p_comp_demand", "p_comp_served", "p_grid", "p_ext_discharge",
                 "p_ext_charge", "p_dummy", "curtailed_w", "stored_j")
 POWER_TOTALS = ("total_dummy_energy_j", "total_unserved_energy_j",
                 "device_energy_throughput_j")
+# Below this a value is subnormal at some scale of SCALES.
+TINY = 2.0 ** -1022 * max(SCALES)
 
 
 def random_trace(rng, n=2000):
@@ -89,17 +90,16 @@ def scaled(trace, config, spec, s):
     return with_samples(trace, trace.samples * s, s), spec, config
 
 
-def check_scaling(trace, config):
-    for name in STRATEGIES:
+def check_scaling(trace, config, names=STRATEGIES):
+    for name in names:
         spec = strategy_spec(name)
         base = run_sim(trace, spec, config)
-        shed = base.curtailed_w[base.curtailed_w > 0.0]
-        assert shed.min(initial=np.inf) >= 2 ** 6 * _W_EPS, "case outside the domain"
         for s in SCALES:
             got = run_sim(*scaled(trace, config, spec, s))
             for series in POWER_SERIES:
-                assert np.array_equal(getattr(got, series), getattr(base, series) * s), \
-                    (name, s, series)
+                a, b = getattr(got, series), getattr(base, series) * s
+                underflow = (np.abs(a) < TINY) & (np.abs(b) < TINY)
+                assert ((a == b) | underflow).all(), (name, s, series)
             for total in POWER_TOTALS:
                 assert getattr(got, total) == getattr(base, total) * s, (name, s, total)
             assert np.array_equal(got.temperature_c, base.temperature_c), (name, s)
@@ -148,6 +148,15 @@ def test_scaling_on_random_traces():
     for trace, config in random_cases(1701, 20):
         check_scaling(trace, config)
         check_spike_scaling(trace, config.threshold.fraction_of_max)
+
+
+def test_scaling_of_passive_lag_residues_at_50_ms_steps():
+    # The passive devices' lags (2 ms and 4 ms) at 50 ms steps: some of
+    # these cases leave a lag residue of a few nW, which sheds no unit.
+    for trace, config in random_cases(1705, 60):
+        coarse = ps.PowerTrace(dt_s=0.05, samples=trace.samples,
+                               rack_max_w=trace.rack_max_w)
+        check_scaling(coarse, config, ("capacitor", "supercap"))
 
 
 @pytest.mark.parametrize("k", [1, 7, 1000])

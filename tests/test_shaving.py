@@ -5,8 +5,8 @@ Covers:
  2. thermal_step fixed point, steady state, monotonicity; derate_factor
  3. simulate_shaving hand examples (ideal grid identity, bare-grid
     curtailment, restart hold-down timing, overlapping holds), the
-    temperature series replayed through thermal_step, and the demand
-    series shared with the trace
+    temperature series replayed through thermal_step, the demand
+    series shared with the trace, and the memory peak
  4. Grid cap and ramp-violation reporting
  5. Dummy-load scheduling under a tight ramp and its thermal effect
  6. computational_gain identity, constructed +100%, preset ordering
@@ -34,8 +34,8 @@ from powershave import SimConfig, ThresholdSpec, shaving
 from powershave._textio import CSV_BLOCK_ROWS, CSV_CHUNK_ROWS
 from powershave.devices import builtin_device_spec
 
-from conftest import (SHORT_SYNTH_CONFIG, loose_config, make_trace, run_sim,
-                      strategy_spec, with_numpy_numbers, written)
+from conftest import (SHORT_SYNTH_CONFIG, STRATEGIES, loose_config, make_trace,
+                      run_sim, strategy_spec, with_numpy_numbers, written)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,8 @@ def test_node_bound_is_tight_on_the_shipped_trace(preset_results):
     # de-rating knee: this is why compare walks no node by default.
     for name, result in preset_results.items():
         cfg = result.config
-        g = shaving._node_input(result, np.empty(result.n_steps))
+        g = shaving._node_input(result.p_comp_served, result.p_dummy, cfg,
+                                np.empty(result.n_steps))
         bound = shaving._node_bound_c(g, cfg, result.dt_s)
         assert result.temperature_c.max() <= bound < result.temperature_c.max() + 1.0, name
         assert bound < cfg.t_derate_c, name
@@ -445,6 +446,23 @@ def test_demand_series_is_the_trace_samples(short_trace, strategy):
     assert not result.p_comp_demand.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         result.p_comp_demand[0] = 0.0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulate_memory_peak_is_its_result_plus_one_series(default_trace, strategy):
+    # The ramp check and the curtailed GPU-seconds run in the series
+    # pass's one scratch series, which ends as curtailed_w: nothing beyond
+    # the result is held but for less than one series at a time.
+    tracemalloc.start()
+    try:
+        result = ps.simulate_shaving(default_trace, strategy_spec(strategy), SimConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)
+               and not np.shares_memory(a, default_trace.samples))
+    assert peak <= held + default_trace.samples.nbytes, (peak, held)
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +685,17 @@ def test_none_strategy_uses_no_device(preset_results):
 def test_summary_is_scalar_fields_plus_derived_figures():
     tr = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)
     r = run_sim(tr, "none", loose_config(threshold=ThresholdSpec(absolute_w=600.0)))
+    # A result is the series pass's _Series plus the temperature alone.
+    assert [f.name for f in dataclasses.fields(ps.ShavingResult)] == [
+        f.name for f in dataclasses.fields(shaving._Series)] + ["temperature_c"]
     series = {"config", "ramp_violation_steps", *ps.shaving._SERIES_NAMES}
-    scalars = {f.name for f in dataclasses.fields(ps.ShavingResult)} - series
+    scalars = {f.name for f in dataclasses.fields(shaving._Series)} - series
     assert all(isinstance(getattr(r, name), (str, int, float)) for name in scalars)
-    derived = {"n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count",
-               "useful_compute_j"}
-    summary = ps.result_summary_dict(r)
-    assert set(summary) == scalars | derived
-    assert all(summary[name] == getattr(r, name) for name in scalars)
+    derived = {"n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count"}
+    figures = shaving._figures(r)
+    assert set(figures) == scalars | derived
+    assert all(figures[name] == getattr(r, name) for name in figures)
+    assert ps.result_summary_dict(r) == figures | {"useful_compute_j": ps.useful_compute_j(r)}
 
 
 def test_result_csv_layout():

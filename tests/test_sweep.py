@@ -9,7 +9,7 @@ Covers:
  5. compare_strategies ordering, baseline, duplicate rejection, rows
     equal to direct simulations wherever "none" is listed, and one
     simulation alive at a time (weak references and tracemalloc peak)
- 6. Comparison CSV layout
+ 6. Comparison CSV layout, and row figures that are the summary's
 """
 
 import dataclasses
@@ -418,16 +418,20 @@ def test_compare_annotates_failing_strategy(spiky_trace):
 
 
 def _direct_rows(trace, pairs, cfg):
-    """The rows of pairs from one simulation each, every result kept, and
-    gains from computational_gain against a separate baseline run."""
+    """The rows of pairs from one simulation each, every result kept, their
+    numbers read from its summary, and gains from computational_gain
+    against a separate baseline run."""
     baseline = ps.simulate_shaving(trace, "none", cfg)
     rows = []
     for name, spec in pairs:
         result = ps.simulate_shaving(trace, spec, cfg)
+        summary = ps.result_summary_dict(result)
         rows.append(ps.ComparisonRow(
             name, ps.computational_gain(result, baseline),
-            result.total_dummy_energy_j, result.total_unserved_energy_j,
-            result.device_energy_throughput_j, result.peak_grid_w))
+            dummy_energy_j=summary["total_dummy_energy_j"],
+            total_unserved_energy_j=summary["total_unserved_energy_j"],
+            device_energy_throughput_j=summary["device_energy_throughput_j"],
+            peak_grid_w=summary["peak_grid_w"]))
     return rows
 
 
@@ -556,6 +560,23 @@ def test_comparison_csv_layout(cmp_setup):
                         "peak_grid_w")
     assert len(lines) == 1 + len(rows)
     assert lines[1].split(",")[0] == "none"
+
+
+def test_row_figures_are_summary_figures_in_the_csv_columns(cmp_setup):
+    # Each row number after the gain is a figure of the run's summary, and
+    # compare's summary is simulate's, bit for bit.
+    trace, cfg, rows = cmp_setup
+    for name in STRATEGIES:
+        spec = strategy_spec(name)
+        want = ps.result_summary_dict(ps.simulate_shaving(trace, spec, cfg))
+        got = sweep._summary(trace, spec, cfg)
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+    assert {figure for _, figure in sweep._ROW_FIGURES} <= set(want)
+    buf = io.StringIO()
+    ps.write_comparison_csv(rows, buf)
+    assert buf.getvalue().splitlines()[0] == ",".join(
+        ["strategy_name", "computational_gain_pct",
+         *(column for column, _ in sweep._ROW_FIGURES)])
 
 
 if __name__ == "__main__":
