@@ -7,8 +7,9 @@ keeps that sign.
 Every writer has the shape writer(obj, dest), and every trace or config
 loader takes a source; dest and source are a path or a stream.  write_text
 is the one writer and read_blocks the one reader (read_text joins its
-blocks): they are the only code that tells paths, text streams and binary
-streams apart, and that encodes or decodes UTF-8.  A path is read as bytes
+blocks), which reads READ_SIZE characters at a time for every caller:
+they are the only code that tells paths, text streams and binary streams
+apart, and that encodes or decodes UTF-8.  A path is read as bytes
 and written with newline="", so it holds the same bytes as a binary
 stream.
 
@@ -33,6 +34,9 @@ CSV_BLOCK_ROWS = 8192
 # Rows per chunk of text the CSV writer builds and yields: only one chunk's
 # cell strings and rows are held at once.
 CSV_CHUNK_ROWS = 1024
+# Characters (bytes from a binary source) that read_blocks reads at a
+# time, for every reader: it bounds the text a trace load holds at once.
+READ_SIZE = 1 << 18
 
 
 def _column_text(col: np.ndarray):
@@ -52,20 +56,12 @@ def _column_text(col: np.ndarray):
     return lambda a, b: texts[index[a:b]].tolist()
 
 
-def _text_cells(text, block: np.ndarray, start: int):
-    """The cell source of a block whose texts text(block, start) gives, the
-    rows start, start + 1, ... of its column (see write_columns_csv).  text
-    runs once per block: its array code costs more per call than per row."""
-    texts = text(block, start)
-    return lambda a, b: texts[a:b]
-
-
 def _csv_chunks(header_lines, columns, texts):
     yield "".join(line + "\n" for line in header_lines)
     n = len(columns[0])
     for start in range(0, n, CSV_BLOCK_ROWS):
         size = min(CSV_BLOCK_ROWS, n - start)
-        cells = [_text_cells(texts[i], col[start:start + size], start) if i in texts
+        cells = [texts[i](col[start:start + size], start) if i in texts
                  else _column_text(col[start:start + size])
                  for i, col in enumerate(columns)]
         for a in range(0, size, CSV_CHUNK_ROWS):
@@ -100,8 +96,10 @@ def write_columns_csv(dest, header_lines, columns, texts=None) -> None:
     8-byte numeric dtype (float64, or int64 for an integer column).
 
     texts may map a column's index to a function text(block, start) that
-    returns the repr of each value of block, that column's rows from
-    start on, faster than repr would."""
+    returns the cell source of block, that column's rows from start on, in
+    place of _column_text's: cells(a, b), the repr of each value of
+    block[a:b], built faster than repr would.  text runs once per block:
+    its array code costs more per call than per row."""
     columns = [np.ascontiguousarray(col) for col in columns]
     write_text(dest, _csv_chunks(header_lines, columns, texts or {}))
 
@@ -113,9 +111,9 @@ def write_json(obj, dest, sort_keys: bool = True) -> None:
     write_text(dest, [text + "\n"])
 
 
-def read_blocks(source, size: int):
+def read_blocks(source):
     """Yield the text of a text or binary stream, or of the file at path
-    source, in blocks, reading size characters (bytes for a binary
+    source, in blocks, reading READ_SIZE characters (bytes for a binary
     source) at a time.  Every block but the last ends just after a '\n',
     so each holds whole lines.  Reads with no '\n' are held until one
     comes, each scanned once, so only a source with no '\n' is held
@@ -128,10 +126,10 @@ def read_blocks(source, size: int):
     yielded and the bad byte."""
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
-            yield from read_blocks(fh, size)
+            yield from read_blocks(fh)
         return
     held = []
-    while data := source.read(size):
+    while data := source.read(READ_SIZE):
         cut = data.rfind(b"\n" if isinstance(data, bytes) else "\n") + 1
         if cut:
             block = _decoded(data[:0].join([*held, data[:cut]]))
@@ -148,10 +146,6 @@ def read_blocks(source, size: int):
 
 def _decoded(block):
     return block.decode("utf-8") if isinstance(block, bytes) else block
-
-
-# Characters (bytes from a binary source) that read_text reads at a time.
-_READ_TEXT_SIZE = 1 << 18
 
 
 def not_utf8(exc: UnicodeDecodeError, lines_before: int) -> str:
@@ -172,7 +166,7 @@ def read_text(source, what: str) -> str:
     the byte's line (not_utf8)."""
     blocks = []
     try:
-        for block in read_blocks(source, _READ_TEXT_SIZE):
+        for block in read_blocks(source):
             blocks.append(block)
     except UnicodeDecodeError as exc:
         lines = sum(len(block.splitlines()) for block in blocks)

@@ -1,8 +1,13 @@
 """Rack power-draw traces: container type, CSV round-trip, resampling, synthesis.
 
-load_trace reads a trace through _textio.read_blocks and write_trace writes
-one through _textio.write_columns_csv, so both take a path or a stream;
-the synth config has the same pair, over _textio's JSON helpers.
+load_trace reads a trace through _textio.read_blocks, _textio.READ_SIZE
+characters at a time as every reader does, and write_trace writes one
+through _textio.write_columns_csv, so both take a path or a stream;
+the synth config has the same pair, over _textio's JSON helpers.  Array
+code reads every valid line of trace text.  A line walk runs only on a
+block that array code refuses, and only names its first bad line: array
+code keeps the same rules, so a block of valid lines never reaches the
+walk, and the walk never has to hand back parsed values.
 
 A trace is a uniformly sampled power series for one accelerator rack.  The
 synthetic generator builds a rack trace as the sum of per-accelerator
@@ -51,29 +56,37 @@ class CorruptTraceError(ValueError):
 
 
 # Gaps are accepted as uniform when within this relative distance of the
-# median interval; wider wander means the file was decimated or spliced.
+# declared or the median interval; wider wander means the file was
+# decimated or spliced.
 _GAP_RTOL = 0.005
 
 
-def _check_time_axis(times: np.ndarray, interval) -> float:
+def _check_time_axis(times: np.ndarray, dt: float | None) -> float:
     """load_trace's rule for time stamps, which PowerTrace also applies to
     its own: strictly increasing, and every gap within _GAP_RTOL of the
-    interval, interval(gaps) once the stamps are known to increase.
-    Returns the interval; raises CorruptTraceError naming the first data
-    row that breaks the rule."""
+    interval dt, checked once the stamps are known to increase.  dt None
+    means the median gap.  Returns the interval; raises CorruptTraceError
+    naming the first data row that breaks the rule and, for a gap, the
+    interval, declared or median.  A dt that is not positive and finite
+    raises TraceFormatError, after the increasing check."""
     gaps = np.diff(times)
     # Written as "not good", so that a NaN gap breaks the rule too.
     bad = ~(gaps > 0.0)
     if bad.any():
         raise CorruptTraceError(f"timestamps not strictly increasing at data row "
                                 f"{int(np.argmax(bad)) + 2}")
-    dt = interval(gaps)
+    if dt is None:
+        dt, kind = float(np.median(gaps)), "median"
+    elif dt > 0.0 and math.isfinite(dt):
+        kind = "declared"
+    else:
+        raise TraceFormatError(f"dt_s metadata must be a positive float, got {dt}")
     gaps -= dt
     bad = ~(np.abs(gaps, out=gaps) <= _GAP_RTOL * dt)
     if bad.any():
         raise CorruptTraceError(
             f"irregular sampling at data row {int(np.argmax(bad)) + 2}: gap deviates "
-            f"more than {_GAP_RTOL:.1%} from the median interval {dt}"
+            f"more than {_GAP_RTOL:.1%} from the {kind} interval {dt}"
         )
     return dt
 
@@ -101,14 +114,13 @@ class PowerTrace:
                 or label != label.strip()):
             raise ValueError("source_label must be text with no line break and no "
                              f"outer blanks, got {label!r}")
-        arr = np.asarray(self.samples, dtype=float)
+        arr = np.array(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if np.any(~np.isfinite(arr)):
             raise ValueError("samples must be finite")
         if np.any(arr < 0.0):
             raise ValueError("samples must be non-negative")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         # write_trace writes times(), so they must keep load_trace's rule.
@@ -123,7 +135,7 @@ class PowerTrace:
                 # monotone.
                 if not math.isfinite(o + (n - 1) * dt):
                     raise CorruptTraceError("the last time stamp is not finite")
-                _check_time_axis(self.times(), lambda gaps: dt)
+                _check_time_axis(self.times(), dt)
             except CorruptTraceError as exc:
                 raise ValueError(f"origin_time_s {o!r} and dt_s {dt!r} give time "
                                  f"stamps that load_trace refuses: {exc}") from None
@@ -169,18 +181,21 @@ def _read_comment(meta: dict, text: str, lineno: int) -> None:
         meta[key] = value
 
 
-def _parse_lines(lines: list, lineno: int, meta: dict, header_seen: bool):
-    """Parse lines of trace text one by one, the first of them line
-    lineno + 1 of the file, raising at the first line that breaks a rule.
-    Reads their metadata into meta; returns (times, powers, header_seen)."""
-    times: list[float] = []
-    powers: list[float] = []
+def _raise_bad_line(lines: list, lineno: int, header_seen: bool) -> None:
+    """Raise the error of the first line of lines, line lineno + 1 of the
+    file on, that breaks a rule of trace text.  load_trace calls this only
+    on a block that _parse_block refuses, and such a block holds a bad
+    line: _parse_block keeps the same comment, blank-line and header
+    rules, and a row that passes the checks here is _ROW_FILL bytes around
+    one ',' (within a line float() strips only blanks and tabs, and the
+    only letters it reads spell non-finite values), which _parse_rows
+    reads."""
     for lineno, line in enumerate(lines, start=lineno + 1):
         text = line.strip()
         if not text:
             continue
         if text.startswith("#"):
-            _read_comment(meta, text, lineno)
+            _read_comment({}, text, lineno)
             continue
         if not header_seen:
             if not _is_header(text):
@@ -201,14 +216,7 @@ def _parse_lines(lines: list, lineno: int, meta: dict, header_seen: bool):
             raise TraceFormatError(f"line {lineno}: non-finite row {text!r}")
         if p < 0.0:
             raise CorruptTraceError(f"line {lineno}: negative power {p}")
-        times.append(t)
-        powers.append(p)
-    return times, powers, header_seen
 
-
-# Characters of trace text read and parsed at a time; it bounds the text
-# and the token lists held at once.
-_PARSE_BLOCK_CHARS = 1 << 18
 
 # The bytes a data row may hold besides its one ',' and its line end: the
 # characters of a finite number, and the blanks float() strips.
@@ -261,7 +269,7 @@ def _parse_block(chunk: str, meta: dict, header_seen: bool):
     lines = chunk.splitlines()
     rows = list(map(str.strip, lines))
     if "#" in chunk:
-        # A bad metadata value is reported by _parse_lines, which knows
+        # A bad metadata value is reported by _raise_bad_line, which knows
         # its line number.
         try:
             for text in [text for text in rows if text.startswith("#")]:
@@ -294,23 +302,24 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
 
     The source is read in blocks of whole lines (_textio.read_blocks), so
     the call holds the parsed columns and one block, never the file's
-    bytes or its whole text.  Each block is parsed by array code
+    bytes or its whole text.  Array code reads every valid line
     (_parse_block); a block of data rows alone is parsed as it stands,
-    without splitting it into lines.  Only a block with a bad line is read
-    again line by line, which names the first such line.
+    without splitting it into lines.  A block that array code refuses
+    holds a bad line, and the line walk (_raise_bad_line) only names the
+    first such line: array code keeps the same rules, so the walk never
+    has to hand back a row's values.
     """
     meta: dict = {}
     t_blocks: list = []
     p_blocks: list = []
     header_seen = False
     lineno = 0
-    with closing(read_blocks(source, _PARSE_BLOCK_CHARS)) as chunks:
+    with closing(read_blocks(source)) as chunks:
         try:
             for chunk in chunks:
                 block = _parse_block(chunk, meta, header_seen)
                 if block is None:
-                    lines = chunk.splitlines()
-                    block = *_parse_lines(lines, lineno, meta, header_seen), len(lines)
+                    _raise_bad_line(chunk.splitlines(), lineno, header_seen)
                 t, p, header_seen, n_lines = block
                 t_blocks.append(t)
                 p_blocks.append(p)
@@ -331,17 +340,9 @@ def load_trace(source, rack_max_w: float | None = None) -> PowerTrace:
     if t_arr.size < 2 and "dt_s" not in meta:
         raise CorruptTraceError("trace needs at least two samples to fix the interval")
 
-    def interval(gaps):
-        # Prefer the declared interval: timestamps rebuilt as origin + k*dt
-        # carry float noise that a span-based estimate inherits.
-        meta_dt = meta.get("dt_s")
-        if meta_dt is None:
-            return float(np.median(gaps))
-        if not (meta_dt > 0.0 and math.isfinite(meta_dt)):
-            raise TraceFormatError(f"dt_s metadata must be a positive float, got {meta_dt}")
-        return meta_dt
-
-    dt = _check_time_axis(t_arr, interval)
+    # Prefer the declared interval: timestamps rebuilt as origin + k*dt
+    # carry float noise that a span-based estimate inherits.
+    dt = _check_time_axis(t_arr, meta.get("dt_s"))
     rack = rack_max_w if rack_max_w is not None else meta.get("rack_max_w")
     if rack is None:
         raise TraceFormatError("rack_max_w missing: not in file metadata and no override given")
@@ -418,8 +419,9 @@ def _decimal_chars(m: np.ndarray, places: int):
 
 
 def _time_text(origin: float, dt: float):
-    """A function text(block, start) that returns repr of each time stamp
-    in block, the rows start, start + 1, ... of a trace, or None where
+    """A function text(block, start) that returns the cell source of block,
+    the time stamps of rows start, start + 1, ... of a trace: a function
+    cells(a, b) that returns repr of each stamp of block[a:b].  None where
     repr(origin) or repr(dt) is not positional.
 
     With D the larger count of their decimals, row k is the decimal
@@ -447,7 +449,7 @@ def _time_text(origin: float, dt: float):
     # Nonzero values below 1e-4 are written with an exponent.
     tiny = 10 ** max(places - 4, 0)
 
-    def text(block: np.ndarray, start: int) -> list:
+    def text(block: np.ndarray, start: int):
         k = np.arange(start, start + block.size)
         m = first + np.minimum(k, k_hi) * step
         ok = ((k <= k_hi) & ((np.abs(m) >= tiny) | (m == 0))
@@ -459,7 +461,7 @@ def _time_text(origin: float, dt: float):
         bad = np.flatnonzero(~ok)
         for i, value in zip(bad.tolist(), block[bad].tolist()):
             texts[i] = repr(value)
-        return texts
+        return lambda a, b: texts[a:b]
 
     return text
 

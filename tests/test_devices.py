@@ -99,6 +99,20 @@ def test_spec_validation():
         passive_spec(kind="flywheel")
 
 
+@pytest.mark.parametrize("make, field, message", [
+    (lambda: passive_spec(round_trip_efficiency=0.9), "round_trip_efficiency",
+     "passive kinds have round_trip_efficiency fixed at 1.0"),
+    (lambda: passive_spec(kind="supercapacitor", switch_latency_s=0.01), "switch_latency_s",
+     "passive kinds have switch_latency_s fixed at 0.0"),
+    (lambda: battery_spec(response_tau_s=0.01), "response_tau_s",
+     "battery kind has response_tau_s fixed at 0.0"),
+], ids=["passive-efficiency", "passive-latency", "battery-tau"])
+def test_kind_fixed_fields_refused_by_name(make, field, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message and field in message
+
+
 # ---------------------------------------------------------------------------
 # 3. device_step hand examples
 # ---------------------------------------------------------------------------
@@ -127,6 +141,18 @@ def test_battery_switch_latency_two_steps():
     d3, _, s3 = device_step(spec, s2, 400.0, 0.0, 0.01)
     assert d3 == pytest.approx(400.0)
     assert s3.stored_j == pytest.approx(st.stored_j - 4.0)
+
+
+@pytest.mark.parametrize("latency", [0.01, 0.004])
+def test_battery_switch_latency_within_a_step_loses_one_step(latency):
+    # A turnaround no longer than dt = 0.01 s ends with the step that
+    # starts it: that step delivers nothing, the next one delivers.
+    spec = battery_spec(switch_latency_s=latency)
+    st = init_state(spec)
+    d1, a1, s1 = device_step(spec, st, 400.0, 0.0, 0.01)
+    assert (d1, a1, s1) == (0.0, 0.0, replace(st, mode="discharging"))
+    d2, _, s2 = device_step(spec, s1, 400.0, 0.0, 0.01)
+    assert d2 == 400.0 and s2.stored_j == pytest.approx(st.stored_j - 4.0)
 
 
 def test_capacitor_tau_zero_budget_limited():

@@ -55,6 +55,49 @@ def test_config_validation():
         SimConfig(thermal_tau_s=0.0)
 
 
+_TRACE = make_trace([300.0, 900.0, 300.0], dt=0.01, rack_max=1000.0)
+_HOT = SimConfig(t_max_c=1e308, t_ambient_c=-1e308)
+
+
+def _gain_across_configs():
+    cfg = loose_config(threshold=ThresholdSpec(absolute_w=600.0))
+    other = dataclasses.replace(cfg, restart_penalty_s=cfg.restart_penalty_s + 1.0)
+    ps.computational_gain(run_sim(_TRACE, "none", cfg), run_sim(_TRACE, "none", other))
+
+
+# (call, the field its refusal names, the refusal).
+_REFUSALS = [
+    (lambda: SimConfig(threshold=0.7), "threshold", "threshold must be a ThresholdSpec"),
+    (lambda: SimConfig(t_ambient_c=75.0), "t_max_c", "t_max_c must exceed t_ambient_c"),
+    (lambda: SimConfig(t_derate_c=24.0), "t_derate_c",
+     "t_derate_c must be at least t_ambient_c"),
+    (lambda: ps.load_sim_config(io.StringIO('{"threshold": 0.7}')), "threshold",
+     "threshold must be a JSON object"),
+    (lambda: ps.simulate_shaving(_TRACE.samples, "none", SimConfig()), "trace",
+     "trace must be a PowerTrace"),
+    (lambda: ps.simulate_shaving(_TRACE, "none", {}), "config",
+     "config must be a SimConfig"),
+    (lambda: ps.simulate_shaving(make_trace([1.0, 2.0], dt=200.0, rack_max=10.0), "none",
+                                 SimConfig()), "thermal_tau_s",
+     "thermal_tau_s must be at least the trace step dt_s (200.0 s), got 120.0"),
+    (lambda: ps.simulate_shaving(_TRACE, "none", _HOT), "heat_factor",
+     "the heat scale rack_max_w * heat_factor * (t_max_c - t_ambient_c) / "
+     "thermal_ref_power_w must be finite"),
+    (lambda: ps.simulate_shaving(_TRACE, "none", SimConfig(p_infra_w=1e30)), "p_infra_w",
+     "p_infra_w must be small enough that p_infra_w + rack_max_w keeps rack_max_w "
+     "(1000.0 W) to a relative error of 1e-06, got 1e+30"),
+    (_gain_across_configs, "config", "results come from different configs"),
+]
+
+
+@pytest.mark.parametrize("call, field, message", _REFUSALS,
+                         ids=[f"{i}-{field}" for i, (_, field, _) in enumerate(_REFUSALS)])
+def test_refusals_name_their_field(call, field, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message and field in message
+
+
 _CAPACITOR = ps.DeviceSpec(kind="capacitor", energy_capacity_j=50.0,
                            max_discharge_w=12000.0, max_charge_w=12000.0)
 

@@ -307,7 +307,7 @@ def test_load_grid_csv_refuses_a_byte_that_is_not_utf8_naming_its_line(
     # where the bad byte comes in a later read.
     data = b"threshold_frac/burst_s,0.0,0.1\n0.5,1,0\n\n0.7,1,0\n0.9,\xff,0\n"
     if read_size is not None:
-        monkeypatch.setattr(_textio, "_READ_TEXT_SIZE", read_size)
+        monkeypatch.setattr(_textio, "READ_SIZE", read_size)
     path = tmp_path / "grid.csv"
     path.write_bytes(data)
     for source in (io.BytesIO(data), path):
@@ -356,6 +356,18 @@ def test_grid_type_rejects_violations():
                          values=values)
     with pytest.raises(ValueError, match="threshold_fracs"):
         ps.SweepGrid(threshold_fracs=5, burst_lengths_s=(0.0,), values=[[1]])
+
+
+@pytest.mark.parametrize("fracs, label, message", [
+    ((0.0, 0.5), "", "threshold_fracs must be positive"),
+    ((0.5, 1.5), "", "threshold_fracs values out of range"),
+    ((0.5, 0.7), 7, "grid trace_label must be a string, got 7"),
+], ids=["threshold-zero", "threshold-above-one", "label"])
+def test_grid_refusals_name_their_field(fracs, label, message):
+    with pytest.raises(ValueError) as err:
+        ps.SweepGrid(threshold_fracs=fracs, burst_lengths_s=(0.0,),
+                     values=np.array([[1], [0]]), trace_label=label)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 
 import powershave as ps
 from powershave import CorruptTraceError, TraceFormatError
+from powershave import _textio
 from powershave import trace as trace_mod
 
 from conftest import make_trace, with_numpy_numbers, written
@@ -51,6 +52,32 @@ def test_trace_rejects_bad_inputs():
         ps.PowerTrace(dt_s=math.inf, samples=np.array([1.0]), rack_max_w=10.0)
     with pytest.raises(ValueError):
         ps.PowerTrace(dt_s=0.01, samples=np.array([1.0]), rack_max_w=0.0)
+
+
+# (call, the field its refusal names, the refusal).
+_REFUSALS = [
+    (lambda: make_trace([1.0, math.nan], rack_max=10.0), "samples", "samples must be finite"),
+    (lambda: make_trace([1.0, math.inf], rack_max=10.0), "samples", "samples must be finite"),
+    (lambda: replace(ps.DEFAULT_SYNTH_CONFIG, burst_duration_s=(0.0, 0.3)), "burst_duration_s",
+     "burst_duration_s range must satisfy 0 < low <= high, got (0.0, 0.3)"),
+    (lambda: replace(ps.DEFAULT_SYNTH_CONFIG, burst_duration_s=(0.4, 0.3)), "burst_duration_s",
+     "burst_duration_s range must satisfy 0 < low <= high, got (0.4, 0.3)"),
+    (lambda: replace(ps.DEFAULT_SYNTH_CONFIG, burst_duration_s=(
+        0.3, ps.DEFAULT_SYNTH_CONFIG.iteration_period_s)), "burst_duration_s",
+     "burst_duration_s must leave room in the iteration period"),
+]
+
+
+@pytest.mark.parametrize("call, field, message", _REFUSALS,
+                         ids=[f"{i}-{field}" for i, (_, field, _) in enumerate(_REFUSALS)])
+def test_refusals_name_their_field(call, field, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message and field in message
+
+
+def test_energy_is_the_zero_order_hold_integral():
+    assert make_trace([100.0, 300.0, 0.5], dt=0.25, rack_max=400.0).energy_j() == 100.125
 
 
 @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\x85b", "a\u2028b", "a\n", "\r\n"])
@@ -134,7 +161,7 @@ def test_load_label_holds_any_text(monkeypatch):
     # non-ASCII text loads, and on the array path alone.
     label = "rack_7 Zürich ⚡ ١٢"
     text = f"# rack_max_w=1000\n# label={label}\ntimestamp_s,power_w\n0.00,300\n0.01,310\n"
-    monkeypatch.setattr(trace_mod, "_parse_lines", None)
+    monkeypatch.setattr(trace_mod, "_raise_bad_line", None)
     tr = ps.load_trace(io.StringIO(text))
     assert tr.source_label == label
     assert tr.samples.tolist() == [300.0, 310.0]
@@ -244,14 +271,14 @@ def oracle_load_trace(raw: str, rack_max_w=None):
     if meta_dt is not None:
         if not (meta_dt > 0.0 and math.isfinite(meta_dt)):
             raise TraceFormatError(f"dt_s metadata must be a positive float, got {meta_dt}")
-        dt = meta_dt
+        dt, kind = meta_dt, "declared"
     else:
-        dt = float(np.median(gaps))
+        dt, kind = float(np.median(gaps)), "median"
     if np.any(np.abs(gaps - dt) > 0.005 * dt):
         bad = int(np.argmax(np.abs(gaps - dt) > 0.005 * dt)) + 2
         raise CorruptTraceError(
             f"irregular sampling at data row {bad}: gap deviates more than "
-            f"{0.005:.1%} from the median interval {dt}"
+            f"{0.005:.1%} from the {kind} interval {dt}"
         )
 
     rack = rack_max_w if rack_max_w is not None else meta_rack
@@ -356,9 +383,19 @@ def test_load_trace_matches_per_line_oracle(monkeypatch, tmp_path, block_chars):
     bits, and rejects the rest with the same exception and message, from
     a text stream, a binary stream and a path alike.  Small parse blocks
     move block edges onto comments, blanks and the header, and binary
-    reads of 16 bytes cut the generated non-ASCII text."""
+    reads of 16 bytes cut the generated non-ASCII text.  The line walk
+    runs only on a block with a bad line, so every call of it raises."""
     if block_chars is not None:
-        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(_textio, "READ_SIZE", block_chars)
+    raise_bad_line = trace_mod._raise_bad_line
+    walks = []
+
+    def walk(lines, lineno, header_seen):
+        walks.append(lineno)
+        raise_bad_line(lines, lineno, header_seen)
+        pytest.fail(f"_raise_bad_line returned on {lines!r}")
+
+    monkeypatch.setattr(trace_mod, "_raise_bad_line", walk)
     rng = np.random.default_rng(2024 + (block_chars or 0))
     accepted = rejected = 0
     for case in range(300):
@@ -374,9 +411,9 @@ def test_load_trace_matches_per_line_oracle(monkeypatch, tmp_path, block_chars):
             assert str(err.value) == str(exc), text
             continue
         accepted += 1
-        # A valid file never needs the per-line parser.
+        # A valid file never reaches the line walk.
         with monkeypatch.context() as patched:
-            patched.setattr(trace_mod, "_parse_lines", None)
+            patched.setattr(trace_mod, "_raise_bad_line", None)
             got = ps.load_trace(source, rack_max_w=override)
         assert got.samples.tobytes() == want.samples.tobytes(), text
         assert got.dt_s == want.dt_s
@@ -385,6 +422,7 @@ def test_load_trace_matches_per_line_oracle(monkeypatch, tmp_path, block_chars):
         assert got.rack_max_w == want.rack_max_w
     # Both verdicts are well represented.
     assert accepted >= 80 and rejected >= 80, (accepted, rejected)
+    assert walks
 
 
 def _data_rows(n: int, start: int = 0) -> list:
@@ -410,11 +448,44 @@ def test_load_data_blocks_on_array_path(monkeypatch, blank, last_ending):
         lines.insert(40, "")
     text = _joined(lines, {len(lines) - 1: last_ending})
     want = oracle_load_trace(text)
-    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 64)
-    monkeypatch.setattr(trace_mod, "_parse_lines", None)
+    monkeypatch.setattr(_textio, "READ_SIZE", 64)
+    monkeypatch.setattr(trace_mod, "_raise_bad_line", None)
     got = ps.load_trace(io.StringIO(text))
     assert got.samples.tobytes() == want.samples.tobytes()
     assert got.origin_time_s == want.origin_time_s and got.dt_s == want.dt_s
+
+
+# Every line end that str.splitlines() knows besides '\n'.
+_LINE_ENDS = ("\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("read_size", [None, 64])
+@pytest.mark.parametrize("layout", [*_LINE_ENDS, "mixed", "\x1f padded"],
+                         ids=[*map(repr, _LINE_ENDS), "mixed", "x1f-padded"])
+def test_odd_line_ends_and_blanks_on_array_path(monkeypatch, tmp_path, read_size, layout):
+    # Valid traces with each other line end, with all of them in turn, and
+    # with rows padded by '\x1f', which str.strip() removes and float()
+    # does not: array code reads them all, with the oracle's bits.
+    lines = ["# rack_max_w=1000.0", "# label=odd ends", "timestamp_s,power_w"]
+    lines += _data_rows(40)
+    if layout == "\x1f padded":
+        endings = {}
+        lines[3:] = [f"\x1f{row}\x1f" if k % 2 else f"\x1f {row}" for k, row in
+                     enumerate(lines[3:])]
+    elif layout == "mixed":
+        endings = {i: _LINE_ENDS[i % len(_LINE_ENDS)] for i in range(len(lines))}
+    else:
+        endings = dict.fromkeys(range(len(lines)), layout)
+    text = _joined(lines, endings)
+    want = oracle_load_trace(text)
+    if read_size is not None:
+        monkeypatch.setattr(_textio, "READ_SIZE", read_size)
+    monkeypatch.setattr(trace_mod, "_raise_bad_line", None)
+    for kind in range(3):
+        got = ps.load_trace(_source(text, kind, tmp_path))
+        assert got.samples.tobytes() == want.samples.tobytes(), kind
+        assert (got.dt_s, got.origin_time_s, got.source_label) == (
+            want.dt_s, want.origin_time_s, want.source_label), kind
 
 
 @pytest.mark.parametrize("copy", ["crlf", "comment every 100 rows"])
@@ -428,8 +499,8 @@ def test_crlf_and_comment_blocks_offered_to_parse_rows_once(monkeypatch, copy):
     want = oracle_load_trace(text)
     blocks, rows = [], []
     parse_block, parse_rows = trace_mod._parse_block, trace_mod._parse_rows
-    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 4096)
-    monkeypatch.setattr(trace_mod, "_parse_lines", None)
+    monkeypatch.setattr(_textio, "READ_SIZE", 4096)
+    monkeypatch.setattr(trace_mod, "_raise_bad_line", None)
     monkeypatch.setattr(trace_mod, "_parse_block",
                         lambda *args: blocks.append(args[0]) or parse_block(*args))
     monkeypatch.setattr(trace_mod, "_parse_rows",
@@ -450,7 +521,7 @@ def test_load_refuses_missing_comma_beside_extra_comma(monkeypatch, block_chars,
     text = _joined(lines)
     assert trace_mod._parse_rows("\n".join(pair) + "\n") is None
     if block_chars is not None:
-        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(_textio, "READ_SIZE", block_chars)
     with pytest.raises(TraceFormatError) as err:
         ps.load_trace(io.StringIO(text))
     assert str(err.value) == f"line 23: expected 2 fields, got {pair[0].count(',') + 1}"
@@ -471,7 +542,7 @@ def test_load_names_bad_row_after_crlf_and_comment_blocks(monkeypatch, block_cha
         oracle_load_trace(text)
     assert str(want.value) == f"line {bad + 1}: non-numeric row '0.44,x'"
     if block_chars is not None:
-        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(_textio, "READ_SIZE", block_chars)
     with pytest.raises(TraceFormatError) as err:
         ps.load_trace(io.StringIO(text))
     assert str(err.value) == str(want.value)
@@ -492,7 +563,7 @@ def test_load_refuses_row_as_oracle_does(monkeypatch, block_chars, row, message)
     with pytest.raises(ValueError) as want:
         oracle_load_trace(text)
     if block_chars is not None:
-        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(_textio, "READ_SIZE", block_chars)
     with pytest.raises(want.type) as err:
         ps.load_trace(io.StringIO(text))
     assert str(err.value) == str(want.value) == f"line 4: {message}"
@@ -500,7 +571,7 @@ def test_load_refuses_row_as_oracle_does(monkeypatch, block_chars, row, message)
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_multibyte_text_cut_by_a_read_loads_as_whole(monkeypatch, tmp_path, kind):
-    # A binary source is read _PARSE_BLOCK_CHARS bytes at a time, so these
+    # A binary source is read READ_SIZE bytes at a time, so these
     # sizes cut the label's and the comment's two-, three- and four-byte
     # characters at every offset.
     label = "rack Zürich ⚡ ١٢ 𝔘"
@@ -509,7 +580,7 @@ def test_multibyte_text_cut_by_a_read_loads_as_whole(monkeypatch, tmp_path, kind
     want = ps.load_trace(io.StringIO(text))
     assert want.source_label == label
     for size in range(1, 12):
-        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", size)
+        monkeypatch.setattr(_textio, "READ_SIZE", size)
         got = ps.load_trace(_source(text, kind, tmp_path))
         assert got.source_label == label, size
         assert got.samples.tobytes() == want.samples.tobytes(), size
@@ -537,7 +608,7 @@ def test_load_refuses_a_byte_that_is_not_utf8_naming_its_line(
     if row < len(lines) - 1:
         data += ending.encode("ascii")
     if block_chars is not None:
-        monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(_textio, "READ_SIZE", block_chars)
     path = tmp_path / "t.csv"
     path.write_bytes(data)
     for source in (io.BytesIO(data), path):
@@ -551,7 +622,6 @@ def test_load_failing_in_a_late_block_closes_its_file(monkeypatch, tmp_path, fau
     # The file is closed as the error leaves load_trace, while its
     # traceback still holds the call's frames; a file left to the garbage
     # collector would warn (ResourceWarning), which fails the suite.
-    from powershave import _textio
     lines = _HEAD + _data_rows(400)
     path = tmp_path / "t.csv"
     path.write_bytes(_joined(lines[:300]).encode("ascii") + fault + b"\n"
@@ -563,26 +633,26 @@ def test_load_failing_in_a_late_block_closes_its_file(monkeypatch, tmp_path, fau
         return opened[-1]
 
     monkeypatch.setattr(_textio, "open", recording_open, raising=False)
-    monkeypatch.setattr(trace_mod, "_PARSE_BLOCK_CHARS", 256)
+    monkeypatch.setattr(_textio, "READ_SIZE", 256)
     with pytest.raises(TraceFormatError, match="^line 301: ") as err:
         ps.load_trace(path)
     assert len(opened) == 1 and opened[0].closed
 
 
 @pytest.mark.parametrize("stream", [io.StringIO, io.BytesIO], ids=["text", "binary"])
-def test_reads_without_a_line_feed_are_scanned_once(stream):
+def test_reads_without_a_line_feed_are_scanned_once(monkeypatch, stream):
     # Lines that end in a bare '\r' hold no '\n', so every read is held
     # until the source ends.  Copying or scanning all the text held at
     # each of these 60,000 reads would take time quadratic in its length,
     # ~29 G characters here, against a block each read for the same text
     # with '\n' endings.
-    from powershave._textio import read_blocks
+    monkeypatch.setattr(_textio, "READ_SIZE", 16)
 
     def timed(ending):
         text = ("0.5,1" + ending) * 160_000
         source = stream(text.encode("ascii") if stream is io.BytesIO else text)
         start = time.perf_counter()
-        blocks = list(read_blocks(source, 16))
+        blocks = list(_textio.read_blocks(source))
         elapsed = time.perf_counter() - start
         assert "".join(blocks) == text
         return elapsed, len(blocks)
@@ -786,6 +856,25 @@ def test_one_sample_trace_round_trips(make):
         tr.dt_s, tr.rack_max_w, tr.origin_time_s, tr.source_label)
 
 
+@pytest.mark.parametrize("declared, times, message", [
+    ("0.5", [0.0, 0.6, 1.2, 1.8], "data row 2: gap deviates more than 0.5% from "
+                                  "the declared interval 0.5"),
+    (None, [0.0, 0.6, 1.2, 1.5], "data row 4: gap deviates more than 0.5% from "
+                                 "the median interval 0.6"),
+], ids=["declared", "median"])
+def test_irregular_sampling_names_the_interval_it_used(declared, times, message):
+    # A '# dt_s=' line fixes the interval the gaps are held to; without it
+    # the median gap does.
+    head = ["# rack_max_w=10.0", *([f"# dt_s={declared}"] if declared else []),
+            "timestamp_s,power_w"]
+    text = _joined(head + [f"{t!r},1.0" for t in times])
+    with pytest.raises(CorruptTraceError) as want:
+        oracle_load_trace(text)
+    with pytest.raises(CorruptTraceError) as err:
+        ps.load_trace(io.StringIO(text))
+    assert str(err.value) == str(want.value) == f"irregular sampling at {message}"
+
+
 def test_one_sample_without_declared_interval_is_refused():
     text = "# rack_max_w=10.0\ntimestamp_s,power_w\n0.0,5.0\n"
     with pytest.raises(CorruptTraceError, match="^trace needs at least two samples "
@@ -796,6 +885,9 @@ def test_one_sample_without_declared_interval_is_refused():
 @pytest.mark.parametrize("origin, dt, n, fault", [
     (1e9, 1e-6, 1000, "irregular sampling at data row 2"),     # an epoch with µs steps
     (1e6, 1e-9, 1000, "irregular sampling at data row 2"),
+    # PowerTrace holds its stamps to its own dt_s, the declared interval.
+    (1e12, 1e-3, 10, "irregular sampling at data row 2: gap deviates more than 0.5% "
+                     "from the declared interval 0.001"),
     (1e300, 0.5, 2, "timestamps not strictly increasing at data row 2"),
     (0.0, 1e308, 3, "the last time stamp is not finite"),
 ])
