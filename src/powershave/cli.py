@@ -38,7 +38,7 @@ from .devices import BUILTIN_DEVICE_NAMES, builtin_device_spec, load_device_spec
 from .shaving import (SimConfig, _check_gpu_unit_w, load_sim_config,
                       simulate_shaving, write_result_csv,
                       write_result_summary_json, write_sim_config)
-from .sweep import (DEFAULT_BURST_LENGTHS_S, DEFAULT_THRESHOLD_FRACS,
+from .sweep import (DEFAULT_BURST_LENGTHS_S, DEFAULT_THRESHOLD_FRACS, _check_axes,
                     compare_strategies, sweep_gpus_saved, write_comparison_csv,
                     write_grid_csv, write_grid_json)
 
@@ -298,8 +298,7 @@ def _cmd_sweep(args) -> int:
         fracs = _parse_axis(args.axes_threshold, "--axes-threshold")
     if args.axes_burst is not None:
         bursts = _parse_axis(args.axes_burst, "--axes-burst")
-    if not (0.0 < args.gpu_unit_w < math.inf):
-        raise ValueError(f"--gpu-unit-w must be positive and finite, got {args.gpu_unit_w!r}")
+    fracs, bursts = _check_axes(fracs, bursts, ("--axes-threshold", "--axes-burst"))
     trace = load_trace(args.trace)
     _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w, "--gpu-unit-w")
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)

@@ -62,6 +62,10 @@ devices.device_halves builds once per run (the same physics as
 device_step), only on the steps that discharge or charge it.  Nothing
 in a step reads the grid feed it draws, so p_grid and the ramp check are
 array post-passes over the finished series.
+
+How many accelerators absorbing every long enough spike would spare from
+shutdown (gpus_saved) needs no simulation: sweep.py answers it from the
+trace alone.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ __all__ = [
     "derate_factor",
     "useful_compute_j",
     "computational_gain",
-    "gpus_saved",
     "load_sim_config",
     "write_sim_config",
     "result_summary_dict",
@@ -525,13 +528,11 @@ class _Shedding:
                 self.in_event = True
                 self.event_gpus = 0
                 self.events += 1
-            shed = math.ceil(live / self.gpu_w - 1e-9)
             if self.restart > 0.0:
                 # Residual shortfall past the units already held down sheds
-                # that many more.
-                self.event_gpus += shed
-            elif shed > self.event_gpus:
-                self.event_gpus = shed
+                # that many more.  Only a positive penalty holds them down,
+                # so only it reads the count.
+                self.event_gpus += math.ceil(live / self.gpu_w - 1e-9)
             return self._state()
         self.in_event = False
         gpus = self.event_gpus
@@ -752,41 +753,6 @@ def _gain_pct(useful_j: float, useful_base_j: float) -> float:
     if useful_base_j <= 0.0:
         raise ValueError("baseline served no useful energy; gain undefined")
     return 100.0 * (useful_j - useful_base_j) / useful_base_j
-
-
-def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,
-               gpu_unit_w: float = SimConfig.gpu_unit_w) -> int:
-    """Accelerators spared from shutdown if spikes longer than min_burst_s
-    above the threshold could be absorbed: ceil of the worst qualifying
-    peak excess over the per-unit draw."""
-    return int(_gpus_saved_grid(trace, (threshold_frac,), (min_burst_s,),
-                                gpu_unit_w)[0, 0])
-
-
-def _gpus_saved_grid(trace: PowerTrace, threshold_fracs, min_bursts_s,
-                     gpu_unit_w: float) -> np.ndarray:
-    """gpus_saved for every (threshold, burst length) pair, rows by
-    threshold.  Every argument is checked before any work; then one scan
-    for runs above each threshold serves its whole row."""
-    for frac in threshold_fracs:
-        if not (0.0 < frac <= 1.0):
-            raise ValueError(f"threshold_frac must be in (0, 1], got {frac}")
-    for burst in min_bursts_s:
-        if not (burst >= 0.0):
-            raise ValueError("min_burst_s must be non-negative")
-    _check_gpu_unit_w(trace.rack_max_w, gpu_unit_w)
-    values = np.zeros((len(threshold_fracs), len(min_bursts_s)), dtype=np.int64)
-    for i, frac in enumerate(threshold_fracs):
-        theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)
-        starts, stops, peaks = _runs_above(trace.samples, theta)
-        # A run qualifies when its duration reaches the burst length; the
-        # whisker keeps durations that are whole multiples of dt in.
-        reach = (stops - starts) * trace.dt_s + 1e-12
-        for j, burst in enumerate(min_bursts_s):
-            worst = peaks[reach >= burst].max(initial=0.0)
-            if worst > 0.0:
-                values[i, j] = math.ceil(worst / gpu_unit_w - 1e-9)
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,50 @@
 """Batch experiments: shutdown-avoidance grids and strategy comparisons.
 
-A SweepGrid tabulates gpus_saved over a threshold-fraction axis and a
-minimum-burst-length axis; raising either axis can only shrink the set
+gpus_saved counts the accelerators spared from shutdown if every spike
+above a threshold fraction and at least a minimum burst length long
+could be absorbed.  sweep_gpus_saved tabulates it over a
+threshold-fraction axis and a burst-length axis into a SweepGrid, one
+scan for runs above a threshold serving its whole row, and gpus_saved is
+the one cell of that grid.  Raising either axis can only shrink the set
 of qualifying spikes, so every valid grid is nonincreasing along both.
+One axis check (_check_axes) serves SweepGrid, sweep_gpus_saved,
+gpus_saved and the sweep command, which runs it under its flag names.
+
 compare_strategies runs the shaving simulation once per named strategy
 on one trace and reports each against the device-free baseline, holding
 one simulation's series at a time.
 
 write_grid_csv, write_grid_json and write_comparison_csv write through
-_textio, to a path or a stream; load_grid_csv and load_grid_json read the
-first two back from a path or a stream.
+_textio, to a path or a stream: the grid CSV through its column writer
+(write_columns_csv).  load_grid_csv and load_grid_json read the first two
+back from a path or a stream, the JSON form through the config codec
+(read_config).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
 
 from ._textio import (NON_NEGATIVE, check_fields, plain_int, plain_numbers,
-                      read_json_object, read_text, write_json, write_text)
+                      read_config, read_text, write_columns_csv, write_json,
+                      write_text)
 from .trace import PowerTrace
-from .shaving import (SimConfig, _figures, _gain_pct, _gpus_saved_grid,
+from .spikes import ThresholdSpec, _runs_above
+from .shaving import (SimConfig, _check_gpu_unit_w, _figures, _gain_pct,
                       _simulate_series, _useful_j)
-# Unused here; bench/tracer.py patches sweep.gpus_saved and sweep.simulate_shaving.
-from .shaving import gpus_saved, simulate_shaving  # noqa: F401
+# Unused here; bench/tracer.py patches sweep.simulate_shaving.
+from .shaving import simulate_shaving  # noqa: F401
 
 __all__ = [
     "DEFAULT_THRESHOLD_FRACS",
     "DEFAULT_BURST_LENGTHS_S",
     "SweepGrid",
+    "gpus_saved",
     "sweep_gpus_saved",
     "ComparisonRow",
     "compare_strategies",
@@ -47,7 +59,7 @@ DEFAULT_THRESHOLD_FRACS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 DEFAULT_BURST_LENGTHS_S = tuple(round(0.02 * k, 2) for k in range(11))
 
 
-def _check_axis(name: str, values, lo=None, hi=None) -> tuple:
+def _check_axis(name: str, values, within, bounds: str) -> tuple:
     # Refused rather than cast: float() would read true as 1.0, "0.5" as
     # 0.5 and a string axis character by character.  numpy's bool is not a
     # numbers.Real; its floats and ints are.
@@ -61,13 +73,27 @@ def _check_axis(name: str, values, lo=None, hi=None) -> tuple:
                          f"got {values!r}") from None
     if not vals:
         raise ValueError(f"{name} must be non-empty")
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"{name} values must be finite")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ValueError(f"{name} must be strictly increasing")
-    if lo is not None and vals[0] < lo or hi is not None and vals[-1] > hi:
-        raise ValueError(f"{name} values out of range")
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} values must be finite, got {v!r}")
+    for a, b in zip(vals, vals[1:]):
+        if b <= a:
+            raise ValueError(f"{name} must be strictly increasing, got {b!r} after {a!r}")
+    # The axis increases, so its ends are its extremes.
+    for v in (vals[0], vals[-1]):
+        if not within(v):
+            raise ValueError(f"{name} values must be {bounds}, got {v!r}")
     return vals
+
+
+def _check_axes(threshold_fracs, burst_lengths_s,
+                names=("threshold_fracs", "burst_lengths_s")) -> tuple:
+    """Both grid axes as tuples of floats, each non-empty, finite and
+    strictly increasing, and never holding a bool: threshold fractions in
+    (0, 1], burst lengths non-negative.  An error names the axis, by its
+    entry of names, and the value refused."""
+    return (_check_axis(names[0], threshold_fracs, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            _check_axis(names[1], burst_lengths_s, lambda v: v >= 0.0, "non-negative"))
 
 
 @dataclass(frozen=True)
@@ -78,10 +104,7 @@ class SweepGrid:
     trace_label: str = ""
 
     def __post_init__(self):
-        fracs = _check_axis("threshold_fracs", self.threshold_fracs, lo=0.0, hi=1.0)
-        if fracs[0] <= 0.0:
-            raise ValueError("threshold_fracs must be positive")
-        bursts = _check_axis("burst_lengths_s", self.burst_lengths_s, lo=0.0)
+        fracs, bursts = _check_axes(self.threshold_fracs, self.burst_lengths_s)
         if not isinstance(self.trace_label, str):
             raise ValueError(f"grid trace_label must be a string, got {self.trace_label!r}")
         vals = np.asarray(self.values)
@@ -107,14 +130,43 @@ class SweepGrid:
 def sweep_gpus_saved(trace: PowerTrace, threshold_fracs=DEFAULT_THRESHOLD_FRACS,
                      burst_lengths_s=DEFAULT_BURST_LENGTHS_S,
                      gpu_unit_w: float = SimConfig.gpu_unit_w) -> SweepGrid:
-    """gpus_saved over both axes.  Each cell equals gpus_saved of its
-    threshold and burst length; one scan for runs above a threshold
+    """gpus_saved over both axes, rows by threshold.  Every argument is
+    checked before any work; then one scan for runs above each threshold
     serves its whole row."""
-    fracs = _check_axis("threshold_fracs", threshold_fracs, lo=0.0, hi=1.0)
-    bursts = _check_axis("burst_lengths_s", burst_lengths_s, lo=0.0)
-    values = _gpus_saved_grid(trace, fracs, bursts, gpu_unit_w)
+    fracs, bursts = _check_axes(threshold_fracs, burst_lengths_s)
+    _check_gpu_unit_w(trace.rack_max_w, gpu_unit_w)
+    values = np.zeros((len(fracs), len(bursts)), dtype=np.int64)
+    for i, frac in enumerate(fracs):
+        theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)
+        starts, stops, peaks = _runs_above(trace.samples, theta)
+        # A run qualifies when its duration reaches the burst length; the
+        # whisker keeps durations that are whole multiples of dt in.
+        reach = (stops - starts) * trace.dt_s + 1e-12
+        for j, burst in enumerate(bursts):
+            worst = peaks[reach >= burst].max(initial=0.0)
+            if worst > 0.0:
+                values[i, j] = math.ceil(worst / gpu_unit_w - 1e-9)
     return SweepGrid(threshold_fracs=fracs, burst_lengths_s=bursts,
                      values=values, trace_label=trace.source_label)
+
+
+def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,
+               gpu_unit_w: float = SimConfig.gpu_unit_w) -> int:
+    """Accelerators spared from shutdown if spikes longer than min_burst_s
+    above the threshold could be absorbed: ceil of the worst qualifying
+    peak excess over the per-unit draw.  The one cell of sweep_gpus_saved,
+    refused as it refuses the axes and the unit."""
+    return int(sweep_gpus_saved(trace, (threshold_frac,), (min_burst_s,), gpu_unit_w).values[0, 0])
+
+
+def _check_strategy_name(name) -> None:
+    """Refuse a strategy name that comparison.csv could not keep as one
+    field of one line: one holding ',', '"' or a line break (any that
+    str.splitlines breaks at)."""
+    # The '.' makes a break at the end of the name split too.
+    if isinstance(name, str) and ("," in name or '"' in name
+                                  or len(f"{name}.".splitlines()) > 1):
+        raise ValueError(f"strategy name {name!r} must not hold ',', '\"' or a line break")
 
 
 @dataclass(frozen=True)
@@ -128,6 +180,7 @@ class ComparisonRow:
 
     def __post_init__(self):
         check_fields(self)
+        _check_strategy_name(self.strategy_name)
 
 
 # (ComparisonRow field and CSV column, run figure) of each number after the
@@ -144,10 +197,12 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     strategies is an ordered mapping or sequence of (name, spec) pairs
     where spec is a DeviceSpec, "none", or "ideal".  Gains are relative
     to the device-free run, which is computed regardless of whether it
-    is listed.  Duplicate names are rejected.  Each row is the name, the
-    gain and the _ROW_FIGURES of the run's summary (_summary).  One
-    simulation is alive at a time: the baseline's series are dropped once
-    its summary is taken, and every "none" row is built from that summary.
+    is listed.  Duplicate names, and names that ComparisonRow refuses
+    (_check_strategy_name), are rejected before any simulation.  Each row
+    is the name, the gain and the _ROW_FIGURES of the run's summary
+    (_summary).  One simulation is alive at a time: the baseline's series
+    are dropped once its summary is taken, and every "none" row is built
+    from that summary.
 
     Each row's numbers are those of simulate_shaving's result, bit for
     bit, but compare runs only the series pass (shaving._simulate_series)
@@ -161,6 +216,8 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     if not pairs:
         raise ValueError("at least one strategy is required")
     names = [name for name, _ in pairs]
+    for name in names:
+        _check_strategy_name(name)
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate strategy names: {dupes}")
@@ -196,11 +253,10 @@ def _summary(trace, spec, config) -> dict:
 
 def write_grid_csv(grid: SweepGrid, dest) -> None:
     """Burst lengths across the header row, threshold fractions down the
-    first column."""
-    header = ["threshold_frac/burst_s"] + [repr(b) for b in grid.burst_lengths_s]
-    write_text(dest, [",".join(header) + "\n"] + [
-        ",".join([repr(frac)] + [str(int(v)) for v in row]) + "\n"
-        for frac, row in zip(grid.threshold_fracs, grid.values)])
+    first column; every number is its repr (an int64 cell's is its
+    str(int))."""
+    header = ",".join(["threshold_frac/burst_s", *map(repr, grid.burst_lengths_s)])
+    write_columns_csv(dest, (header,), [grid.threshold_fracs, *grid.values.T])
 
 
 def write_grid_json(grid: SweepGrid, dest) -> None:
@@ -209,16 +265,11 @@ def write_grid_json(grid: SweepGrid, dest) -> None:
 
 
 def load_grid_json(source, trace_label=None) -> SweepGrid:
-    data = read_json_object(source, "grid")
-    missing = {"threshold_fracs", "burst_lengths_s", "values"} - set(data)
-    if missing:
-        raise ValueError(f"grid JSON missing fields: {sorted(missing)}")
-    return SweepGrid(
-        threshold_fracs=data["threshold_fracs"],
-        burst_lengths_s=data["burst_lengths_s"],
-        values=data["values"],
-        trace_label=trace_label if trace_label is not None else data.get("trace_label", ""),
-    )
+    """The SweepGrid whose fields the JSON object in source holds
+    (read_config: an unknown or missing field is refused by name), its
+    label replaced by trace_label when that is given."""
+    grid = read_config(SweepGrid, source, "grid")
+    return grid if trace_label is None else replace(grid, trace_label=trace_label)
 
 
 def load_grid_csv(source, trace_label: str = "") -> SweepGrid:

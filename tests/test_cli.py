@@ -556,6 +556,8 @@ def test_sweep_custom_axes(work, tmp_path):
     ("--axes-threshold", "0.5:0.9"),        # two parts
     ("--axes-threshold", "0.5:0.9:0"),      # zero step
     ("--axes-threshold", "0.9:0.5:0.1"),    # stop before start
+    ("--axes-threshold", "0:1:0.1"),        # a fraction of 0
+    ("--axes-threshold", "0.5:1.5:0.1"),    # fractions above 1
 ])
 def test_sweep_bad_axis_exit2(work, tmp_path, flag, value):
     proc = run_cli(["sweep", "--trace", str(work["trace"]), flag, value,
@@ -566,12 +568,22 @@ def test_sweep_bad_axis_exit2(work, tmp_path, flag, value):
     assert not (tmp_path / "grid.json").exists()
 
 
+@pytest.mark.parametrize("value, refused", [("0:1:0.1", "0.0"), ("0.5:1.5:0.1", "1.5")])
+def test_sweep_range_refusal_names_the_flag_and_the_value(work, tmp_path, value, refused):
+    # The library's one axis check, run under the flag's name.
+    proc = run_cli(["sweep", "--trace", str(work["trace"]), "--axes-threshold", value,
+                    "--out", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: --axes-threshold values must be in (0, 1], got {refused}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "inf"])
 def test_sweep_bad_gpu_unit_w_exit2(work, tmp_path, value):
     proc = run_cli(["sweep", "--trace", str(work["trace"]), "--gpu-unit-w", value,
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert "--gpu-unit-w must be positive and finite" in proc.stderr
+    assert "--gpu-unit-w must be positive, finite and at least rack_max_w / 2**53" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "grid.json").exists()
 
@@ -633,6 +645,21 @@ def test_compare_default_list(work, tmp_path):
     lines = (tmp_path / "comparison.csv").read_text(encoding="utf-8").strip().splitlines()
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["none", "capacitor", "supercap", "battery", "ideal"]
+
+
+@pytest.mark.parametrize("stem", ["cap,x", "cap\nline"], ids=["comma", "line-feed"])
+def test_compare_refuses_a_strategy_name_the_csv_cannot_hold_exit2(work, tmp_path, stem):
+    # A spec file's stem names its row; comparison.csv could not keep this
+    # one as one field of one line.
+    spec = tmp_path / f"{stem}.json"
+    shutil.copyfile(PACKAGE_DIR / "data" / "capacitor.json", spec)
+    out = tmp_path / "out"
+    proc = run_cli(["compare", "--trace", str(work["trace"]), "--device", "none",
+                    "--device", str(spec), "--out", str(out)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: strategy name {stem!r} must not hold ',', "
+                           f"'\"' or a line break\n")
+    assert not out.exists()
 
 
 def test_help_names_the_defaults_the_code_runs(capsys):

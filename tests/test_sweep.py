@@ -108,12 +108,52 @@ def test_sweep_checks_every_argument_before_work(spiky_trace):
         ps.sweep_gpus_saved(spiky_trace, (math.nan,), (0.0,))
     with pytest.raises(ValueError, match="finite"):
         ps.sweep_gpus_saved(spiky_trace, (0.5,), (0.0, math.inf))
-    with pytest.raises(ValueError, match=r"threshold_frac must be in \(0, 1\], got 0.0"):
+    with pytest.raises(ValueError, match=r"^threshold_fracs values must be in \(0, 1\], got 0\.0$"):
         ps.sweep_gpus_saved(spiky_trace, (0.0, 0.5), (0.0,))
     with pytest.raises(ValueError, match="gpu_unit_w must be positive"):
         ps.sweep_gpus_saved(spiky_trace, (0.5,), (0.0,), gpu_unit_w=0.0)
-    with pytest.raises(ValueError, match="min_burst_s must be non-negative"):
+    with pytest.raises(ValueError, match="^burst_lengths_s values must be finite, got nan$"):
         ps.gpus_saved(spiky_trace, 0.5, math.nan)
+
+
+def _unit_refusal(unit, rack_max_w=10000.0):
+    return (f"gpu_unit_w must be positive, finite and at least rack_max_w / 2**53 "
+            f"({rack_max_w / 2.0 ** 53!r} W), got {unit!r}")
+
+
+# Each bad threshold fraction, burst length and unit, with the one message
+# that gpus_saved, sweep_gpus_saved and, for an axis value, SweepGrid refuse
+# it with.
+@pytest.mark.parametrize("frac, burst, unit, message", [
+    (0.0, 0.0, 700.0, "threshold_fracs values must be in (0, 1], got 0.0"),
+    (-0.5, 0.0, 700.0, "threshold_fracs values must be in (0, 1], got -0.5"),
+    (1.5, 0.0, 700.0, "threshold_fracs values must be in (0, 1], got 1.5"),
+    (math.nan, 0.0, 700.0, "threshold_fracs values must be finite, got nan"),
+    (math.inf, 0.0, 700.0, "threshold_fracs values must be finite, got inf"),
+    (True, 0.0, 700.0, "grid axis threshold_fracs must be a list of numbers, got (True,)"),
+    ("0.5", 0.0, 700.0, "grid axis threshold_fracs must be a list of numbers, got ('0.5',)"),
+    (0.5, -0.1, 700.0, "burst_lengths_s values must be non-negative, got -0.1"),
+    (0.5, math.nan, 700.0, "burst_lengths_s values must be finite, got nan"),
+    (0.5, math.inf, 700.0, "burst_lengths_s values must be finite, got inf"),
+    (0.5, False, 700.0, "grid axis burst_lengths_s must be a list of numbers, got (False,)"),
+    (0.5, 0.0, 0.0, _unit_refusal(0.0)),
+    (0.5, 0.0, -700.0, _unit_refusal(-700.0)),
+    (0.5, 0.0, math.inf, _unit_refusal(math.inf)),
+    (0.5, 0.0, math.nan, _unit_refusal(math.nan)),
+    (0.5, 0.0, 1e-300, _unit_refusal(1e-300)),
+])
+def test_one_refusal_for_every_grid_entry_point(spiky_trace, monkeypatch,
+                                                frac, burst, unit, message):
+    # Refused before any scan for runs above a threshold.
+    monkeypatch.setattr(sweep, "_runs_above", None)
+    calls = [lambda: ps.gpus_saved(spiky_trace, frac, burst, unit),
+             lambda: ps.sweep_gpus_saved(spiky_trace, (frac,), (burst,), unit)]
+    if unit == 700.0:
+        calls.append(lambda: ps.SweepGrid((frac,), (burst,), values=[[0]]))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # The sweep as it was before it scanned each threshold once: one
@@ -321,8 +361,63 @@ def test_load_grid_csv_refuses_a_byte_that_is_not_utf8_naming_its_line(
 def test_load_grid_json_names_missing_field(missing):
     data = {"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]]}
     del data[missing]
-    with pytest.raises(ValueError, match=f"grid JSON missing fields: \\['{missing}'\\]"):
+    with pytest.raises(ValueError, match=f"^missing grid fields: \\['{missing}'\\]$"):
         ps.load_grid_json(io.StringIO(json.dumps(data)))
+
+
+def _hand_built_grid_csv(grid) -> str:
+    """The grid CSV as write_grid_csv built it by hand, one row at a time."""
+    header = ["threshold_frac/burst_s"] + [repr(b) for b in grid.burst_lengths_s]
+    return "".join([",".join(header) + "\n"] + [
+        ",".join([repr(frac)] + [str(int(v)) for v in row]) + "\n"
+        for frac, row in zip(grid.threshold_fracs, grid.values)])
+
+
+def _random_grid(rng, n_fracs, n_bursts, top):
+    fracs = np.unique(rng.uniform(1e-9, 1.0, size=n_fracs))
+    bursts = np.unique(np.round(rng.uniform(0.0, 2.0, size=n_bursts),
+                                int(rng.integers(1, 17))))
+    values = rng.integers(0, top, size=(fracs.size, bursts.size), endpoint=True)
+    # Sorting each column and then each row, both descending, leaves both
+    # sorted: a valid grid.
+    values = np.sort(values, axis=0)[::-1]
+    values = np.sort(values, axis=1)[:, ::-1]
+    return ps.SweepGrid(tuple(fracs.tolist()), tuple(bursts.tolist()), values)
+
+
+@pytest.mark.parametrize("n_fracs, n_bursts, top", [
+    (3, 4, 5),
+    (_textio.CSV_CHUNK_ROWS + 7, 6, 40),
+    (_textio.CSV_BLOCK_ROWS + 3, 3, 2 ** 63 - 1),
+], ids=["small", "over-a-chunk", "over-a-block-large-ints"])
+def test_write_grid_csv_bytes_equal_the_hand_built_rows(n_fracs, n_bursts, top):
+    rng = np.random.default_rng(n_fracs)
+    grid = _random_grid(rng, n_fracs, n_bursts, top)
+    buf = io.StringIO()
+    ps.write_grid_csv(grid, buf)
+    assert buf.getvalue() == _hand_built_grid_csv(grid)
+    if top == 2 ** 63 - 1:
+        assert grid.values.max() > 2 ** 62
+
+
+def test_load_grid_json_refuses_an_unknown_field_by_name():
+    data = {"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]],
+            "gpu_unit_w": 700.0}
+    with pytest.raises(ValueError) as err:
+        ps.load_grid_json(io.StringIO(json.dumps(data)))
+    assert str(err.value) == "unknown grid fields: ['gpu_unit_w']"
+
+
+def test_load_grid_json_trace_label_replaces_the_files_label():
+    grid = ps.SweepGrid((0.5, 0.7), (0.0, 0.1), [[3, 1], [2, 0]], trace_label="file")
+    buf = io.StringIO()
+    ps.write_grid_json(grid, buf)
+    assert ps.load_grid_json(io.StringIO(buf.getvalue())).trace_label == "file"
+    back = ps.load_grid_json(io.StringIO(buf.getvalue()), trace_label="given")
+    assert back.trace_label == "given"
+    assert (back.threshold_fracs, back.burst_lengths_s) == (grid.threshold_fracs,
+                                                            grid.burst_lengths_s)
+    np.testing.assert_array_equal(back.values, grid.values)
 
 
 def test_export_csv_shape():
@@ -359,8 +454,8 @@ def test_grid_type_rejects_violations():
 
 
 @pytest.mark.parametrize("fracs, label, message", [
-    ((0.0, 0.5), "", "threshold_fracs must be positive"),
-    ((0.5, 1.5), "", "threshold_fracs values out of range"),
+    ((0.0, 0.5), "", "threshold_fracs values must be in (0, 1], got 0.0"),
+    ((0.5, 1.5), "", "threshold_fracs values must be in (0, 1], got 1.5"),
     ((0.5, 0.7), 7, "grid trace_label must be a string, got 7"),
 ], ids=["threshold-zero", "threshold-above-one", "label"])
 def test_grid_refusals_name_their_field(fracs, label, message):
@@ -421,6 +516,31 @@ def test_compare_duplicate_names_rejected(spiky_trace):
 def test_compare_empty_rejected(spiky_trace):
     with pytest.raises(ValueError):
         ps.compare_strategies(spiky_trace, [], SimConfig())
+
+
+@pytest.mark.parametrize("name", ["cap,x", 'cap"x', "cap\nline", "cap\r\n",
+                                  "cap\x85x", "cap\u2028x"])
+def test_strategy_name_the_csv_cannot_hold_is_refused_before_any_simulation(
+        spiky_trace, monkeypatch, name):
+    # comparison.csv would split such a name over two fields or two lines.
+    monkeypatch.setattr(sweep, "_simulate_series", None)
+    message = f"strategy name {name!r} must not hold ',', '\"' or a line break"
+    with pytest.raises(ValueError) as err:
+        ps.compare_strategies(spiky_trace, [("none", "none"), (name, "ideal")], SimConfig())
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        ps.ComparisonRow(name, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert str(err.value) == message
+
+
+def test_strategy_names_the_csv_can_hold_are_written_as_they_are():
+    names = ["", "cap x", "cap's", "cap;x", "cap\tx", "caf\u00e9"]
+    rows = [ps.ComparisonRow(name, 0.0, 0.0, 0.0, 0.0, 0.0) for name in names]
+    buf = io.StringIO()
+    ps.write_comparison_csv(rows, buf)
+    lines = buf.getvalue().split("\n")
+    assert lines[-1] == "" and len(lines) == 2 + len(names)
+    assert [line.split(",")[0] for line in lines[1:-1]] == names
 
 
 def test_compare_annotates_failing_strategy(spiky_trace):
