@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -237,14 +238,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_analyze(args) -> int:
     trace = load_trace(args.trace)
+    inputs = {args.trace: _sha256_file(args.trace)}
     threshold = _threshold_from_args(args) or SimConfig.threshold
-    edges = DEFAULT_ENERGY_BIN_EDGES
-    if args.bins is not None:
-        edges = _parse_bins(args.bins)
+    edges = DEFAULT_ENERGY_BIN_EDGES if args.bins is None else _parse_bins(args.bins)
     spikes = detect_spikes(trace, threshold)
     stats = spike_statistics(spikes, energy_bin_edges=edges)
     spikes_path, stats_path = _emit(
-        args, "analyze", {args.trace: _sha256_file(args.trace)},
+        args, "analyze", inputs,
         {"threshold": _digest(_write_compact_json,
                               {"absolute_w": threshold.absolute_w,
                                "fraction_of_max": threshold.fraction_of_max})},
@@ -292,18 +292,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fracs = DEFAULT_THRESHOLD_FRACS
-    bursts = DEFAULT_BURST_LENGTHS_S
-    if args.axes_threshold is not None:
-        fracs = _parse_axis(args.axes_threshold, "--axes-threshold")
-    if args.axes_burst is not None:
-        bursts = _parse_axis(args.axes_burst, "--axes-burst")
+    fracs = (DEFAULT_THRESHOLD_FRACS if args.axes_threshold is None
+             else _parse_axis(args.axes_threshold, "--axes-threshold"))
+    bursts = (DEFAULT_BURST_LENGTHS_S if args.axes_burst is None
+              else _parse_axis(args.axes_burst, "--axes-burst"))
     fracs, bursts = _check_axes(fracs, bursts, ("--axes-threshold", "--axes-burst"))
     trace = load_trace(args.trace)
+    inputs = {args.trace: _sha256_file(args.trace)}
     _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w, "--gpu-unit-w")
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
     csv_path, json_path = _emit(
-        args, "sweep", {args.trace: _sha256_file(args.trace)},
+        args, "sweep", inputs,
         {"axes": _digest(_write_compact_json,
                          {"threshold_fracs": list(fracs), "burst_lengths_s": list(bursts),
                           "gpu_unit_w": args.gpu_unit_w})},
@@ -401,8 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose values may start with '-': a sweep axis with a negative
+# start, or a bin edge below zero.
+_DASH_VALUE_FLAGS = ("--axes-threshold", "--axes-burst", "--bins")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a value that starts with '-' for a flag of its own unless
+    # it is a plain negative number, so each flag above is joined to such a
+    # value, '-' then a digit or '.', as flag=value: both forms read alike.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] in _DASH_VALUE_FLAGS and re.match(r"-[0-9.]", argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

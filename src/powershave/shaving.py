@@ -81,7 +81,8 @@ from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, read_config,
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .devices import DeviceSpec, device_halves, init_state
-# Unused here; bench/tracer.py patches shaving.device_step and shaving.thermal_step.
+# Unused here; imported only for bench/tracer.py, which patches
+# shaving.device_step (and shaving.thermal_step, defined below).
 from .devices import device_step  # noqa: F401
 
 __all__ = [
@@ -445,8 +446,9 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
     np.abs(jumps, out=jumps)
     violations = np.flatnonzero(jumps > config.grid_ramp_limit_w_per_s * dt * (1.0 + 1e-9))
     violations += 1
-    # The accelerators each step sheds, ceil(max(curtailed, 0) / gpu_w -
-    # 1e-9), into curtailed_a, and then the curtailed power itself.
+    # The accelerators each step sheds, _units's rule over the array,
+    # ceil(max(curtailed, 0) / gpu_w - 1e-9), into curtailed_a, and then
+    # the curtailed power itself.
     np.maximum(np.subtract(demand_a, served_a, out=curtailed_a), 0.0, out=curtailed_a)
     curtailed_a /= config.gpu_unit_w
     curtailed_a -= 1e-9
@@ -532,7 +534,7 @@ class _Shedding:
                 # Residual shortfall past the units already held down sheds
                 # that many more.  Only a positive penalty holds them down,
                 # so only it reads the count.
-                self.event_gpus += math.ceil(live / self.gpu_w - 1e-9)
+                self.event_gpus += _units(live, self.gpu_w)
             return self._state()
         self.in_event = False
         gpus = self.event_gpus
@@ -555,20 +557,25 @@ class _Shedding:
         return self._state()
 
 
+def _units(watts, gpu_unit_w) -> int:
+    """The whole accelerators of gpu_unit_w watts that watts sheds, with a
+    whisker of 1e-9 of a unit, so a shortfall within it of a whole number
+    of units sheds that number: 0 for 0 W.  The one accelerator count of a
+    grid cell, a shortfall event and the served-or-shed verdict."""
+    return math.ceil(watts / gpu_unit_w - 1e-9)
+
+
 def _live_short(deficit, delivered, escal, gpu_w):
     """What a step leaves unserved after the device delivered and the feed
     escalated by up to escal: the deficit's shortfall past both, or 0.0
-    where it sheds no accelerator of gpu_w watts.  The shedding machine
-    sheds ceil(live / gpu_w - 1e-9) of them, so a shortfall is served
-    exactly when that quotient is not positive, and every event sheds at
-    least one.  escal must be at least 0 (the step loop passes cap - c,
-    and the feed never passes the cap); then a deficit at or below
-    delivered leaves 0.0."""
+    where it sheds no accelerator of gpu_w watts, that is where _units
+    gives 0; so every event sheds at least one.  escal must be at least 0
+    (the step loop passes cap - c, and the feed never passes the cap);
+    then a shortfall that escal covers, a deficit at or below delivered
+    among them, leaves 0.0."""
     shortfall = deficit - delivered
-    if not escal < shortfall:
-        escal = shortfall
-    live = shortfall - escal
-    return live if live / gpu_w - 1e-9 > 0.0 else 0.0
+    live = shortfall - escal if escal < shortfall else 0.0
+    return live if _units(live, gpu_w) else 0.0
 
 
 def _fill_need(need_a, d_eff_a, p_infra, theta):

@@ -85,45 +85,45 @@ class SpikeStats:
 
 def _runs_above(samples: np.ndarray, theta: float):
     """Maximal runs of samples strictly above theta: start indices, stop
-    indices (exclusive) and each run's peak excess over theta.
+    indices (exclusive) and each run's top sample.
 
-    Peaks come from one reduceat over the run starts.  Its segment from
-    one start to the next is a run and the gap after it, whose samples are
-    at most theta, so the segment maximum is the run's.  max(seg) - theta
-    equals max(seg - theta) bit for bit, because rounding is monotone.
+    The tops come from one np.maximum.reduceat over the run starts.  Its
+    segment from one start to the next is a run and the gap after it,
+    whose samples are at most theta, so the segment maximum is the run's.
+    A caller takes a peak excess as top - theta, which equals the maximum
+    of the run's sample - theta bit for bit, because rounding is monotone.
     """
     above = samples > theta
     # Run boundaries from the sign changes of the indicator.
     padded = np.concatenate(([False], above, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     starts, stops = edges[0::2], edges[1::2]
-    return starts, stops, np.maximum.reduceat(samples, starts) - theta
+    return starts, stops, np.maximum.reduceat(samples, starts)
 
 
 def detect_spikes(trace: PowerTrace, threshold: ThresholdSpec) -> list[Spike]:
     """Find maximal runs of consecutive samples strictly above threshold.
 
-    Durations count whole hold intervals (run length times dt); the energy
-    is the zero-order-hold integral of the excess over the run.  Runs that
-    touch either end of the trace count like any other.
+    Each field but the energy is one array expression over the runs of
+    _runs_above: the start is origin + start index * dt, the duration
+    counts whole hold intervals (run length times dt), the peak excess is
+    the run's top sample less theta and the peak fraction that top over
+    rack_max_w.  The energy is the zero-order-hold integral of the excess:
+    each run's (samples - theta).sum(), taken one run at a time, since
+    np.add.reduceat adds in another order and differs in the last bit,
+    then times dt over the column.  Runs that touch either end of the
+    trace count like any other.
     """
     theta = threshold.resolve(trace.rack_max_w)
     s = trace.samples
-    starts, stops, peaks = _runs_above(s, theta)
+    starts, stops, tops = _runs_above(s, theta)
     dt = trace.dt_s
-    spikes = []
-    for i0, i1, peak in zip(starts, stops, peaks):
-        seg = s[i0:i1]
-        spikes.append(Spike(
-            start_s=float(trace.origin_time_s + i0 * dt),
-            duration_s=float((i1 - i0) * dt),
-            peak_excess_w=float(peak),
-            # Summed run by run, so the bits do not hang on the order in
-            # which a reduceat over the whole trace would add.
-            energy_above_j=float((seg - theta).sum() * dt),
-            peak_frac=float(seg.max() / trace.rack_max_w),
-        ))
-    return spikes
+    excess_sums = np.fromiter(((s[a:b] - theta).sum()
+                               for a, b in zip(starts.tolist(), stops.tolist())),
+                              float, count=starts.size)
+    return list(map(Spike, (trace.origin_time_s + starts * dt).tolist(),
+                    ((stops - starts) * dt).tolist(), (tops - theta).tolist(),
+                    (excess_sums * dt).tolist(), (tops / trace.rack_max_w).tolist()))
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:

@@ -36,7 +36,7 @@ from ._textio import (NON_NEGATIVE, check_fields, plain_int, plain_numbers,
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .shaving import (SimConfig, _check_gpu_unit_w, _figures, _gain_pct,
-                      _simulate_series, _useful_j)
+                      _simulate_series, _units, _useful_j)
 # Unused here; bench/tracer.py patches sweep.simulate_shaving.
 from .shaving import simulate_shaving  # noqa: F401
 
@@ -138,14 +138,14 @@ def sweep_gpus_saved(trace: PowerTrace, threshold_fracs=DEFAULT_THRESHOLD_FRACS,
     values = np.zeros((len(fracs), len(bursts)), dtype=np.int64)
     for i, frac in enumerate(fracs):
         theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)
-        starts, stops, peaks = _runs_above(trace.samples, theta)
+        starts, stops, tops = _runs_above(trace.samples, theta)
         # A run qualifies when its duration reaches the burst length; the
         # whisker keeps durations that are whole multiples of dt in.
         reach = (stops - starts) * trace.dt_s + 1e-12
         for j, burst in enumerate(bursts):
-            worst = peaks[reach >= burst].max(initial=0.0)
-            if worst > 0.0:
-                values[i, j] = math.ceil(worst / gpu_unit_w - 1e-9)
+            # The worst peak excess, 0.0 when no run qualifies.
+            worst = tops[reach >= burst].max(initial=theta) - theta
+            values[i, j] = _units(worst, gpu_unit_w)
     return SweepGrid(threshold_fracs=fracs, burst_lengths_s=bursts,
                      values=values, trace_label=trace.source_label)
 

@@ -31,6 +31,11 @@ above theta.  Those steps are held to that bound instead.
 
 The ideal device covers every deficit: no events and p_comp_served equal
 to p_comp_demand, whatever the restart penalty.
+
+The accelerator count itself is one rule, shaving._units: a grid cell
+(gpus_saved), a shortfall event (_Shedding.end_step) and the served-or-shed
+verdict (_live_short) all take it, at and around each whisker of a whole
+number of units.
 """
 
 import math
@@ -40,6 +45,7 @@ import numpy as np
 import pytest
 
 import powershave as ps
+from powershave import shaving
 
 from conftest import SHORT_SYNTH_CONFIG, make_trace, run_sim
 
@@ -123,3 +129,28 @@ def test_answers_agree_on_random_traces():
         check_answers_agree(ps.synthesize_trace(config),
                             float(rng.uniform(0.55, 0.8)),
                             float(rng.choice([350.0, 700.0, 1000.0])))
+
+
+@pytest.mark.parametrize("gpu_unit_w", [0.3, 1.0, 350.0, 700.0, 1234.5])
+def test_one_unit_count_rule(gpu_unit_w):
+    # theta is 2**19 W, so top - theta misses the intended excess by at
+    # most 6e-11 W, inside the smallest step tried (1.5e-10 W, 0.5e-9 of the
+    # 0.3 W unit).
+    rack_max = 2.0 ** 20
+    theta = 0.5 * rack_max
+    for k in (0, 1, 2, 7, 40):
+        for delta in (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9):
+            top = theta + (k + delta) * gpu_unit_w
+            excess = top - theta
+            units = shaving._units(excess, gpu_unit_w)
+            # Within the whisker above or below, k units; past it above, one more.
+            assert units == (k + 1 if delta > 1e-9 else k), (k, delta)
+            trace = make_trace([0.0, top, 0.0], dt=0.005, rack_max=rack_max)
+            assert ps.gpus_saved(trace, 0.5, 0.0, gpu_unit_w) == units
+            live = shaving._live_short(excess, 0.0, 0.0, gpu_unit_w)
+            assert live == (excess if units else 0.0)
+            if live:
+                shedding = shaving._Shedding(3, 0.005, ps.SimConfig(
+                    gpu_unit_w=gpu_unit_w, restart_penalty_s=1.0))
+                blocked_w, _, in_event = shedding.end_step(1, live)
+                assert in_event and blocked_w == units * gpu_unit_w

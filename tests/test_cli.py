@@ -606,6 +606,52 @@ def test_numeric_flag_outside_number_rule_exit2(work, tmp_path, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axes-burst", "-0.04:0.04:0.02"],
+    ["sweep", "--axes-threshold", "-.5:0.5:0.1"],
+    ["analyze", "--bins", "-5,0,5"],
+], ids=lambda argv: argv[1])
+def test_flag_value_led_by_a_minus_reads_as_in_the_equals_form(work, tmp_path, argv):
+    # argparse takes '-0.04:...' for a flag of its own; both forms must reach
+    # the same check, or the same run.
+    command, flag, value = argv
+    procs = {}
+    for form, args in (("space", [flag, value]), ("equals", [f"{flag}={value}"])):
+        procs[form] = run_cli([command, "--trace", str(work["trace"]), *args,
+                               "--out", str(tmp_path / form)], cwd=tmp_path)
+    space, equals = procs["space"], procs["equals"]
+    assert (space.returncode, space.stderr) == (equals.returncode, equals.stderr)
+    assert "Traceback" not in space.stderr
+    if command == "sweep":
+        assert space.returncode == 2 and flag in space.stderr
+    else:
+        assert space.returncode == 0, space.stderr
+        for name in ("spikes.csv", "spike_stats.json"):
+            assert ((tmp_path / "space" / name).read_bytes()
+                    == (tmp_path / "equals" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("analyze", "detect_spikes"), ("sweep", "sweep_gpus_saved")])
+def test_manifest_digests_the_trace_bytes_analysed(work, tmp_path, monkeypatch,
+                                                   command, stage):
+    # The trace is rewritten after it is loaded; the manifest must digest
+    # the bytes the run read, not the file as it is when the run ends.
+    trace = tmp_path / "trace.csv"
+    shutil.copyfile(work["trace"], trace)
+    read = sha256_file(trace)
+    call_through = getattr(cli, stage)
+
+    def rewrite_then_call(*args, **kwargs):
+        trace.write_bytes(b"rewritten\n")
+        return call_through(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stage, rewrite_then_call)
+    assert cli.main([command, "--trace", str(trace), "--out", str(tmp_path / "out")]) == 0
+    manifest = read_json(tmp_path / "out" / f"{command}_manifest.json")
+    assert manifest["inputs"] == {str(trace): read}
+
+
 def test_no_flag_converts_with_bare_float_or_int():
     # The bare converters read '1_0' as 10; every numeric flag takes the
     # number rule's plain_float or plain_int instead.
