@@ -142,13 +142,33 @@ def _emit(args, command: str, inputs: dict, config_digests: dict, seed,
     return [os.path.join(out, name) for name in outputs]
 
 
-def _threshold_from_args(args) -> ThresholdSpec | None:
-    """The threshold flag given, or None; the default is SimConfig's."""
-    if args.threshold_w is not None:
-        return ThresholdSpec(absolute_w=args.threshold_w)
-    if args.threshold_frac is not None:
-        return ThresholdSpec(fraction_of_max=args.threshold_frac)
-    return None
+@contextlib.contextmanager
+def _as_flags(flags: dict):
+    """Re-raise a ValueError whose message starts with a field that flags
+    maps, then a space, with the field's flag in its place; the rest of the
+    message stays.  Each command wraps only the code that applies a flag's
+    value, so a field read from a --config file keeps its own name."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in flags:
+            raise
+        raise ValueError(f"{flags[field]} {rest}") from None
+
+
+def _threshold_from_args(args, rack_max_w: float) -> ThresholdSpec | None:
+    """The threshold flag given, or None; the default is SimConfig's.  A
+    value ThresholdSpec refuses, or one outside (0, rack_max_w], is refused
+    under the flag's name."""
+    if args.threshold_w is None and args.threshold_frac is None:
+        return None
+    # argparse lets at most one of the two through.
+    flag = "--threshold-w" if args.threshold_w is not None else "--threshold-frac"
+    with _as_flags(dict.fromkeys(("absolute_w", "fraction_of_max", "threshold"), flag)):
+        threshold = ThresholdSpec(absolute_w=args.threshold_w, fraction_of_max=args.threshold_frac)
+        threshold.resolve(rack_max_w)
+    return threshold
 
 
 # Most values one sweep axis may hold.
@@ -181,7 +201,8 @@ def _axis_help(what: str, values: tuple) -> str:
 
 
 def _parse_bins(text: str):
-    return _check_bin_edges(plain_numbers(text.split(","), "--bins edge"), "--bins")
+    with _as_flags({"energy_bin_edges": "--bins"}):
+        return _check_bin_edges(plain_numbers(text.split(","), "--bins edge"))
 
 
 def _resolve_device(token: str, inputs: dict):
@@ -208,10 +229,10 @@ def _sim_config(args, inputs: dict) -> SimConfig:
 
 
 def _device_row_name(token: str) -> str:
-    if token in _DEVICE_CHOICES:
-        return token
+    """A spec file's stem, unless it is empty or a built-in strategy's
+    name: then, as for a built-in strategy, the token as typed."""
     stem = os.path.splitext(os.path.basename(token))[0]
-    return stem or token
+    return stem if stem and stem not in _DEVICE_CHOICES else token
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +247,8 @@ def _cmd_synth(args) -> int:
         config = load_synth_config(args.config)
         inputs = {args.config: _sha256_file(args.config)}
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        with _as_flags({"seed": "--seed"}):
+            config = replace(config, seed=args.seed)
     trace = synthesize_trace(config)
     trace_path, = _emit(args, "synth", inputs,
                         {"synth_config": _digest(write_synth_config, config)},
@@ -239,7 +261,7 @@ def _cmd_synth(args) -> int:
 def _cmd_analyze(args) -> int:
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
-    threshold = _threshold_from_args(args) or SimConfig.threshold
+    threshold = _threshold_from_args(args, trace.rack_max_w) or SimConfig.threshold
     edges = DEFAULT_ENERGY_BIN_EDGES if args.bins is None else _parse_bins(args.bins)
     spikes = detect_spikes(trace, threshold)
     stats = spike_statistics(spikes, energy_bin_edges=edges)
@@ -268,7 +290,7 @@ def _cmd_simulate(args) -> int:
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
     config = _sim_config(args, inputs)
-    threshold = _threshold_from_args(args)
+    threshold = _threshold_from_args(args, trace.rack_max_w)
     if threshold is not None:
         config = replace(config, threshold=threshold)
     device = _resolve_device(args.device, inputs)
@@ -296,10 +318,12 @@ def _cmd_sweep(args) -> int:
              else _parse_axis(args.axes_threshold, "--axes-threshold"))
     bursts = (DEFAULT_BURST_LENGTHS_S if args.axes_burst is None
               else _parse_axis(args.axes_burst, "--axes-burst"))
-    fracs, bursts = _check_axes(fracs, bursts, ("--axes-threshold", "--axes-burst"))
+    with _as_flags({"threshold_fracs": "--axes-threshold", "burst_lengths_s": "--axes-burst"}):
+        fracs, bursts = _check_axes(fracs, bursts)
     trace = load_trace(args.trace)
     inputs = {args.trace: _sha256_file(args.trace)}
-    _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w, "--gpu-unit-w")
+    with _as_flags({"gpu_unit_w": "--gpu-unit-w"}):
+        _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w)
     grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
     csv_path, json_path = _emit(
         args, "sweep", inputs,
@@ -337,82 +361,83 @@ def _cmd_compare(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--threshold-w", type=plain_float, default=None,
-                       help="threshold in watts")
-    group.add_argument("--threshold-frac", type=plain_float, default=None,
-                       help="threshold as a fraction of rack max power")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  Its value_flags set holds each flag
+    that takes a value, recorded as add adds it, for main's argv rule."""
     parser = argparse.ArgumentParser(
         prog="powershave",
         description="Rack power trace analysis and peak-shaving simulation.")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.value_flags = set()
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(container, flag, **kwargs) -> None:
+        if container.add_argument(flag, **kwargs).nargs != 0:
+            parser.value_flags.add(flag)
+
+    def add_threshold_flags(p) -> None:
+        group = p.add_mutually_exclusive_group()
+        add(group, "--threshold-w", type=plain_float, default=None,
+            help="threshold in watts")
+        add(group, "--threshold-frac", type=plain_float, default=None,
+            help="threshold as a fraction of rack max power")
+
     p = sub.add_parser("synth", help="generate a synthetic rack trace")
-    p.add_argument("--config", default="default",
-                   help="synth config JSON path, or 'default' for the shipped workload")
-    p.add_argument("--seed", type=plain_int, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help="output directory")
+    add(p, "--config", default="default",
+        help="synth config JSON path, or 'default' for the shipped workload")
+    add(p, "--seed", type=plain_int, default=None, help="override the config seed")
+    add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("analyze", help="detect spikes and export statistics")
-    p.add_argument("--trace", required=True, help="trace CSV path")
-    _add_threshold_flags(p)
-    p.add_argument("--bins", default=None,
-                   help="energy histogram bin edges, comma separated joules")
-    p.add_argument("--out", default=None, help="output directory")
+    add(p, "--trace", required=True, help="trace CSV path")
+    add_threshold_flags(p)
+    add(p, "--bins", default=None,
+        help="energy histogram bin edges, comma separated joules")
+    add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="run the shaving simulation")
-    p.add_argument("--trace", required=True, help="trace CSV path")
-    p.add_argument("--device", required=True,
-                   help="device spec path, builtin name, 'none', or 'ideal'")
-    p.add_argument("--config", default=None, help="sim config JSON path")
-    _add_threshold_flags(p)
-    p.add_argument("--out", default=None, help="output directory")
+    add(p, "--trace", required=True, help="trace CSV path")
+    add(p, "--device", required=True,
+        help="device spec path, builtin name, 'none', or 'ideal'")
+    add(p, "--config", default=None, help="sim config JSON path")
+    add_threshold_flags(p)
+    add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="tabulate gpus_saved over a grid")
-    p.add_argument("--trace", required=True, help="trace CSV path")
-    p.add_argument("--axes-threshold", default=None, metavar="START:STOP:STEP",
-                   help=_axis_help("threshold fraction axis", DEFAULT_THRESHOLD_FRACS))
-    p.add_argument("--axes-burst", default=None, metavar="START:STOP:STEP",
-                   help=_axis_help("burst length axis in seconds", DEFAULT_BURST_LENGTHS_S))
-    p.add_argument("--gpu-unit-w", type=plain_float, default=SimConfig.gpu_unit_w,
-                   help="per-accelerator power for shutdown accounting")
-    p.add_argument("--out", default=None, help="output directory")
+    add(p, "--trace", required=True, help="trace CSV path")
+    add(p, "--axes-threshold", default=None, metavar="START:STOP:STEP",
+        help=_axis_help("threshold fraction axis", DEFAULT_THRESHOLD_FRACS))
+    add(p, "--axes-burst", default=None, metavar="START:STOP:STEP",
+        help=_axis_help("burst length axis in seconds", DEFAULT_BURST_LENGTHS_S))
+    add(p, "--gpu-unit-w", type=plain_float, default=SimConfig.gpu_unit_w,
+        help="per-accelerator power for shutdown accounting")
+    add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="compare shaving strategies on one trace")
-    p.add_argument("--trace", required=True, help="trace CSV path")
+    add(p, "--trace", required=True, help="trace CSV path")
     # default=None: with action="append", argparse would append to a list.
-    p.add_argument("--device", action="append", default=None,
-                   help="strategy to include (repeatable); defaults to "
-                        + ", ".join(_COMPARE_DEFAULT))
-    p.add_argument("--config", default=None, help="sim config JSON path")
-    p.add_argument("--out", default=None, help="output directory")
+    add(p, "--device", action="append", default=None,
+        help="strategy to include (repeatable); defaults to " + ", ".join(_COMPARE_DEFAULT))
+    add(p, "--config", default=None, help="sim config JSON path")
+    add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_compare)
 
     return parser
 
 
-# Flags whose values may start with '-': a sweep axis with a negative
-# start, or a bin edge below zero.
-_DASH_VALUE_FLAGS = ("--axes-threshold", "--axes-burst", "--bins")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     # argparse takes a value that starts with '-' for a flag of its own unless
-    # it is a plain negative number, so each flag above is joined to such a
-    # value, '-' then a digit or '.', as flag=value: both forms read alike.
+    # it is a plain negative number, so every flag that takes a value is
+    # joined to such a value, '-' then a digit or '.', as flag=value: both
+    # forms read alike.
     argv = sys.argv[1:] if argv is None else list(argv)
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] in _DASH_VALUE_FLAGS and re.match(r"-[0-9.]", argv[k]):
+        if argv[k - 1] in parser.value_flags and re.match(r"-[0-9.]", argv[k]):
             argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = parser.parse_args(argv)
     try:

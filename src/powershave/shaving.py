@@ -339,12 +339,11 @@ class ShavingResult(_Series):
     temperature_c: np.ndarray
 
 
-def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float,
-                      name: str = "gpu_unit_w") -> None:
+def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float) -> None:
     """Refuse a unit for which whole-unit counts up to the rack's draw
     are not exact floats (beyond 2**53) or not finite."""
     if not (0.0 < gpu_unit_w < math.inf and rack_max_w / gpu_unit_w <= 2.0 ** 53):
-        raise ValueError(f"{name} must be positive, finite and at least "
+        raise ValueError("gpu_unit_w must be positive, finite and at least "
                          f"rack_max_w / 2**53 ({rack_max_w / 2.0 ** 53!r} W), "
                          f"got {gpu_unit_w!r}")
 

@@ -133,17 +133,17 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def _check_bin_edges(energy_bin_edges, name: str) -> np.ndarray:
+def _check_bin_edges(energy_bin_edges) -> np.ndarray:
     """The edges as a float array: at least two, finite, strictly
-    increasing.  Errors start with name."""
+    increasing.  Errors start with energy_bin_edges."""
     edges = np.asarray(energy_bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
-        raise ValueError(f"{name} needs at least two edges")
+        raise ValueError("energy_bin_edges needs at least two edges")
     # NaN fails every comparison, so the increasing check alone lets it in.
     if not np.all(np.isfinite(edges)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("energy_bin_edges must be finite")
     if np.any(np.diff(edges) <= 0.0):
-        raise ValueError(f"{name} must be strictly increasing")
+        raise ValueError("energy_bin_edges must be strictly increasing")
     return edges
 
 
@@ -155,7 +155,7 @@ def spike_statistics(spikes: list[Spike],
     bins, so the counts always sum to the spike count.  An empty list
     yields a stats record flagged empty with zeroed fields.
     """
-    edges = _check_bin_edges(energy_bin_edges, "energy_bin_edges")
+    edges = _check_bin_edges(energy_bin_edges)
 
     if not spikes:
         return SpikeStats(

@@ -8,7 +8,8 @@ scan for runs above a threshold serving its whole row, and gpus_saved is
 the one cell of that grid.  Raising either axis can only shrink the set
 of qualifying spikes, so every valid grid is nonincreasing along both.
 One axis check (_check_axes) serves SweepGrid, sweep_gpus_saved,
-gpus_saved and the sweep command, which runs it under its flag names.
+gpus_saved and the sweep command, whose refusals name each axis by its
+field; the command line puts the flag's name in the field's place.
 
 compare_strategies runs the shaving simulation once per named strategy
 on one trace and reports each against the device-free baseline, holding
@@ -86,14 +87,14 @@ def _check_axis(name: str, values, within, bounds: str) -> tuple:
     return vals
 
 
-def _check_axes(threshold_fracs, burst_lengths_s,
-                names=("threshold_fracs", "burst_lengths_s")) -> tuple:
+def _check_axes(threshold_fracs, burst_lengths_s) -> tuple:
     """Both grid axes as tuples of floats, each non-empty, finite and
     strictly increasing, and never holding a bool: threshold fractions in
-    (0, 1], burst lengths non-negative.  An error names the axis, by its
-    entry of names, and the value refused."""
-    return (_check_axis(names[0], threshold_fracs, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-            _check_axis(names[1], burst_lengths_s, lambda v: v >= 0.0, "non-negative"))
+    (0, 1], burst lengths non-negative.  An error names the axis,
+    threshold_fracs or burst_lengths_s, and the value refused."""
+    return (_check_axis("threshold_fracs", threshold_fracs,
+                        lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            _check_axis("burst_lengths_s", burst_lengths_s, lambda v: v >= 0.0, "non-negative"))
 
 
 @dataclass(frozen=True)
@@ -251,11 +252,15 @@ def _summary(trace, spec, config) -> dict:
 # Export / import
 # ---------------------------------------------------------------------------
 
+# The first header cell of a grid CSV: what its rows and columns hold.
+_GRID_CORNER = "threshold_frac/burst_s"
+
+
 def write_grid_csv(grid: SweepGrid, dest) -> None:
     """Burst lengths across the header row, threshold fractions down the
     first column; every number is its repr (an int64 cell's is its
     str(int))."""
-    header = ",".join(["threshold_frac/burst_s", *map(repr, grid.burst_lengths_s)])
+    header = ",".join([_GRID_CORNER, *map(repr, grid.burst_lengths_s)])
     write_columns_csv(dest, (header,), [grid.threshold_fracs, *grid.values.T])
 
 
@@ -273,13 +278,16 @@ def load_grid_json(source, trace_label=None) -> SweepGrid:
 
 
 def load_grid_csv(source, trace_label: str = "") -> SweepGrid:
-    """Every cell keeps _textio's number rule.  An error names the row and
+    """Every cell keeps _textio's number rule, and the first header cell
+    is write_grid_csv's threshold_frac/burst_s.  An error names the row and
     the column, both counted from 1 and the header as row 1; blank lines
     are not rows."""
     lines = [ln for ln in read_text(source, "grid CSV").splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("grid CSV needs a header and at least one row")
     header = lines[0].split(",")
+    if header[0] != _GRID_CORNER:
+        raise ValueError(f"grid CSV row 1 column 1: expected {_GRID_CORNER!r}, got {header[0]!r}")
     bursts = plain_numbers(header[1:], "grid CSV row 1 column", first=2)
     fracs = []
     rows = []

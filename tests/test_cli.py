@@ -631,6 +631,82 @@ def test_flag_value_led_by_a_minus_reads_as_in_the_equals_form(work, tmp_path, a
                     == (tmp_path / "equals" / name).read_bytes())
 
 
+# Each command and number flag of the generated refusal table, with the
+# flags the command needs besides it, and the values every one refuses.
+FLAG_CASES = [
+    ("synth", "--seed", []),
+    ("analyze", "--threshold-w", ["--trace", "{trace}"]),
+    ("analyze", "--threshold-frac", ["--trace", "{trace}"]),
+    ("simulate", "--threshold-w", ["--trace", "{trace}", "--device", "none"]),
+    ("simulate", "--threshold-frac", ["--trace", "{trace}", "--device", "none"]),
+    ("analyze", "--bins", ["--trace", "{trace}"]),
+    ("sweep", "--gpu-unit-w", ["--trace", "{trace}"]),
+    ("sweep", "--axes-threshold", ["--trace", "{trace}"]),
+    ("sweep", "--axes-burst", ["--trace", "{trace}"]),
+]
+REFUSED_VALUES = ["-1e3", "-1e-1", "nan", "inf", "", "x", "1_0"]
+
+
+def main_in_process(argv, capsys) -> tuple:
+    """cli.main's exit code and stderr; argparse refuses through SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", REFUSED_VALUES, ids=repr)
+@pytest.mark.parametrize("command, flag, needed", FLAG_CASES,
+                         ids=[f"{case[0]}{case[1]}" for case in FLAG_CASES])
+def test_refused_flag_value_reads_alike_in_both_forms_and_names_its_flag(
+        work, tmp_path, capsys, command, flag, needed, value):
+    # A value led by '-' reaches the same refusal as in the '=' form, and
+    # the refusal names the flag where it states what is wrong: argparse's
+    # "argument FLAG:" or the run's "error: FLAG ...", never the usage line.
+    out = tmp_path / "new"
+    argv = [command] + [arg.format(trace=work["trace"]) for arg in needed]
+    space = main_in_process(argv + [flag, value, "--out", str(out)], capsys)
+    equals = main_in_process(argv + [f"{flag}={value}", "--out", str(out)], capsys)
+    assert space == equals
+    code, err = space
+    assert code == 2, err
+    assert re.match(rf"(powershave {command}: error: argument |error: ){flag}[ :]",
+                    err.splitlines()[-1]), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["analyze", "--trace", "{trace}", "--threshold-w", "1e9"],
+     "--threshold-w 1000000000.0 W outside (0, rack_max=140000.0]"),
+    (["simulate", "--trace", "{trace}", "--device", "none", "--threshold-frac", "0"],
+     "--threshold-frac must be in (0, 1], got 0.0"),
+    (["analyze", "--trace", "{trace}", "--bins", "5,1"], "--bins must be strictly increasing"),
+    (["sweep", "--trace", "{trace}", "--axes-burst", "-0.04:0.04:0.02"],
+     "--axes-burst values must be non-negative, got -0.04"),
+], ids=["seed", "threshold-w", "threshold-frac", "bins", "axes-burst"])
+def test_refusal_puts_the_flag_in_the_field_place(work, tmp_path, capsys, argv, message):
+    # The library's message, word for word, with the flag for the field.
+    out = tmp_path / "new"
+    argv = [arg.format(trace=work["trace"]) for arg in argv] + ["--out", str(out)]
+    assert main_in_process(argv, capsys) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_config_file_field_keeps_its_name(work, tmp_path, capsys):
+    # Only a flag's value is refused under the flag: a --config file's
+    # threshold is refused in the library's own words.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(LOOSE_SIM, threshold={"absolute_w": 1e9})),
+                    encoding="utf-8")
+    argv = ["simulate", "--trace", str(work["trace"]), "--device", "none",
+            "--config", str(path), "--out", str(tmp_path / "new")]
+    assert main_in_process(argv, capsys) == (
+        2, "error: threshold 1000000000.0 W outside (0, rack_max=140000.0]\n")
+
+
 @pytest.mark.parametrize("command, stage", [
     ("analyze", "detect_spikes"), ("sweep", "sweep_gpus_saved")])
 def test_manifest_digests_the_trace_bytes_analysed(work, tmp_path, monkeypatch,
@@ -652,19 +728,35 @@ def test_manifest_digests_the_trace_bytes_analysed(work, tmp_path, monkeypatch,
     assert manifest["inputs"] == {str(trace): read}
 
 
-def test_no_flag_converts_with_bare_float_or_int():
-    # The bare converters read '1_0' as 10; every numeric flag takes the
-    # number rule's plain_float or plain_int instead.
-    parsers = [cli.build_parser()]
-    bare = []
+def parser_actions(parser) -> list:
+    """(prog, action) for every action of parser and of its subparsers."""
+    parsers = [parser]
+    actions = []
     for parser in parsers:
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
-            elif action.type in (float, int):
-                bare.append((parser.prog, action.option_strings))
+            else:
+                actions.append((parser.prog, action))
     assert len(parsers) == 6
+    return actions
+
+
+def test_no_flag_converts_with_bare_float_or_int():
+    # The bare converters read '1_0' as 10; every numeric flag takes the
+    # number rule's plain_float or plain_int instead.
+    bare = [(prog, action.option_strings) for prog, action in parser_actions(cli.build_parser())
+            if action.type in (float, int)]
     assert not bare
+
+
+def test_every_flag_that_takes_a_value_is_recorded():
+    # main's argv rule joins exactly these flags to a value led by '-'.
+    parser = cli.build_parser()
+    taking = {flag for _, action in parser_actions(parser) if action.nargs != 0
+              for flag in action.option_strings}
+    assert parser.value_flags == taking
+    assert {"--help", "--version", "-h"}.isdisjoint(taking)
 
 
 def test_compare_preset_dummy_pattern(default_trace_dir, tmp_path):
@@ -708,12 +800,40 @@ def test_compare_refuses_a_strategy_name_the_csv_cannot_hold_exit2(work, tmp_pat
     assert not out.exists()
 
 
+def test_compare_names_a_spec_file_with_a_builtin_stem_as_typed(work, tmp_path, monkeypatch,
+                                                                capsys):
+    # A spec file named none.json or ideal.json is no built-in strategy:
+    # its row is named by the token as typed and holds its device's figures.
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(PACKAGE_DIR / "data" / "supercap.json", "none.json")
+    shutil.copyfile(PACKAGE_DIR / "data" / "capacitor.json", "ideal.json")
+    tables = []
+    for out, devices in (("a", ["none.json", "ideal.json", "capacitor"]),
+                         ("b", ["none", "none.json", "supercap"])):
+        argv = ["compare", "--trace", str(work["trace"]), "--config", str(work["loose"]),
+                "--out", out]
+        for device in devices:
+            argv += ["--device", device]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        lines = (tmp_path / out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",", 1) for line in lines[1:]]
+        assert [name for name, _ in rows] == devices
+        tables.append([figures for _, figures in rows])
+    assert tables[0][1] == tables[0][2]
+    assert tables[1][1] == tables[1][2]
+
+
 def test_help_names_the_defaults_the_code_runs(capsys):
     texts = {}
-    for command in ("sweep", "compare"):
-        with pytest.raises(SystemExit):
+    for command in ("synth", "analyze", "simulate", "sweep", "compare"):
+        with pytest.raises(SystemExit) as stop:
             cli.main([command, "--help"])
+        assert stop.value.code == 0
         texts[command] = " ".join(capsys.readouterr().out.split())
+        assert texts[command].startswith(f"usage: powershave {command} [-h]")
+    # Every flag that takes a value is shown under some command.
+    shown = set(re.findall(r"--[a-z-]+", " ".join(texts.values())))
+    assert cli.build_parser().value_flags <= shown
     # Each axis default the help names reads back as the default axis.
     named = re.findall(r"\(default (\S+)\)", texts["sweep"])
     assert [cli._parse_axis(text, "axis") for text in named] == [

@@ -322,6 +322,8 @@ def test_export_csv_round_trip(spiky_trace):
     ("threshold_frac/burst_s,0.0,0.1\n0.5,1_0,5\n", "row 2 column 2"),
     ("threshold_frac/burst_s,0.0,0.1\n\n0.7,5,3\n0.5,5,abc\n", "row 3 column 3"),
     ("threshold_frac/burst_s,0.0\n0.5,1\n0.7\u00a0,1\n", "row 3 column 1"),
+    # A transposed table: its axes would load swapped.
+    ("burst_s/threshold_frac,0.5,0.55\n0.02,1,0\n0.04,0,0\n", "row 1 column 1"),
 ])
 def test_load_grid_csv_names_bad_cell(text, where):
     with pytest.raises(ValueError, match=f"^grid CSV {where}: "):
