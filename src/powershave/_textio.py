@@ -1,8 +1,12 @@
 """Text I/O shared by every powershave file format, the one JSON codec of
-the config dataclasses, and the field rule that every record dataclass
-keeps (check_fields): each number field holds a finite Python number of
-its type, and a field whose metadata is POSITIVE or NON_NEGATIVE also
-keeps that sign.
+the config dataclasses, and the one rule of every number the library
+takes (number_field): a finite Python number of its type, never a bool,
+with a sign where one is declared.  Every record dataclass keeps it on
+its number fields (check_fields, the sign from the field's metadata
+POSITIVE or NON_NEGATIVE), every public function on its number
+arguments, and increasing_numbers on each value of a strictly
+increasing list (a grid axis, histogram bin edges); only range and
+cross-value checks are written by hand.
 
 Every writer has the shape writer(obj, dest), and every trace or config
 loader takes a source; dest and source are a path or a stream.  write_text
@@ -279,10 +283,12 @@ NON_NEGATIVE = {"sign": "non-negative"}
 _SIGN_HOLDS = {"positive": lambda x: x > 0, "non-negative": lambda x: x >= 0}
 
 
-def number_field(name: str, value, kind=float):
+def number_field(name: str, value, kind=float, sign=None):
     """value as a Python kind (int or float): an integral number for int, a
-    finite real number for float, never a bool.  Raises ValueError naming
-    name otherwise."""
+    finite real number for float, never a bool; with sign "positive" also
+    > 0, with "non-negative" also >= 0.  Raises ValueError naming name
+    otherwise.  The one rule of every number the library takes: a
+    dataclass field (check_fields) and a function's number argument."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if kind is int else numbers.Real):
         noun = "an integer" if kind is int else "a number"
@@ -294,23 +300,42 @@ def number_field(name: str, value, kind=float):
         finite = False
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if sign and not _SIGN_HOLDS[sign](number):
+        raise ValueError(f"{name} must be {sign}, got {value!r}")
     return number
 
 
+def increasing_numbers(name: str, values, fewest: int) -> tuple:
+    """values as a tuple of Python floats: at least fewest of them, each
+    kept to number_field under "<name> values", strictly increasing.
+    Raises ValueError naming name otherwise."""
+    try:
+        if isinstance(values, str):
+            raise TypeError
+        items = list(values)
+    except TypeError:          # a number, a 0-d array
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
+    vals = tuple(number_field(f"{name} values", v) for v in items)
+    if len(vals) < fewest:
+        raise ValueError(f"{name} must hold at least {fewest} "
+                         f"value{'s' * (fewest > 1)}, got {len(vals)}")
+    for a, b in zip(vals, vals[1:]):
+        if b <= a:
+            raise ValueError(f"{name} must be strictly increasing, got {b!r} after {a!r}")
+    return vals
+
+
 def check_fields(obj) -> None:
-    """Hold every int and float field of the dataclass obj to number_field
-    and store the Python number it returns, so that equal records write
-    equal bytes; a float | None field may also hold None.  A number field
-    declared with metadata POSITIVE (> 0) or NON_NEGATIVE (>= 0) must also
-    keep that sign.  Fields are checked in declaration order.  NaN passes
-    every one-sided bound and number_field refuses it, so each dataclass
-    calls this before its own cross-field checks."""
+    """Hold every int and float field of the dataclass obj to number_field,
+    with the sign of its metadata (POSITIVE or NON_NEGATIVE) if any, and
+    store the Python number it returns, so that equal records write equal
+    bytes; a float | None field may also hold None.  Fields are checked in
+    declaration order.  NaN passes every one-sided bound and number_field
+    refuses it, so each dataclass calls this before its own cross-field
+    checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in ("int", "float") or f.type == "float | None" and value is not None:
             kind = int if f.type == "int" else float
-            number = number_field(f.name, value, kind)
-            sign = f.metadata.get("sign")
-            if sign and not _SIGN_HOLDS[sign](number):
-                raise ValueError(f"{f.name} must be {sign}, got {value!r}")
-            object.__setattr__(obj, f.name, number)
+            object.__setattr__(obj, f.name, number_field(
+                f.name, value, kind, f.metadata.get("sign")))

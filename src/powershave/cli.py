@@ -364,8 +364,10 @@ def _cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command.  Its value_flags set holds each flag
     that takes a value, recorded as add adds it, for main's argv rule."""
+    # allow_abbrev=False: a flag is written in full, so argparse reads no
+    # prefix of one that main's argv rule would not join.
     parser = argparse.ArgumentParser(
-        prog="powershave",
+        prog="powershave", allow_abbrev=False,
         description="Rack power trace analysis and peak-shaving simulation.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.value_flags = set()
@@ -382,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
         add(group, "--threshold-frac", type=plain_float, default=None,
             help="threshold as a fraction of rack max power")
 
-    p = sub.add_parser("synth", help="generate a synthetic rack trace")
+    p = sub.add_parser("synth", allow_abbrev=False, help="generate a synthetic rack trace")
     add(p, "--config", default="default",
         help="synth config JSON path, or 'default' for the shipped workload")
     add(p, "--seed", type=plain_int, default=None, help="override the config seed")
     add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("analyze", help="detect spikes and export statistics")
+    p = sub.add_parser("analyze", allow_abbrev=False, help="detect spikes and export statistics")
     add(p, "--trace", required=True, help="trace CSV path")
     add_threshold_flags(p)
     add(p, "--bins", default=None,
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", help="run the shaving simulation")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="run the shaving simulation")
     add(p, "--trace", required=True, help="trace CSV path")
     add(p, "--device", required=True,
         help="device spec path, builtin name, 'none', or 'ideal'")
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="tabulate gpus_saved over a grid")
+    p = sub.add_parser("sweep", allow_abbrev=False, help="tabulate gpus_saved over a grid")
     add(p, "--trace", required=True, help="trace CSV path")
     add(p, "--axes-threshold", default=None, metavar="START:STOP:STEP",
         help=_axis_help("threshold fraction axis", DEFAULT_THRESHOLD_FRACS))
@@ -417,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, "--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("compare", help="compare shaving strategies on one trace")
+    p = sub.add_parser("compare", allow_abbrev=False,
+                       help="compare shaving strategies on one trace")
     add(p, "--trace", required=True, help="trace CSV path")
     # default=None: with action="append", argparse would append to a list.
     add(p, "--device", action="append", default=None,

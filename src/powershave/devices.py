@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, read_config,
-                      read_package_data, write_config)
+from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, number_field,
+                      read_config, read_package_data, write_config)
 
 __all__ = [
     "BUILTIN_DEVICE_NAMES",
@@ -60,15 +60,23 @@ _TIME_EPS = 1e-12
 
 
 def capacitor_energy(capacitance_f: float, v_max: float, v_min: float = 0.0) -> float:
-    """Usable energy of a capacitor bank swung between two voltages (J)."""
-    if not (capacitance_f > 0.0):
-        raise ValueError(f"capacitance_f must be positive, got {capacitance_f}")
-    if v_min < 0.0:
-        raise ValueError(f"v_min must be non-negative, got {v_min}")
-    if not (v_max >= v_min):
-        # Equal voltages are a legal empty window (0 J usable).
+    """Usable energy of a capacitor bank swung between two voltages (J).
+
+    capacitance_f must be a positive number, v_min a non-negative one and
+    v_max a number not below v_min (equal voltages are a legal empty
+    window, 0 J), and the energy must be finite; ValueError naming the
+    argument otherwise."""
+    capacitance_f = number_field("capacitance_f", capacitance_f, sign="positive")
+    v_max = number_field("v_max", v_max)
+    v_min = number_field("v_min", v_min, sign="non-negative")
+    if not v_max >= v_min:
         raise ValueError(f"v_max must not be below v_min, got v_max={v_max} v_min={v_min}")
-    return 0.5 * capacitance_f * (v_max ** 2 - v_min ** 2)
+    # v * v, not v ** 2, which raises OverflowError past the float range.
+    energy = 0.5 * capacitance_f * (v_max * v_max - v_min * v_min)
+    if energy == math.inf:
+        raise ValueError(f"capacitance_f and v_max must give a finite energy, "
+                         f"got capacitance_f={capacitance_f!r} v_max={v_max!r}")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -133,12 +141,15 @@ def device_step(spec: DeviceSpec, state: DeviceState,
 
     A checked wrapper over the halves that device_halves binds for this
     one step, and the only code that reads or moves DeviceState's mode: a
-    battery's mode machine, and a passive device's lag base.
+    battery's mode machine, and a passive device's lag base.  Both power
+    arguments must be non-negative numbers, not both positive, and dt_s a
+    positive one; ValueError naming the argument otherwise.
     """
-    if dt_s <= 0.0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    if requested_discharge_w < 0.0 or available_charge_w < 0.0:
-        raise ValueError("power arguments must be non-negative")
+    requested_discharge_w = number_field("requested_discharge_w", requested_discharge_w,
+                                         sign="non-negative")
+    available_charge_w = number_field("available_charge_w", available_charge_w,
+                                      sign="non-negative")
+    dt_s = number_field("dt_s", dt_s, sign="positive")
     if requested_discharge_w > 0.0 and available_charge_w > 0.0:
         raise ValueError("cannot request discharge and offer charge in the same step")
 

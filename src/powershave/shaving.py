@@ -76,8 +76,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, read_config,
-                      write_columns_csv, write_config, write_json)
+from ._textio import (NON_NEGATIVE, POSITIVE, check_fields, number_field,
+                      read_config, write_columns_csv, write_config, write_json)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .devices import DeviceSpec, device_halves, init_state
@@ -155,16 +155,18 @@ def load_sim_config(source) -> SimConfig:
 
 def thermal_step(temp_c: float, heat_input_w: float, config: SimConfig,
                  dt_s: float) -> float:
-    """One explicit Euler step of the lumped rack thermal node."""
-    if not dt_s > 0.0:
-        raise ValueError(f"dt_s must be positive, got {dt_s!r}")
+    """One explicit Euler step of the lumped rack thermal node.
+
+    temp_c must be a finite number, heat_input_w a non-negative one and
+    dt_s a positive one at most config.thermal_tau_s (a longer explicit
+    Euler step overshoots the steady state); ValueError naming the
+    argument otherwise."""
+    temp_c = number_field("temp_c", temp_c)
+    heat_input_w = number_field("heat_input_w", heat_input_w, sign="non-negative")
+    dt_s = number_field("dt_s", dt_s, sign="positive")
     if dt_s > config.thermal_tau_s:
-        # A longer explicit Euler step overshoots the steady state.
         raise ValueError(f"dt_s must be at most thermal_tau_s "
                          f"({config.thermal_tau_s!r} s), got {dt_s!r}")
-    if not (heat_input_w >= 0.0 and math.isfinite(heat_input_w)):
-        raise ValueError(f"heat_input_w must be finite and non-negative, "
-                         f"got {heat_input_w!r}")
     return _thermal_walk([heat_input_w * config.k_scale_c_per_w], temp_c,
                          config, dt_s)
 
@@ -339,13 +341,15 @@ class ShavingResult(_Series):
     temperature_c: np.ndarray
 
 
-def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w: float) -> None:
-    """Refuse a unit for which whole-unit counts up to the rack's draw
-    are not exact floats (beyond 2**53) or not finite."""
-    if not (0.0 < gpu_unit_w < math.inf and rack_max_w / gpu_unit_w <= 2.0 ** 53):
-        raise ValueError("gpu_unit_w must be positive, finite and at least "
-                         f"rack_max_w / 2**53 ({rack_max_w / 2.0 ** 53!r} W), "
-                         f"got {gpu_unit_w!r}")
+def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w) -> float:
+    """gpu_unit_w as a positive Python float (number_field), refused where
+    whole-unit counts up to the rack's draw are not exact floats (beyond
+    2**53)."""
+    unit = number_field("gpu_unit_w", gpu_unit_w, sign="positive")
+    if rack_max_w / unit > 2.0 ** 53:
+        raise ValueError(f"gpu_unit_w must be at least rack_max_w / 2**53 "
+                         f"({rack_max_w / 2.0 ** 53!r} W), got {gpu_unit_w!r}")
+    return unit
 
 
 def _strategy_label(spec) -> str:

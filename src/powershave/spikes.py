@@ -8,7 +8,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._textio import POSITIVE, check_fields, write_json, write_text
+from ._textio import (POSITIVE, check_fields, increasing_numbers, number_field,
+                      write_json, write_text)
 from .trace import PowerTrace
 
 __all__ = [
@@ -48,7 +49,9 @@ class ThresholdSpec:
             raise ValueError(f"fraction_of_max must be in (0, 1], got {self.fraction_of_max}")
 
     def resolve(self, rack_max_w: float) -> float:
-        """Threshold in watts for a given rack nameplate."""
+        """Threshold in watts for a given rack nameplate, a positive number
+        (ValueError naming rack_max_w otherwise)."""
+        rack_max_w = number_field("rack_max_w", rack_max_w, sign="positive")
         if self.absolute_w is not None:
             value = self.absolute_w
         else:
@@ -133,18 +136,11 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def _check_bin_edges(energy_bin_edges) -> np.ndarray:
-    """The edges as a float array: at least two, finite, strictly
-    increasing.  Errors start with energy_bin_edges."""
-    edges = np.asarray(energy_bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("energy_bin_edges needs at least two edges")
-    # NaN fails every comparison, so the increasing check alone lets it in.
-    if not np.all(np.isfinite(edges)):
-        raise ValueError("energy_bin_edges must be finite")
-    if np.any(np.diff(edges) <= 0.0):
-        raise ValueError("energy_bin_edges must be strictly increasing")
-    return edges
+def _check_bin_edges(energy_bin_edges) -> tuple:
+    """The edges as a tuple of Python floats: a strictly increasing list of
+    at least two numbers (increasing_numbers).  Errors start with
+    energy_bin_edges."""
+    return increasing_numbers("energy_bin_edges", energy_bin_edges, 2)
 
 
 def spike_statistics(spikes: list[Spike],
@@ -154,6 +150,11 @@ def spike_statistics(spikes: list[Spike],
     Energies falling outside the histogram range are clamped into the end
     bins, so the counts always sum to the spike count.  An empty list
     yields a stats record flagged empty with zeroed fields.
+
+    energy_bin_edges must be a strictly increasing list of at least two
+    numbers (_check_bin_edges); ValueError naming energy_bin_edges
+    otherwise.  Both branches store the edges as that tuple of Python
+    floats and the counts as Python ints.
     """
     edges = _check_bin_edges(energy_bin_edges)
 
@@ -162,8 +163,8 @@ def spike_statistics(spikes: list[Spike],
             count=0,
             duration_percentiles={f"p{p}": 0.0 for p in _PCT_LEVELS},
             frac_leq_100ms=0.0,
-            energy_bin_edges=tuple(edges),
-            energy_counts=tuple(0 for _ in range(edges.size - 1)),
+            energy_bin_edges=edges,
+            energy_counts=(0,) * (len(edges) - 1),
             energy_mean_j=0.0,
             peak_frac_quantiles={f"p{p}": 0.0 for p in _PCT_LEVELS},
             empty=True,
@@ -183,7 +184,7 @@ def spike_statistics(spikes: list[Spike],
         count=len(spikes),
         duration_percentiles={f"p{p}": _nearest_rank(durations, p) for p in _PCT_LEVELS},
         frac_leq_100ms=float(np.mean(leq)),
-        energy_bin_edges=tuple(float(e) for e in edges),
+        energy_bin_edges=edges,
         energy_counts=tuple(int(c) for c in counts),
         energy_mean_j=float(energies.mean()),
         peak_frac_quantiles={f"p{p}": _nearest_rank(peak_fracs, p) for p in _PCT_LEVELS},

@@ -24,16 +24,14 @@ back from a path or a stream, the JSON form through the config codec
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
 
-from ._textio import (NON_NEGATIVE, check_fields, plain_int, plain_numbers,
-                      read_config, read_text, write_columns_csv, write_json,
-                      write_text)
+from ._textio import (NON_NEGATIVE, check_fields, increasing_numbers, plain_int,
+                      plain_numbers, read_config, read_text, write_columns_csv,
+                      write_json, write_text)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
 from .shaving import (SimConfig, _check_gpu_unit_w, _figures, _gain_pct,
@@ -60,41 +58,22 @@ DEFAULT_THRESHOLD_FRACS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 DEFAULT_BURST_LENGTHS_S = tuple(round(0.02 * k, 2) for k in range(11))
 
 
-def _check_axis(name: str, values, within, bounds: str) -> tuple:
-    # Refused rather than cast: float() would read true as 1.0, "0.5" as
-    # 0.5 and a string axis character by character.  numpy's bool is not a
-    # numbers.Real; its floats and ints are.
-    try:
-        vals = tuple(values)
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals):
-            raise TypeError
-        vals = tuple(map(float, vals))
-    except (TypeError, OverflowError):
-        raise ValueError(f"grid axis {name} must be a list of numbers, "
-                         f"got {values!r}") from None
-    if not vals:
-        raise ValueError(f"{name} must be non-empty")
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} values must be finite, got {v!r}")
-    for a, b in zip(vals, vals[1:]):
-        if b <= a:
-            raise ValueError(f"{name} must be strictly increasing, got {b!r} after {a!r}")
-    # The axis increases, so its ends are its extremes.
-    for v in (vals[0], vals[-1]):
-        if not within(v):
-            raise ValueError(f"{name} values must be {bounds}, got {v!r}")
-    return vals
-
-
 def _check_axes(threshold_fracs, burst_lengths_s) -> tuple:
-    """Both grid axes as tuples of floats, each non-empty, finite and
-    strictly increasing, and never holding a bool: threshold fractions in
-    (0, 1], burst lengths non-negative.  An error names the axis,
-    threshold_fracs or burst_lengths_s, and the value refused."""
-    return (_check_axis("threshold_fracs", threshold_fracs,
-                        lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-            _check_axis("burst_lengths_s", burst_lengths_s, lambda v: v >= 0.0, "non-negative"))
+    """Both grid axes as tuples of Python floats, each a non-empty strictly
+    increasing list of numbers (_textio.increasing_numbers): threshold
+    fractions in (0, 1], burst lengths non-negative.  An error names the
+    axis, threshold_fracs or burst_lengths_s, and the value refused."""
+    axes = []
+    for name, values, within, bounds in (
+            ("threshold_fracs", threshold_fracs, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            ("burst_lengths_s", burst_lengths_s, lambda v: v >= 0.0, "non-negative")):
+        vals = increasing_numbers(name, values, 1)
+        # The axis increases, so its ends are its extremes.
+        for v in (vals[0], vals[-1]):
+            if not within(v):
+                raise ValueError(f"{name} values must be {bounds}, got {v!r}")
+        axes.append(vals)
+    return tuple(axes)
 
 
 @dataclass(frozen=True)
@@ -132,10 +111,13 @@ def sweep_gpus_saved(trace: PowerTrace, threshold_fracs=DEFAULT_THRESHOLD_FRACS,
                      burst_lengths_s=DEFAULT_BURST_LENGTHS_S,
                      gpu_unit_w: float = SimConfig.gpu_unit_w) -> SweepGrid:
     """gpus_saved over both axes, rows by threshold.  Every argument is
-    checked before any work; then one scan for runs above each threshold
-    serves its whole row."""
+    checked before any work: the axes by _check_axes and gpu_unit_w, a
+    positive number at least rack_max_w / 2**53, by
+    shaving._check_gpu_unit_w, each refusal a ValueError naming the axis
+    or gpu_unit_w.  Then one scan for runs above each threshold serves its
+    whole row."""
     fracs, bursts = _check_axes(threshold_fracs, burst_lengths_s)
-    _check_gpu_unit_w(trace.rack_max_w, gpu_unit_w)
+    gpu_unit_w = _check_gpu_unit_w(trace.rack_max_w, gpu_unit_w)
     values = np.zeros((len(fracs), len(bursts)), dtype=np.int64)
     for i, frac in enumerate(fracs):
         theta = ThresholdSpec(absolute_w=frac * trace.rack_max_w).resolve(trace.rack_max_w)

@@ -478,9 +478,7 @@ def resample(trace: PowerTrace, dt_new_s: float) -> PowerTrace:
     dt_new_s must be a positive finite number that leaves a finite number
     of new samples; ValueError naming it otherwise.
     """
-    dt_new_s = number_field("dt_new_s", dt_new_s)
-    if not dt_new_s > 0.0:
-        raise ValueError(f"dt_new_s must be positive, got {dt_new_s!r}")
+    dt_new_s = number_field("dt_new_s", dt_new_s, sign="positive")
     if dt_new_s == trace.dt_s:
         return trace
     span = trace.n_samples * trace.dt_s

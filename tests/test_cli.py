@@ -578,12 +578,14 @@ def test_sweep_range_refusal_names_the_flag_and_the_value(work, tmp_path, value,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "inf"])
-def test_sweep_bad_gpu_unit_w_exit2(work, tmp_path, value):
+@pytest.mark.parametrize("value, refusal", [
+    ("0", "must be positive, got 0.0"), ("-1", "must be positive, got -1.0"),
+    ("inf", "must be finite, got inf")], ids=["0", "-1", "inf"])
+def test_sweep_bad_gpu_unit_w_exit2(work, tmp_path, value, refusal):
     proc = run_cli(["sweep", "--trace", str(work["trace"]), "--gpu-unit-w", value,
                     "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert "--gpu-unit-w must be positive, finite and at least rack_max_w / 2**53" in proc.stderr
+    assert proc.stderr == f"error: --gpu-unit-w {refusal}\n"
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "grid.json").exists()
 
@@ -683,7 +685,8 @@ def test_refused_flag_value_reads_alike_in_both_forms_and_names_its_flag(
      "--threshold-w 1000000000.0 W outside (0, rack_max=140000.0]"),
     (["simulate", "--trace", "{trace}", "--device", "none", "--threshold-frac", "0"],
      "--threshold-frac must be in (0, 1], got 0.0"),
-    (["analyze", "--trace", "{trace}", "--bins", "5,1"], "--bins must be strictly increasing"),
+    (["analyze", "--trace", "{trace}", "--bins", "5,1"],
+     "--bins must be strictly increasing, got 1.0 after 5.0"),
     (["sweep", "--trace", "{trace}", "--axes-burst", "-0.04:0.04:0.02"],
      "--axes-burst values must be non-negative, got -0.04"),
 ], ids=["seed", "threshold-w", "threshold-frac", "bins", "axes-burst"])
@@ -693,6 +696,54 @@ def test_refusal_puts_the_flag_in_the_field_place(work, tmp_path, capsys, argv, 
     argv = [arg.format(trace=work["trace"]) for arg in argv] + ["--out", str(out)]
     assert main_in_process(argv, capsys) == (2, f"error: {message}\n")
     assert not out.exists()
+
+
+# A command that takes each flag of parser.value_flags, the flags it needs
+# besides, and a value it runs with.
+FLAG_USES = {
+    "--config": ("synth", [], "{cfg}"),
+    "--seed": ("synth", ["--config", "{cfg}"], "3"),
+    "--out": ("synth", ["--config", "{cfg}"], "{out}"),
+    "--trace": ("analyze", [], "{trace}"),
+    "--threshold-w": ("analyze", ["--trace", "{trace}"], "1e5"),
+    "--bins": ("analyze", ["--trace", "{trace}"], "0,5,10"),
+    "--device": ("simulate", ["--trace", "{trace}", "--config", "{loose}"], "none"),
+    "--threshold-frac": ("simulate", ["--trace", "{trace}", "--device", "none",
+                                      "--config", "{loose}"], "0.9"),
+    "--axes-threshold": ("sweep", ["--trace", "{trace}"], "0.5:0.7:0.1"),
+    "--axes-burst": ("sweep", ["--trace", "{trace}"], "0:0.04:0.02"),
+    "--gpu-unit-w": ("sweep", ["--trace", "{trace}"], "350"),
+}
+
+
+def test_flag_uses_cover_every_value_flag():
+    assert set(FLAG_USES) == cli.build_parser().value_flags
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_USES))
+def test_flag_is_written_in_full(work, tmp_path, capsys, flag):
+    # A prefix of a flag is no flag, in either form, so no value reaches a
+    # run under a name that main's argv rule does not join: it is refused,
+    # or the flag counts as missing where it is required.  One prefix is
+    # ambiguous between two flags (--threshold-); argparse's abbreviation
+    # rule took each other one for its flag.
+    command, needed, value = FLAG_USES[flag]
+    out = tmp_path / "new"
+    fill = {"cfg": work["cfg"], "loose": work["loose"], "trace": work["trace"], "out": out}
+    argv = [command] + [arg.format(**fill) for arg in needed]
+    value = value.format(**fill)
+    tail = [] if flag == "--out" else ["--out", str(out)]
+    prefix = flag[:-1]
+    for args in ([prefix, value], [f"{prefix}={value}"]):
+        code, err = main_in_process(argv + args + tail, capsys)
+        assert code == 2, err
+        assert re.search(rf"error: (unrecognized arguments: {re.escape(args[0])}"
+                         rf"|the following arguments are required: {flag}$)", err), err
+        assert not out.exists()
+    for args in ([flag, value], [f"{flag}={value}"]):
+        code, err = main_in_process(argv + args + tail, capsys)
+        assert code == 0, err
+        assert out.exists()
 
 
 def test_config_file_field_keeps_its_name(work, tmp_path, capsys):

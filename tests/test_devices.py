@@ -61,6 +61,12 @@ def test_capacitor_energy_validation():
         ps.capacitor_energy(1.0, 5.0, 7.0)
     with pytest.raises(ValueError):
         ps.capacitor_energy(1.0, 5.0, -1.0)
+    # Finite arguments whose energy is not: the first squares past the
+    # float range, the second multiplies past it.
+    for args in ((1.0, 1e200), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="^capacitance_f and v_max must give a finite "
+                                             "energy, got "):
+            ps.capacitor_energy(*args)
 
 
 # ---------------------------------------------------------------------------

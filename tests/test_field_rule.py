@@ -1,4 +1,5 @@
-"""The one field rule (_textio.check_fields) on every record dataclass.
+"""The one number rule (_textio.number_field): on every record dataclass
+through check_fields, and on every public function's number arguments.
 
 Covers:
  1. The set of number fields that declare a sign, pinned
@@ -6,9 +7,20 @@ Covers:
     non-negative one accepts 0 and refuses the nearest value below, each
     refusal with the rule's exact message
  3. Numpy numbers stored as Python numbers, bools refused
+ 4. A generated refusal table: each number argument of a public
+    function, class or method refuses a bool, a string, None, NaN, the
+    infinities and an int beyond the float range with the rule's exact
+    ValueError, and -1.0 where it is bounded below, each naming the
+    argument or the field it fills
+ 5. A guard: every parameter annotated float of a public function or
+    method has a row in that table
 """
 
 import dataclasses
+import functools
+import inspect
+import io
+import math
 import re
 
 import numpy as np
@@ -113,3 +125,129 @@ def test_bool_in_a_number_field_is_refused(cls):
         if f.type in ("int", "float", "float | None"):
             with pytest.raises(ValueError, match=f"^{f.name} must be an? "):
                 dataclasses.replace(RECORDS[cls], **{f.name: True})
+
+
+# ---------------------------------------------------------------------------
+# 4. The number rule on public function arguments
+# ---------------------------------------------------------------------------
+
+_TRACE = make_trace([1.0, 2.0, 3.0])
+_TRACE_TEXT = "timestamp_s,power_w\n0.0,1.0\n0.01,2.0\n0.02,3.0\n"
+_SUPERCAP = ps.builtin_device_spec("supercap")
+_FULL = ps.init_state(_SUPERCAP)
+
+# (the function, class or "Class.method" that takes the argument, the
+# argument, the name its refusal leads with, whether -1.0 is refused, a call
+# that puts a value in the argument and keeps every other argument valid).
+# A list argument takes the value as one entry.
+ARGUMENTS = [
+    ("gpus_saved", "threshold_frac", "threshold_fracs values", True,
+     lambda v: ps.gpus_saved(_TRACE, v, 0.0)),
+    ("gpus_saved", "min_burst_s", "burst_lengths_s values", True,
+     lambda v: ps.gpus_saved(_TRACE, 0.5, v)),
+    ("gpus_saved", "gpu_unit_w", "gpu_unit_w", True,
+     lambda v: ps.gpus_saved(_TRACE, 0.5, 0.0, v)),
+    ("sweep_gpus_saved", "threshold_fracs", "threshold_fracs values", True,
+     lambda v: ps.sweep_gpus_saved(_TRACE, (v,), (0.0,))),
+    ("sweep_gpus_saved", "burst_lengths_s", "burst_lengths_s values", True,
+     lambda v: ps.sweep_gpus_saved(_TRACE, (0.5,), (v,))),
+    ("sweep_gpus_saved", "gpu_unit_w", "gpu_unit_w", True,
+     lambda v: ps.sweep_gpus_saved(_TRACE, (0.5,), (0.0,), v)),
+    ("SweepGrid", "threshold_fracs", "threshold_fracs values", True,
+     lambda v: ps.SweepGrid((v,), (0.0,), values=[[0]])),
+    ("SweepGrid", "burst_lengths_s", "burst_lengths_s values", True,
+     lambda v: ps.SweepGrid((0.5,), (v,), values=[[0]])),
+    ("spike_statistics", "energy_bin_edges", "energy_bin_edges values", False,
+     lambda v: ps.spike_statistics([], (v, 1e6))),
+    ("thermal_step", "temp_c", "temp_c", False,
+     lambda v: ps.thermal_step(v, 1e3, SimConfig(), 1.0)),
+    ("thermal_step", "heat_input_w", "heat_input_w", True,
+     lambda v: ps.thermal_step(25.0, v, SimConfig(), 1.0)),
+    ("thermal_step", "dt_s", "dt_s", True,
+     lambda v: ps.thermal_step(25.0, 1e3, SimConfig(), v)),
+    ("device_step", "requested_discharge_w", "requested_discharge_w", True,
+     lambda v: ps.device_step(_SUPERCAP, _FULL, v, 0.0, 0.01)),
+    ("device_step", "available_charge_w", "available_charge_w", True,
+     lambda v: ps.device_step(_SUPERCAP, _FULL, 0.0, v, 0.01)),
+    ("device_step", "dt_s", "dt_s", True,
+     lambda v: ps.device_step(_SUPERCAP, _FULL, 5e3, 0.0, v)),
+    ("capacitor_energy", "capacitance_f", "capacitance_f", True,
+     lambda v: ps.capacitor_energy(v, 10.0)),
+    # -1.0 lies below the default v_min of 0.0.
+    ("capacitor_energy", "v_max", "v_max", True,
+     lambda v: ps.capacitor_energy(1.0, v)),
+    ("capacitor_energy", "v_min", "v_min", True,
+     lambda v: ps.capacitor_energy(1.0, 10.0, v)),
+    ("resample", "dt_new_s", "dt_new_s", True,
+     lambda v: ps.resample(_TRACE, v)),
+    ("ThresholdSpec.resolve", "rack_max_w", "rack_max_w", True,
+     lambda v: ThresholdSpec(absolute_w=1.0).resolve(v)),
+    # The override fills PowerTrace's rack_max_w; None takes the file's.
+    ("load_trace", "rack_max_w", "rack_max_w", True,
+     lambda v: ps.load_trace(io.StringIO(_TRACE_TEXT), v)),
+]
+
+# Each value the rule refuses, with its refusal after the name.
+_NOT_NUMBERS = [(True, "must be a number, got True"), ("1", "must be a number, got '1'"),
+                (None, "must be a number, got None")]
+_NOT_FINITE = [(value, f"must be finite, got {value!r}")
+               for value in (math.nan, math.inf, -math.inf, 10 ** 400)]
+
+
+def _public(name):
+    """The object powershave exports as name, "function" or "Class.method"."""
+    return functools.reduce(getattr, name.split("."), ps)
+
+
+def _optional(function, argument) -> bool:
+    return str(inspect.signature(_public(function)).parameters[argument]
+               .annotation).endswith("| None")
+
+
+def _id(value) -> str:
+    return "10**400" if value == 10 ** 400 else repr(value)
+
+
+def _refusal_cases():
+    cases = []
+    for function, argument, name, signed, call in ARGUMENTS:
+        for value, rest in _NOT_NUMBERS + _NOT_FINITE:
+            if value is None and _optional(function, argument):
+                continue
+            cases.append(pytest.param(call, value, name, rest,
+                                      id=f"{function}.{argument}-{_id(value)}"))
+        if signed:
+            # Refused by the argument's sign or range, in its own words.
+            cases.append(pytest.param(call, -1.0, name, None,
+                                      id=f"{function}.{argument}--1.0"))
+    return cases
+
+
+@pytest.mark.parametrize("call, value, name, rest", _refusal_cases())
+def test_number_argument_refusal(call, value, name, rest):
+    # Only ValueError: a TypeError or OverflowError fails the test.
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value).startswith(f"{name} "), err.value
+    if rest is not None:
+        assert str(err.value) == f"{name} {rest}"
+
+
+# ---------------------------------------------------------------------------
+# 5. Guard: no public number argument without a row
+# ---------------------------------------------------------------------------
+
+def test_every_public_float_parameter_has_a_refusal_row():
+    rows = {(function, argument) for function, argument, *_ in ARGUMENTS}
+    for function, argument in rows:
+        assert argument in inspect.signature(_public(function)).parameters
+    # Every exported function and every public method of an exported class.
+    callables = [name for name in ps.__all__ if inspect.isfunction(getattr(ps, name))]
+    callables += [f"{name}.{method}" for name in ps.__all__
+                  if inspect.isclass(cls := getattr(ps, name))
+                  for method, obj in vars(cls).items()
+                  if not method.startswith("_") and inspect.isfunction(obj)]
+    declared = {(name, param.name) for name in callables
+                for param in inspect.signature(_public(name)).parameters.values()
+                if param.annotation in ("float", "float | None")}
+    assert declared - rows == set()

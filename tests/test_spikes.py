@@ -245,6 +245,21 @@ def test_empty_stats_flagged():
     assert sum(stats.energy_counts) == 0
 
 
+@pytest.mark.parametrize("edges", [ps.DEFAULT_ENERGY_BIN_EDGES, [0, 5, 10],
+                                   np.array([0.0, 2.5, 40.0]), np.arange(3)],
+                         ids=["default", "ints", "float64-array", "int64-array"])
+def test_empty_and_non_empty_stats_hold_the_same_types(edges):
+    # Python floats and ints in both branches, whatever the caller passed.
+    for spikes in ([], [_spike(0.01, energy_j=3.0)]):
+        stats = ps.spike_statistics(spikes, energy_bin_edges=edges)
+        assert type(stats.energy_bin_edges) is tuple
+        assert [type(e) for e in stats.energy_bin_edges] == [float] * len(edges)
+        assert stats.energy_bin_edges == tuple(float(e) for e in edges)
+        assert type(stats.energy_counts) is tuple
+        assert [type(c) for c in stats.energy_counts] == [int] * (len(edges) - 1)
+        assert sum(stats.energy_counts) == len(spikes)
+
+
 def test_histogram_clamps_out_of_range():
     # 200 J exceeds the default 0-150 J bins; it lands in the last bin so
     # counts still sum to the spike count.
@@ -260,6 +275,10 @@ def test_histogram_rejects_bad_edges():
         ps.spike_statistics([_spike(0.01)], energy_bin_edges=[0.0, 5.0, 5.0])
     with pytest.raises(ValueError):
         ps.spike_statistics([_spike(0.01)], energy_bin_edges=[10.0])
+    # Not a list: a number, a numpy scalar, a 0-d array, a string.
+    for edges in (5.0, np.float64(5.0), np.array(5.0), "05"):
+        with pytest.raises(ValueError, match="^energy_bin_edges must be a list of numbers, got "):
+            ps.spike_statistics([_spike(0.01)], energy_bin_edges=edges)
     # NaN passes the increasing check, and inf would land in the JSON.
     for edges in ([0.0, np.nan, 5.0], [0.0, np.inf], [-np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):

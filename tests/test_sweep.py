@@ -117,7 +117,7 @@ def test_sweep_checks_every_argument_before_work(spiky_trace):
 
 
 def _unit_refusal(unit, rack_max_w=10000.0):
-    return (f"gpu_unit_w must be positive, finite and at least rack_max_w / 2**53 "
+    return (f"gpu_unit_w must be at least rack_max_w / 2**53 "
             f"({rack_max_w / 2.0 ** 53!r} W), got {unit!r}")
 
 
@@ -130,16 +130,16 @@ def _unit_refusal(unit, rack_max_w=10000.0):
     (1.5, 0.0, 700.0, "threshold_fracs values must be in (0, 1], got 1.5"),
     (math.nan, 0.0, 700.0, "threshold_fracs values must be finite, got nan"),
     (math.inf, 0.0, 700.0, "threshold_fracs values must be finite, got inf"),
-    (True, 0.0, 700.0, "grid axis threshold_fracs must be a list of numbers, got (True,)"),
-    ("0.5", 0.0, 700.0, "grid axis threshold_fracs must be a list of numbers, got ('0.5',)"),
+    (True, 0.0, 700.0, "threshold_fracs values must be a number, got True"),
+    ("0.5", 0.0, 700.0, "threshold_fracs values must be a number, got '0.5'"),
     (0.5, -0.1, 700.0, "burst_lengths_s values must be non-negative, got -0.1"),
     (0.5, math.nan, 700.0, "burst_lengths_s values must be finite, got nan"),
     (0.5, math.inf, 700.0, "burst_lengths_s values must be finite, got inf"),
-    (0.5, False, 700.0, "grid axis burst_lengths_s must be a list of numbers, got (False,)"),
-    (0.5, 0.0, 0.0, _unit_refusal(0.0)),
-    (0.5, 0.0, -700.0, _unit_refusal(-700.0)),
-    (0.5, 0.0, math.inf, _unit_refusal(math.inf)),
-    (0.5, 0.0, math.nan, _unit_refusal(math.nan)),
+    (0.5, False, 700.0, "burst_lengths_s values must be a number, got False"),
+    (0.5, 0.0, 0.0, "gpu_unit_w must be positive, got 0.0"),
+    (0.5, 0.0, -700.0, "gpu_unit_w must be positive, got -700.0"),
+    (0.5, 0.0, math.inf, "gpu_unit_w must be finite, got inf"),
+    (0.5, 0.0, math.nan, "gpu_unit_w must be finite, got nan"),
     (0.5, 0.0, 1e-300, _unit_refusal(1e-300)),
 ])
 def test_one_refusal_for_every_grid_entry_point(spiky_trace, monkeypatch,
@@ -282,28 +282,45 @@ def test_export_json_round_trip(spiky_trace):
 _GRID_AXES = '"threshold_fracs": [0.5, 0.7], "burst_lengths_s": [0.0]'
 
 
-@pytest.mark.parametrize("text", [
-    '{"threshold_fracs": [0.5],', "[1, 2]",
+# Each refused grid JSON text with its refusal.
+_BAD_GRID_JSON = [
+    ('{"threshold_fracs": [0.5],', "bad grid JSON: Expecting property name enclosed "
+     "in double quotes: line 1 column 27 (char 26)"),
+    ("[1, 2]", "grid must be a JSON object"),
     # Values are refused, not truncated or wrapped, and a malformed axis is
     # named.
-    '{%s, "values": [[1.7], [0.9]]}' % _GRID_AXES,
-    '{%s, "values": [[true], [false]]}' % _GRID_AXES,
-    '{%s, "values": [[1e30], [0]]}' % _GRID_AXES,
-    '{%s, "values": [[9223372036854775808], [0]]}' % _GRID_AXES,
-    '{"threshold_fracs": 5, "burst_lengths_s": [0.0], "values": [[1]]}',
-    '{"threshold_fracs": [null], "burst_lengths_s": [0.0], "values": [[1]]}',
+    ('{%s, "values": [[1.7], [0.9]]}' % _GRID_AXES,
+     "grid values must be integers that fit int64, got an array of float64"),
+    ('{%s, "values": [[true], [false]]}' % _GRID_AXES,
+     "grid values must be integers that fit int64, got an array of bool"),
+    ('{%s, "values": [[1e30], [0]]}' % _GRID_AXES,
+     "grid values must be integers that fit int64, got an array of float64"),
+    ('{%s, "values": [[9223372036854775808], [0]]}' % _GRID_AXES,
+     "grid values must be integers that fit int64, got an array of float64"),
+    ('{"threshold_fracs": 5, "burst_lengths_s": [0.0], "values": [[1]]}',
+     "threshold_fracs must be a list of numbers, got 5"),
+    ('{"threshold_fracs": [null], "burst_lengths_s": [0.0], "values": [[1]]}',
+     "threshold_fracs values must be a number, got None"),
     # Axis entries and the label are refused, not cast.
-    '{"threshold_fracs": [true], "burst_lengths_s": [0.0], "values": [[1]]}',
-    '{"threshold_fracs": ["0.5"], "burst_lengths_s": [0.0], "values": [[1]]}',
-    '{"threshold_fracs": [0.5], "burst_lengths_s": "12", "values": [[1, 1]]}',
-    '{"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]], '
-    '"trace_label": 5}',
-    '{"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]], '
-    '"trace_label": null}',
-])
-def test_load_grid_json_rejects_bad_json(text):
-    with pytest.raises(ValueError, match="grid"):
+    ('{"threshold_fracs": [true], "burst_lengths_s": [0.0], "values": [[1]]}',
+     "threshold_fracs values must be a number, got True"),
+    ('{"threshold_fracs": ["0.5"], "burst_lengths_s": [0.0], "values": [[1]]}',
+     "threshold_fracs values must be a number, got '0.5'"),
+    ('{"threshold_fracs": [0.5], "burst_lengths_s": "12", "values": [[1, 1]]}',
+     "burst_lengths_s must be a list of numbers, got '12'"),
+    ('{"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]], '
+     '"trace_label": 5}', "grid trace_label must be a string, got 5"),
+    ('{"threshold_fracs": [0.5], "burst_lengths_s": [0.0], "values": [[1]], '
+     '"trace_label": null}', "grid trace_label must be a string, got None"),
+]
+
+
+@pytest.mark.parametrize("text, message", _BAD_GRID_JSON,
+                         ids=[text for text, _ in _BAD_GRID_JSON])
+def test_load_grid_json_rejects_bad_json(text, message):
+    with pytest.raises(ValueError) as err:
         ps.load_grid_json(io.StringIO(text))
+    assert str(err.value) == message
 
 
 def test_export_csv_round_trip(spiky_trace):
