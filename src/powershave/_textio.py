@@ -19,7 +19,9 @@ stream.
 
 Every number read from text, in a trace, a grid CSV or a CLI flag, keeps
 one rule (plain): it is ASCII and holds no '_'; within that, it is
-what float() or int() accepts.
+what float() or int() accepts.  A number in a list of fields (a grid CSV
+row, the --bins edges, the parts of a sweep axis) must also be finite,
+and is refused by its position (plain_numbers).
 """
 
 from __future__ import annotations
@@ -205,15 +207,22 @@ def plain_int(text: str) -> int:
 
 
 def plain_numbers(fields, what: str, kind=plain_float, first: int = 1) -> tuple:
-    """kind (plain_float or plain_int) of each text in fields.  A text it
-    refuses raises ValueError naming what and the text's position,
-    counted from first."""
+    """kind (plain_float or plain_int) of each text in fields, each a
+    finite number.  A text kind refuses, or a float that is not finite,
+    raises ValueError naming what and the text's position, counted from
+    first: "grid CSV row 1 column 2: expected a finite number, got
+    'nan'"."""
     values = []
     for pos, text in enumerate(fields, first):
         try:
-            values.append(kind(text))
+            value = kind(text)
+            # Only a float can be non-finite; an int beyond the float range
+            # would make isfinite raise OverflowError.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {text!r}")
         except ValueError as exc:
             raise ValueError(f"{what} {pos}: {exc}") from None
+        values.append(value)
     return tuple(values)
 
 

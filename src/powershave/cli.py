@@ -8,7 +8,15 @@ identical inputs; the manifest's created_utc field is the only thing
 that changes between reruns.  Every command ends in one _emit call, which
 builds all of its outputs and the manifest before it replaces any of
 them, and every config digest goes through _digest, which hashes the
-same bytes.  A run refused before _emit creates no directory.
+same bytes.  A run refused before _emit creates no directory.  Every file
+a command reads, the trace, a config or a device spec, goes through
+_input, which loads it and records its digest among the manifest's
+inputs.
+
+The module holds flag names and file I/O only.  A flag's value is
+checked once, by the library call that applies it, run inside _as_flags
+so that its refusal names the flag; the sweep axes alone are checked
+(_check_axes) before the trace loads.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error,
 3 run completed but the grid ramp constraint was violated.
@@ -21,7 +29,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -32,13 +39,11 @@ from . import __version__
 from ._textio import plain_float, plain_int, plain_numbers, write_json
 from .trace import (DEFAULT_SYNTH_CONFIG, load_synth_config, load_trace,
                     synthesize_trace, write_synth_config, write_trace)
-from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, _check_bin_edges,
-                     detect_spikes, spike_statistics, write_spikes_csv,
-                     write_stats_json)
+from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, detect_spikes,
+                     spike_statistics, write_spikes_csv, write_stats_json)
 from .devices import BUILTIN_DEVICE_NAMES, builtin_device_spec, load_device_spec
-from .shaving import (SimConfig, _check_gpu_unit_w, load_sim_config,
-                      simulate_shaving, write_result_csv,
-                      write_result_summary_json, write_sim_config)
+from .shaving import (SimConfig, load_sim_config, simulate_shaving,
+                      write_result_csv, write_result_summary_json, write_sim_config)
 from .sweep import (DEFAULT_BURST_LENGTHS_S, DEFAULT_THRESHOLD_FRACS, _check_axes,
                     compare_strategies, sweep_gpus_saved, write_comparison_csv,
                     write_grid_csv, write_grid_json)
@@ -48,12 +53,19 @@ _DEVICE_CHOICES = ("none", "ideal") + BUILTIN_DEVICE_NAMES
 _COMPARE_DEFAULT = ("none", *BUILTIN_DEVICE_NAMES, "ideal")
 
 
-def _sha256_file(path: str) -> str:
+def _input(path: str, load, inputs: dict):
+    """load(path), then the file's digest recorded in inputs under path:
+    the one reader of every file a command reads.  Each caller passes the
+    loader it looks up at call time (bench/tracer.py wraps cli's library
+    functions when a traced pass starts), and load_trace takes the path
+    first, as that tracer's byte count reads it."""
+    value = load(path)
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
-    return "sha256:" + h.hexdigest()
+    inputs[path] = "sha256:" + h.hexdigest()
+    return value
 
 
 class _HashingSink:
@@ -180,8 +192,6 @@ def _parse_axis(text: str, name: str) -> tuple:
     if len(parts) != 3:
         raise ValueError(f"{name} must look like start:stop:step")
     start, stop, step = plain_numbers(parts, f"{name} part")
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"{name} parts must be finite, got {text!r}")
     if step <= 0.0:
         raise ValueError(f"{name} step must be positive")
     if stop < start:
@@ -200,32 +210,24 @@ def _axis_help(what: str, values: tuple) -> str:
     return f"{what} (default {values[0]!r}:{values[-1]!r}:{step!r})"
 
 
-def _parse_bins(text: str):
-    with _as_flags({"energy_bin_edges": "--bins"}):
-        return _check_bin_edges(plain_numbers(text.split(","), "--bins edge"))
-
-
 def _resolve_device(token: str, inputs: dict):
-    """The device a --device token names; a spec file's digest goes into
-    inputs."""
+    """The device a --device token names; a spec file is read through
+    _input."""
     if token in ("none", "ideal"):
         return token
     if token in BUILTIN_DEVICE_NAMES:
         return builtin_device_spec(token)
     if os.path.exists(token):
-        inputs[token] = _sha256_file(token)
-        return load_device_spec(token)
+        return _input(token, load_device_spec, inputs)
     raise ValueError(f"unknown device {token!r}; use one of "
                      f"{', '.join(_DEVICE_CHOICES)} or a spec file path")
 
 
 def _sim_config(args, inputs: dict) -> SimConfig:
-    """--config's SimConfig, or the default one; the file's digest goes
-    into inputs."""
+    """--config's SimConfig, read through _input, or the default one."""
     if args.config is None:
         return SimConfig()
-    inputs[args.config] = _sha256_file(args.config)
-    return load_sim_config(args.config)
+    return _input(args.config, load_sim_config, inputs)
 
 
 def _device_row_name(token: str) -> str:
@@ -240,12 +242,9 @@ def _device_row_name(token: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    if args.config == "default":
-        config = DEFAULT_SYNTH_CONFIG
-        inputs = {}
-    else:
-        config = load_synth_config(args.config)
-        inputs = {args.config: _sha256_file(args.config)}
+    inputs = {}
+    config = (DEFAULT_SYNTH_CONFIG if args.config == "default"
+              else _input(args.config, load_synth_config, inputs))
     if args.seed is not None:
         with _as_flags({"seed": "--seed"}):
             config = replace(config, seed=args.seed)
@@ -259,12 +258,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = load_trace(args.trace)
-    inputs = {args.trace: _sha256_file(args.trace)}
+    inputs = {}
+    trace = _input(args.trace, load_trace, inputs)
     threshold = _threshold_from_args(args, trace.rack_max_w) or SimConfig.threshold
-    edges = DEFAULT_ENERGY_BIN_EDGES if args.bins is None else _parse_bins(args.bins)
+    edges = (DEFAULT_ENERGY_BIN_EDGES if args.bins is None
+             else plain_numbers(args.bins.split(","), "--bins edge"))
     spikes = detect_spikes(trace, threshold)
-    stats = spike_statistics(spikes, energy_bin_edges=edges)
+    with _as_flags({"energy_bin_edges": "--bins"}):
+        stats = spike_statistics(spikes, energy_bin_edges=edges)
     spikes_path, stats_path = _emit(
         args, "analyze", inputs,
         {"threshold": _digest(_write_compact_json,
@@ -287,8 +288,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    trace = load_trace(args.trace)
-    inputs = {args.trace: _sha256_file(args.trace)}
+    inputs = {}
+    trace = _input(args.trace, load_trace, inputs)
     config = _sim_config(args, inputs)
     threshold = _threshold_from_args(args, trace.rack_max_w)
     if threshold is not None:
@@ -320,11 +321,10 @@ def _cmd_sweep(args) -> int:
               else _parse_axis(args.axes_burst, "--axes-burst"))
     with _as_flags({"threshold_fracs": "--axes-threshold", "burst_lengths_s": "--axes-burst"}):
         fracs, bursts = _check_axes(fracs, bursts)
-    trace = load_trace(args.trace)
-    inputs = {args.trace: _sha256_file(args.trace)}
+    inputs = {}
+    trace = _input(args.trace, load_trace, inputs)
     with _as_flags({"gpu_unit_w": "--gpu-unit-w"}):
-        _check_gpu_unit_w(trace.rack_max_w, args.gpu_unit_w)
-    grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
+        grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
     csv_path, json_path = _emit(
         args, "sweep", inputs,
         {"axes": _digest(_write_compact_json,
@@ -338,8 +338,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    trace = load_trace(args.trace)
-    inputs = {args.trace: _sha256_file(args.trace)}
+    inputs = {}
+    trace = _input(args.trace, load_trace, inputs)
     config = _sim_config(args, inputs)
     tokens = args.device or _COMPARE_DEFAULT
     strategies = [(_device_row_name(token), _resolve_device(token, inputs))

@@ -136,13 +136,6 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def _check_bin_edges(energy_bin_edges) -> tuple:
-    """The edges as a tuple of Python floats: a strictly increasing list of
-    at least two numbers (increasing_numbers).  Errors start with
-    energy_bin_edges."""
-    return increasing_numbers("energy_bin_edges", energy_bin_edges, 2)
-
-
 def spike_statistics(spikes: list[Spike],
                      energy_bin_edges=DEFAULT_ENERGY_BIN_EDGES) -> SpikeStats:
     """Summary distribution of a spike list.
@@ -152,11 +145,12 @@ def spike_statistics(spikes: list[Spike],
     yields a stats record flagged empty with zeroed fields.
 
     energy_bin_edges must be a strictly increasing list of at least two
-    numbers (_check_bin_edges); ValueError naming energy_bin_edges
-    otherwise.  Both branches store the edges as that tuple of Python
-    floats and the counts as Python ints.
+    numbers (_textio.increasing_numbers), the one check of the edges,
+    which the analyze command's --bins reaches too; ValueError naming
+    energy_bin_edges otherwise.  Both branches store the edges as that
+    tuple of Python floats and the counts as Python ints.
     """
-    edges = _check_bin_edges(energy_bin_edges)
+    edges = increasing_numbers("energy_bin_edges", energy_bin_edges, 2)
 
     if not spikes:
         return SpikeStats(

@@ -87,7 +87,10 @@ class SweepGrid:
         fracs, bursts = _check_axes(self.threshold_fracs, self.burst_lengths_s)
         if not isinstance(self.trace_label, str):
             raise ValueError(f"grid trace_label must be a string, got {self.trace_label!r}")
-        vals = np.asarray(self.values)
+        try:
+            vals = np.asarray(self.values)
+        except ValueError:     # rows of unequal lengths
+            raise ValueError("grid values must be a rectangular array") from None
         # Refused rather than cast: a cast would truncate 1.7 to 1 and wrap
         # integers beyond int64.
         if vals.dtype.kind == "b" or not np.can_cast(vals.dtype, np.int64):
@@ -144,11 +147,12 @@ def gpus_saved(trace: PowerTrace, threshold_frac: float, min_burst_s: float,
 
 def _check_strategy_name(name) -> None:
     """Refuse a strategy name that comparison.csv could not keep as one
-    field of one line: one holding ',', '"' or a line break (any that
-    str.splitlines breaks at)."""
+    field of one line: anything but a str, or one holding ',', '"' or a
+    line break (any that str.splitlines breaks at)."""
+    if not isinstance(name, str):
+        raise ValueError(f"strategy name must be a string, got {name!r}")
     # The '.' makes a break at the end of the name split too.
-    if isinstance(name, str) and ("," in name or '"' in name
-                                  or len(f"{name}.".splitlines()) > 1):
+    if "," in name or '"' in name or len(f"{name}.".splitlines()) > 1:
         raise ValueError(f"strategy name {name!r} must not hold ',', '\"' or a line break")
 
 

@@ -698,6 +698,24 @@ def test_refusal_puts_the_flag_in_the_field_place(work, tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--trace", "{trace}", "--bins", "nan"],
+     "--bins edge 1: expected a finite number, got 'nan'"),
+    (["analyze", "--trace", "{trace}", "--bins", "0,5,inf"],
+     "--bins edge 3: expected a finite number, got 'inf'"),
+    (["sweep", "--trace", "{trace}", "--axes-burst", "0:0.2:inf"],
+     "--axes-burst part 3: expected a finite number, got 'inf'"),
+    (["sweep", "--trace", "{trace}", "--axes-threshold", "nan:0.9:0.1"],
+     "--axes-threshold part 1: expected a finite number, got 'nan'"),
+], ids=["bins-nan", "bins-inf", "axes-burst-inf", "axes-threshold-nan"])
+def test_non_finite_number_in_a_flag_list_is_refused_by_its_position(
+        work, tmp_path, capsys, argv, message):
+    out = tmp_path / "new"
+    argv = [arg.format(trace=work["trace"]) for arg in argv] + ["--out", str(out)]
+    assert main_in_process(argv, capsys) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
 # A command that takes each flag of parser.value_flags, the flags it needs
 # besides, and a value it runs with.
 FLAG_USES = {
@@ -906,6 +924,30 @@ def test_manifest_digests_recompute(work, tmp_path):
         assert sha256_file(path) == digest
     for name, digest in manifest["outputs"].items():
         assert sha256_file(tmp_path / name) == digest
+
+
+# Each file reader of the CLI: the argv of a run, and the files it reads,
+# every one of which its manifest's inputs must digest.
+@pytest.mark.parametrize("argv, read", [
+    (["synth", "--config", "{cfg}"], ["{cfg}"]),
+    (["analyze", "--trace", "{trace}"], ["{trace}"]),
+    (["sweep", "--trace", "{trace}", "--axes-threshold", "0.6:0.7:0.1"], ["{trace}"]),
+    (["simulate", "--trace", "{trace}", "--config", "{loose}", "--device", "{spec}"],
+     ["{trace}", "{loose}", "{spec}"]),
+    (["compare", "--trace", "{trace}", "--config", "{loose}", "--device", "none",
+      "--device", "{spec}"], ["{trace}", "{loose}", "{spec}"]),
+], ids=["synth", "analyze", "sweep", "simulate", "compare"])
+def test_every_input_file_is_in_the_manifest(work, tmp_path, capsys, argv, read):
+    spec = tmp_path / "cap.json"
+    shutil.copyfile(PACKAGE_DIR / "data" / "capacitor.json", spec)
+    paths = {"cfg": work["cfg"], "trace": work["trace"], "loose": work["loose"],
+             "spec": spec}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code, err = main_in_process(argv, capsys)
+    assert code == 0, err
+    manifest = read_json(tmp_path / "out" / f"{argv[0]}_manifest.json")
+    assert manifest["inputs"] == {path.format(**paths): sha256_file(path.format(**paths))
+                                  for path in read}
 
 
 @pytest.mark.parametrize("argv", [

@@ -348,6 +348,33 @@ def test_load_grid_csv_names_bad_cell(text, where):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("threshold_frac/burst_s,nan\n0.5,1\n",
+     "grid CSV row 1 column 2: expected a finite number, got 'nan'"),
+    ("threshold_frac/burst_s,0.0\n1e999,1\n",
+     "grid CSV row 2 column 1: expected a finite number, got '1e999'"),
+    # An int cell beyond the float range is no float: the grid's own
+    # values check refuses it.
+    ("threshold_frac/burst_s,0.0\n0.5,1" + "0" * 400 + "\n",
+     "grid values must be integers that fit int64, got an array of object"),
+], ids=["header-nan", "first-column-1e999", "huge-int-cell"])
+def test_load_grid_csv_refuses_a_number_that_is_not_finite_by_its_cell(text, message):
+    with pytest.raises(ValueError) as err:
+        ps.load_grid_csv(io.StringIO(text))
+    assert str(err.value) == message
+
+
+def test_ragged_grid_values_are_refused_by_field():
+    text = '{"threshold_fracs":[0.5,0.6],"burst_lengths_s":[0.0],"values":[[1],[1,2]]}'
+    message = "grid values must be a rectangular array"
+    with pytest.raises(ValueError) as err:
+        ps.load_grid_json(io.StringIO(text))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        ps.SweepGrid((0.5, 0.6), (0.0,), [[1], [1, 2]])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
     ("threshold_frac/burst_s,0.0,0.1\n", "needs a header and at least one row"),
     ("threshold_frac/burst_s,0.0,0.1\n\n  \n", "needs a header and at least one row"),
     ("threshold_frac/burst_s,0.0,0.1\n0.5,1,0\n0.7,1\n",
@@ -547,6 +574,22 @@ def test_strategy_name_the_csv_cannot_hold_is_refused_before_any_simulation(
     with pytest.raises(ValueError) as err:
         ps.compare_strategies(spiky_trace, [("none", "none"), (name, "ideal")], SimConfig())
     assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        ps.ComparisonRow(name, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", [5, None, b"x"], ids=repr)
+def test_strategy_name_that_is_not_text_is_refused_before_any_simulation(
+        spiky_trace, monkeypatch, name):
+    # A row named 5 would build, and write_comparison_csv then fail on it.
+    calls = []
+    monkeypatch.setattr(sweep, "_simulate_series", lambda *args: calls.append(args))
+    message = f"strategy name must be a string, got {name!r}"
+    with pytest.raises(ValueError) as err:
+        ps.compare_strategies(spiky_trace, [(name, "none")], SimConfig())
+    assert str(err.value) == message
+    assert calls == []
     with pytest.raises(ValueError) as err:
         ps.ComparisonRow(name, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert str(err.value) == message
