@@ -15,7 +15,8 @@ blocks), which reads READ_SIZE characters at a time for every caller:
 they are the only code that tells paths, text streams and binary streams
 apart, and that encodes or decodes UTF-8.  A path is read as bytes
 and written with newline="", so it holds the same bytes as a binary
-stream.
+stream.  The CLI's hashing sink is a binary stream: write_text encodes
+every writer's text for it.
 
 Every number read from text, in a trace, a grid CSV or a CLI flag, keeps
 one rule (plain): it is ASCII and holds no '_'; within that, it is

@@ -7,11 +7,11 @@ defaulting to the working directory).  Outputs are byte-identical for
 identical inputs; the manifest's created_utc field is the only thing
 that changes between reruns.  Every command ends in one _emit call, which
 builds all of its outputs and the manifest before it replaces any of
-them, and every config digest goes through _digest, which hashes the
-same bytes.  A run refused before _emit creates no directory.  Every file
-a command reads, the trace, a config or a device spec, goes through
-_input, which loads it and records its digest among the manifest's
-inputs.
+them, and every config digest is taken by _emit, from the same bytes its
+writer would write to a file.  A run refused before _emit creates no
+directory.  Every file a command reads, the trace, a config or a device
+spec, goes through _input, which loads it and records its digest among
+the manifest's inputs.
 
 The module holds flag names and file I/O only.  A flag's value is
 checked once, by the library call that applies it, run inside _as_flags
@@ -35,8 +35,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-from . import __version__
-from ._textio import plain_float, plain_int, plain_numbers, write_json
+from . import __version__, _textio
+from ._textio import plain_float, plain_int, plain_numbers, write_json, write_text
 from .trace import (DEFAULT_SYNTH_CONFIG, load_synth_config, load_trace,
                     synthesize_trace, write_synth_config, write_trace)
 from .spikes import (DEFAULT_ENERGY_BIN_EDGES, ThresholdSpec, detect_spikes,
@@ -58,32 +58,29 @@ def _input(path: str, load, inputs: dict):
     the one reader of every file a command reads.  Each caller passes the
     loader it looks up at call time (bench/tracer.py wraps cli's library
     functions when a traced pass starts), and load_trace takes the path
-    first, as that tracer's byte count reads it."""
+    first, as that tracer's byte count reads it.  The file is hashed
+    _textio.READ_SIZE bytes at a time, the read size of every reader."""
     value = load(path)
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+        while block := fh.read(_textio.READ_SIZE):
+            h.update(block)
     inputs[path] = "sha256:" + h.hexdigest()
     return value
 
 
 class _HashingSink:
-    """Text stream that writes UTF-8 to a binary file and hashes the bytes."""
+    """Binary stream that hashes each block of bytes, then writes it to the
+    binary file fh.  A str raises TypeError from the hash before any byte
+    reaches fh, so _textio.write_text encodes every writer's text for it."""
 
     def __init__(self, fh):
         self.fh = fh
         self.sha = hashlib.sha256()
 
-    def write(self, text: str) -> int:
-        data = text.encode("utf-8")
+    def write(self, data: bytes) -> int:
         self.sha.update(data)
-        self.fh.write(data)
-        return len(text)
-
-    def writelines(self, lines) -> None:
-        for text in lines:
-            self.write(text)
+        return self.fh.write(data)
 
     def tell(self) -> int:
         # Bytes written so far; bench/tracer.py reads it after
@@ -91,30 +88,28 @@ class _HashingSink:
         return self.fh.tell()
 
 
-def _hash_into(fh, writer, *args) -> str:
+def _hash_into(fh, writer, obj) -> str:
+    """writer(obj, sink) into the binary file fh; the sha256: digest of the
+    bytes written."""
     sink = _HashingSink(fh)
-    writer(*args, sink)
+    writer(obj, sink)
     return "sha256:" + sink.sha.hexdigest()
-
-
-def _digest(writer, *args) -> str:
-    """The digest _emit would record for writer's text, with the text kept
-    in memory instead of a file.  For the small config texts the manifests
-    digest."""
-    return _hash_into(io.BytesIO(), writer, *args)
 
 
 def _write_compact_json(obj, dest) -> None:
     # The threshold and axes digests hash this form of their values.
-    dest.write(json.dumps(obj, sort_keys=True))
+    write_text(dest, [json.dumps(obj, sort_keys=True)])
 
 
-def _emit(args, command: str, inputs: dict, config_digests: dict, seed,
+def _emit(args, command: str, inputs: dict, configs: dict, seed,
           outputs: dict) -> list:
     """Write a command's outputs and its manifest into the output directory
     (--out, else POWERSHAVE_OUT, else the working directory); returns the
     output paths in order.
 
+    configs maps each config digest's name to (writer, obj), as outputs
+    maps a file; each text is hashed in memory, before the output directory
+    is made.
     outputs maps each file name to (writer, obj), in write order.  Each
     text goes to its .tmp file through writer(obj, sink), hashed as it is
     written, so no whole file is held in memory or read back.  The
@@ -122,6 +117,8 @@ def _emit(args, command: str, inputs: dict, config_digests: dict, seed,
     too.  Only then is every path replaced, the manifest last.  When
     anything fails, every .tmp file left is removed; a failure before the
     first replace leaves every path as it was."""
+    config_digests = {name: _hash_into(io.BytesIO(), writer, obj)
+                      for name, (writer, obj) in configs.items()}
     out = args.out or os.environ.get("POWERSHAVE_OUT") or "."
     os.makedirs(out, exist_ok=True)
     staged = []
@@ -191,7 +188,11 @@ def _parse_axis(text: str, name: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must look like start:stop:step")
-    start, stop, step = plain_numbers(parts, f"{name} part")
+    start, stop, step = values = plain_numbers(parts, f"{name} part")
+    # The values are rounded to 10 decimals below; no part may change so.
+    for pos, (part, value) in enumerate(zip(parts, values), 1):
+        if round(value, 10) != value:
+            raise ValueError(f"{name} part {pos} must have at most 10 decimals, got {part!r}")
     if step <= 0.0:
         raise ValueError(f"{name} step must be positive")
     if stop < start:
@@ -250,7 +251,7 @@ def _cmd_synth(args) -> int:
             config = replace(config, seed=args.seed)
     trace = synthesize_trace(config)
     trace_path, = _emit(args, "synth", inputs,
-                        {"synth_config": _digest(write_synth_config, config)},
+                        {"synth_config": (write_synth_config, config)},
                         config.seed, {"trace.csv": (write_trace, trace)})
     print(f"wrote {trace_path} ({trace.n_samples} samples, "
           f"{trace.duration_s:.1f} s at {trace.dt_s * 1e3:.1f} ms)")
@@ -268,9 +269,9 @@ def _cmd_analyze(args) -> int:
         stats = spike_statistics(spikes, energy_bin_edges=edges)
     spikes_path, stats_path = _emit(
         args, "analyze", inputs,
-        {"threshold": _digest(_write_compact_json,
-                              {"absolute_w": threshold.absolute_w,
-                               "fraction_of_max": threshold.fraction_of_max})},
+        {"threshold": (_write_compact_json,
+                       {"absolute_w": threshold.absolute_w,
+                        "fraction_of_max": threshold.fraction_of_max})},
         None,
         {"spikes.csv": (write_spikes_csv, spikes),
          "spike_stats.json": (write_stats_json, stats)})
@@ -298,7 +299,7 @@ def _cmd_simulate(args) -> int:
 
     result = simulate_shaving(trace, device, config)
     csv_path, summary_path = _emit(
-        args, "simulate", inputs, {"sim_config": _digest(write_sim_config, config)},
+        args, "simulate", inputs, {"sim_config": (write_sim_config, config)},
         None,
         {"shaving.csv": (write_result_csv, result),
          "shaving_summary.json": (write_result_summary_json, result)})
@@ -327,9 +328,9 @@ def _cmd_sweep(args) -> int:
         grid = sweep_gpus_saved(trace, fracs, bursts, args.gpu_unit_w)
     csv_path, json_path = _emit(
         args, "sweep", inputs,
-        {"axes": _digest(_write_compact_json,
-                         {"threshold_fracs": list(fracs), "burst_lengths_s": list(bursts),
-                          "gpu_unit_w": args.gpu_unit_w})},
+        {"axes": (_write_compact_json,
+                  {"threshold_fracs": list(fracs), "burst_lengths_s": list(bursts),
+                   "gpu_unit_w": args.gpu_unit_w})},
         None, {"grid.csv": (write_grid_csv, grid), "grid.json": (write_grid_json, grid)})
     print(f"swept {len(fracs)}x{len(bursts)} grid; "
           f"max gpus_saved = {int(grid.values.max())}")
@@ -346,7 +347,7 @@ def _cmd_compare(args) -> int:
                   for token in tokens]
     rows = compare_strategies(trace, strategies, config)
     csv_path, = _emit(args, "compare", inputs,
-                      {"sim_config": _digest(write_sim_config, config)},
+                      {"sim_config": (write_sim_config, config)},
                       None, {"comparison.csv": (write_comparison_csv, rows)})
 
     for row in rows:

@@ -1,6 +1,8 @@
 """The package's public names: each module lists its own, once.  The data
-files the package reads ship with it."""
+files the package reads ship with it.  Only _textio names the UTF-8
+codec."""
 
+import ast
 import fnmatch
 import importlib
 from pathlib import Path
@@ -36,3 +38,17 @@ def test_package_data_globs_cover_every_file_the_package_reads():
     for name in read:
         assert (Path(PACKAGE_ROOT) / "powershave" / name).is_file(), name
         assert any(fnmatch.fnmatch(name, glob) for glob in globs), name
+
+
+def test_only_textio_names_the_utf8_codec():
+    # write_text and read_blocks are the one UTF-8 encoder and decoder: no
+    # other module of the package holds the codec's name as a string.
+    def names_utf8(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value.lower().replace("_", "-") in ("utf-8", "utf8")
+                   for node in ast.walk(tree))
+
+    modules = sorted((Path(PACKAGE_ROOT) / "powershave").glob("*.py"))
+    assert len(modules) > 5
+    assert [path.name for path in modules if names_utf8(path)] == ["_textio.py"]

@@ -11,6 +11,7 @@ Covers:
 
 import argparse
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -21,7 +22,8 @@ import pytest
 
 import powershave as ps
 from conftest import PACKAGE_ROOT, run_cli
-from powershave import cli
+from powershave import _textio, cli
+from powershave._textio import write_text
 
 PACKAGE_DIR = Path(PACKAGE_ROOT) / "powershave"
 
@@ -397,7 +399,7 @@ def test_simulate_threshold_flag_replaces_config_threshold(work, tmp_path, flag,
                for out in outs]
     assert digests[0] == digests[1]
     loose = ps.load_sim_config(str(work["loose"]))
-    assert digests[0] != cli._digest(ps.write_sim_config, loose)
+    assert digests[0] != cli._hash_into(io.BytesIO(), ps.write_sim_config, loose)
 
 
 # json reads NaN and Infinity; every loader must refuse them by field name.
@@ -576,6 +578,30 @@ def test_sweep_range_refusal_names_the_flag_and_the_value(work, tmp_path, value,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: --axes-threshold values must be in (0, 1], got {refused}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Each refused axis, as the 10-decimal rounding of the axis values would
+# have changed it: an increasing axis read as 0.0 after 0.0, a fraction
+# read as 0.0, and a start read as 0.0123456789.
+@pytest.mark.parametrize("flag, value, part, text", [
+    ("--axes-burst", "0:1e-11:1e-12", 2, "1e-11"),
+    ("--axes-threshold", "1e-300:1e-300:1", 1, "1e-300"),
+    ("--axes-burst", "0.012345678901:0.1:0.05", 1, "0.012345678901"),
+])
+def test_sweep_axis_part_beyond_10_decimals_is_refused(tmp_path, capsys, flag, value,
+                                                       part, text):
+    # The trace does not exist: a run that reached it would exit 1.
+    out = tmp_path / "out"
+    code, err = main_in_process(["sweep", "--trace", str(tmp_path / "missing.csv"),
+                                 flag, value, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {flag} part {part} must have at most 10 decimals, got {text!r}\n"
+    assert not out.exists()
+
+
+def test_sweep_axis_parts_of_10_decimals_keep_their_values():
+    assert cli._parse_axis("0.0123456789:0.1:0.05", "axis") == (0.0123456789, 0.0623456789)
+    assert cli._parse_axis("1e-10:3e-10:1e-10", "axis") == (1e-10, 2e-10, 3e-10)
 
 
 @pytest.mark.parametrize("value, refusal", [
@@ -972,7 +998,7 @@ def test_failed_write_leaves_path_as_it_was(tmp_path):
     path.write_bytes(b"earlier\n")
 
     def writer(obj, dest):
-        dest.write("first chunk\n")
+        write_text(dest, ["first chunk\n"])
         raise RuntimeError("writer failed")
 
     with pytest.raises(RuntimeError, match="writer failed"):
@@ -980,6 +1006,51 @@ def test_failed_write_leaves_path_as_it_was(tmp_path):
                   {"shaving.csv": (writer, None)})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shaving.csv"]
     assert path.read_bytes() == b"earlier\n"
+
+
+# A chunk that is not ASCII, and an empty one.
+SINK_CHUNKS = ["name,energy_j\n", "caf\u00e9 \u2264 \u03b8,1.5\n", "", "\U0001f50b,2\n"]
+
+
+def test_hashing_sink_writes_and_hashes_the_bytes_write_text_encodes(tmp_path):
+    encoded = io.BytesIO()
+    write_text(encoded, SINK_CHUNKS)
+    expected = encoded.getvalue()
+    assert not expected.isascii()
+    with open(tmp_path / "out.csv", "wb") as fh:
+        sink = cli._HashingSink(fh)
+        write_text(sink, SINK_CHUNKS)
+        assert sink.tell() == len(expected)
+    assert (tmp_path / "out.csv").read_bytes() == expected
+    assert sink.sha.hexdigest() == hashlib.sha256(expected).hexdigest()
+
+
+def test_hashing_sink_refuses_text_before_writing_a_byte():
+    fh = io.BytesIO()
+    sink = cli._HashingSink(fh)
+    with pytest.raises(TypeError):
+        sink.write("x")
+    assert fh.getvalue() == b""
+    assert sink.tell() == 0
+    assert sink.sha.hexdigest() == hashlib.sha256().hexdigest()
+
+
+def test_input_digests_every_read_block(tmp_path, monkeypatch, capsys):
+    # _input hashes each file _textio.READ_SIZE bytes at a time, read when
+    # it runs: at 16 bytes, each file spans many blocks.
+    trace = tmp_path / "trace.csv"
+    synth = ps.SynthConfig(**dict(SHORT_SYNTH, duration_s=10.0, dt_s=0.05))
+    ps.write_trace(ps.synthesize_trace(synth), str(trace))
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(LOOSE_SIM), encoding="utf-8")
+    monkeypatch.setattr(_textio, "READ_SIZE", 16)
+    code, err = main_in_process(["simulate", "--trace", str(trace), "--device", "none",
+                                 "--config", str(config), "--out", str(tmp_path / "out")],
+                                capsys)
+    assert code == 0, err
+    inputs = read_json(tmp_path / "out" / "simulate_manifest.json")["inputs"]
+    assert inputs == {str(path): sha256_file(path) for path in (trace, config)}
+    assert min(trace.stat().st_size, config.stat().st_size) > 10 * 16
 
 
 # shaving.csv renders fine; the summary after it fails, or the manifest
