@@ -13,10 +13,10 @@ loader takes a source; dest and source are a path or a stream.  write_text
 is the one writer and read_blocks the one reader (read_text joins its
 blocks), which reads READ_SIZE characters at a time for every caller:
 they are the only code that tells paths, text streams and binary streams
-apart, and that encodes or decodes UTF-8.  A path is read as bytes
-and written with newline="", so it holds the same bytes as a binary
-stream.  The CLI's hashing sink is a binary stream: write_text encodes
-every writer's text for it.
+apart, and that encodes or decodes UTF-8.  A path is read and written
+as a binary stream, so it holds the same bytes as one.  The CLI's
+hashing sink is a binary stream: write_text encodes every writer's text
+for it.
 
 Every number read from text, in a trace, a grid CSV or a CLI flag, keeps
 one rule (plain): it is ASCII and holds no '_'; within that, it is
@@ -79,12 +79,11 @@ def _csv_chunks(header_lines, columns, texts):
 
 
 def write_text(dest, chunks) -> None:
-    """Write text chunks to a text stream, a binary stream (UTF-8) or the
-    file at path dest."""
+    """Write text chunks to a text stream, or as UTF-8 to a binary stream
+    or the file at path dest, which is written as a binary stream."""
     if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        return
+        with open(dest, "wb") as fh:
+            return write_text(fh, chunks)
     chunks = iter(chunks)
     first = next(chunks, "")
     try:

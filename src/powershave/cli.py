@@ -385,50 +385,45 @@ def build_parser() -> argparse.ArgumentParser:
         add(group, "--threshold-frac", type=plain_float, default=None,
             help="threshold as a fraction of rack max power")
 
-    p = sub.add_parser("synth", allow_abbrev=False, help="generate a synthetic rack trace")
+    def command(name, func, help, trace=True):
+        p = sub.add_parser(name, allow_abbrev=False, help=help)
+        p.set_defaults(func=func)
+        if trace:
+            add(p, "--trace", required=True, help="trace CSV path")
+        return p
+
+    p = command("synth", _cmd_synth, "generate a synthetic rack trace", trace=False)
     add(p, "--config", default="default",
         help="synth config JSON path, or 'default' for the shipped workload")
     add(p, "--seed", type=plain_int, default=None, help="override the config seed")
-    add(p, "--out", default=None, help="output directory")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("analyze", allow_abbrev=False, help="detect spikes and export statistics")
-    add(p, "--trace", required=True, help="trace CSV path")
+    p = command("analyze", _cmd_analyze, "detect spikes and export statistics")
     add_threshold_flags(p)
     add(p, "--bins", default=None,
         help="energy histogram bin edges, comma separated joules")
-    add(p, "--out", default=None, help="output directory")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", allow_abbrev=False, help="run the shaving simulation")
-    add(p, "--trace", required=True, help="trace CSV path")
+    p = command("simulate", _cmd_simulate, "run the shaving simulation")
     add(p, "--device", required=True,
         help="device spec path, builtin name, 'none', or 'ideal'")
     add(p, "--config", default=None, help="sim config JSON path")
     add_threshold_flags(p)
-    add(p, "--out", default=None, help="output directory")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", allow_abbrev=False, help="tabulate gpus_saved over a grid")
-    add(p, "--trace", required=True, help="trace CSV path")
+    p = command("sweep", _cmd_sweep, "tabulate gpus_saved over a grid")
     add(p, "--axes-threshold", default=None, metavar="START:STOP:STEP",
         help=_axis_help("threshold fraction axis", DEFAULT_THRESHOLD_FRACS))
     add(p, "--axes-burst", default=None, metavar="START:STOP:STEP",
         help=_axis_help("burst length axis in seconds", DEFAULT_BURST_LENGTHS_S))
     add(p, "--gpu-unit-w", type=plain_float, default=SimConfig.gpu_unit_w,
         help="per-accelerator power for shutdown accounting")
-    add(p, "--out", default=None, help="output directory")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("compare", allow_abbrev=False,
-                       help="compare shaving strategies on one trace")
-    add(p, "--trace", required=True, help="trace CSV path")
+    p = command("compare", _cmd_compare, "compare shaving strategies on one trace")
     # default=None: with action="append", argparse would append to a list.
     add(p, "--device", action="append", default=None,
         help="strategy to include (repeatable); defaults to " + ", ".join(_COMPARE_DEFAULT))
     add(p, "--config", default=None, help="sim config JSON path")
-    add(p, "--out", default=None, help="output directory")
-    p.set_defaults(func=_cmd_compare)
+
+    for p in sub.choices.values():
+        add(p, "--out", default=None, help="output directory")
 
     return parser
 

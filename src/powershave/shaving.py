@@ -514,7 +514,7 @@ class _Shedding:
     def _state(self):
         holds = self.holds
         expiry, blocked = holds[0] if holds else (self.n, 0)
-        if self.in_event and self.restart > 0.0 and self.event_gpus > blocked:
+        if self.in_event and self.event_gpus > blocked:
             blocked = self.event_gpus
         return blocked * self.gpu_w, expiry, self.in_event
 
@@ -541,7 +541,7 @@ class _Shedding:
             return self._state()
         self.in_event = False
         gpus = self.event_gpus
-        if self.restart > 0.0 and gpus > 0:
+        if gpus > 0:
             # The hold expires at the first step j > i with
             # i*dt + restart <= j*dt + 1e-12, or at n when no step before n
             # qualifies.  j*dt is monotone in j, so j is found once: the
@@ -733,17 +733,16 @@ def _derated_j(served, temp, config: SimConfig, dt: float) -> float:
 def _useful_j(served, dummy, config: SimConfig, dt: float) -> float:
     """useful_compute_j of the result simulate_shaving builds from a series
     pass's served and dummy power, bit for bit, walking the thermal node
-    only when de-rating can bite.
+    only when it can pass t_derate_c.
 
-    Where derate_slope_per_c is 0, or _node_bound_c shows that no
-    temperature passes t_derate_c, every factor is exactly 1.0, and
-    served * 1.0 is served, so the sum of served * dt has the formula's
-    bits."""
-    if config.derate_slope_per_c:
-        g = _node_input(served, dummy, config, np.empty(served.shape[0]))
-        if _node_bound_c(g, config, dt) > config.t_derate_c:
-            _thermal_walk(memoryview(g), config.t_ambient_c, config, dt)
-            return _derated_j(served, g, config, dt)
+    Where _node_bound_c shows that no temperature passes t_derate_c, every
+    factor is exactly 1.0, and served * 1.0 is served, so the sum of
+    served * dt has the formula's bits.  A zero derate_slope_per_c takes
+    the same path: its factors are 1.0 wherever the walk goes."""
+    g = _node_input(served, dummy, config, np.empty(served.shape[0]))
+    if _node_bound_c(g, config, dt) > config.t_derate_c:
+        _thermal_walk(memoryview(g), config.t_ambient_c, config, dt)
+        return _derated_j(served, g, config, dt)
     return float(np.sum(served) * dt)
 
 

@@ -130,10 +130,11 @@ def detect_spikes(trace: PowerTrace, threshold: ThresholdSpec) -> list[Spike]:
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""
+    """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value, or
+    0.0 when there are no values."""
     n = sorted_values.size
     rank = max(1, math.ceil(pct / 100.0 * n))
-    return float(sorted_values[rank - 1])
+    return float(sorted_values[rank - 1]) if n else 0.0
 
 
 def spike_statistics(spikes: list[Spike],
@@ -142,28 +143,18 @@ def spike_statistics(spikes: list[Spike],
 
     Energies falling outside the histogram range are clamped into the end
     bins, so the counts always sum to the spike count.  An empty list
-    yields a stats record flagged empty with zeroed fields.
+    yields a stats record flagged empty with zeroed fields: every
+    percentile, fraction and mean of no spike reads 0.0, and every count 0.
 
     energy_bin_edges must be a strictly increasing list of at least two
     numbers (_textio.increasing_numbers), the one check of the edges,
     which the analyze command's --bins reaches too; ValueError naming
-    energy_bin_edges otherwise.  Both branches store the edges as that
-    tuple of Python floats and the counts as Python ints.
+    energy_bin_edges otherwise.  The edges are stored as that tuple of
+    Python floats and the counts as Python ints.
     """
     edges = increasing_numbers("energy_bin_edges", energy_bin_edges, 2)
-
-    if not spikes:
-        return SpikeStats(
-            count=0,
-            duration_percentiles={f"p{p}": 0.0 for p in _PCT_LEVELS},
-            frac_leq_100ms=0.0,
-            energy_bin_edges=edges,
-            energy_counts=(0,) * (len(edges) - 1),
-            energy_mean_j=0.0,
-            peak_frac_quantiles={f"p{p}": 0.0 for p in _PCT_LEVELS},
-            empty=True,
-        )
-
+    count = len(spikes)
+    # An empty list gives empty float arrays, as np.array([]) is float64.
     durations = np.sort(np.array([sp.duration_s for sp in spikes]))
     energies = np.array([sp.energy_above_j for sp in spikes])
     peak_fracs = np.sort(np.array([sp.peak_frac for sp in spikes]))
@@ -175,14 +166,15 @@ def spike_statistics(spikes: list[Spike],
     counts, _ = np.histogram(clamped, bins=edges)
 
     return SpikeStats(
-        count=len(spikes),
+        count=count,
         duration_percentiles={f"p{p}": _nearest_rank(durations, p) for p in _PCT_LEVELS},
-        frac_leq_100ms=float(np.mean(leq)),
+        # np.mean of no values warns, so no spike reads 0.0 by hand.
+        frac_leq_100ms=float(np.mean(leq)) if count else 0.0,
         energy_bin_edges=edges,
         energy_counts=tuple(int(c) for c in counts),
-        energy_mean_j=float(energies.mean()),
+        energy_mean_j=float(energies.mean()) if count else 0.0,
         peak_frac_quantiles={f"p{p}": _nearest_rank(peak_fracs, p) for p in _PCT_LEVELS},
-        empty=False,
+        empty=count == 0,
     )
 
 

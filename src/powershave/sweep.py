@@ -193,7 +193,7 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
 
     Each row's numbers are those of simulate_shaving's result, bit for
     bit, but compare runs only the series pass (shaving._simulate_series)
-    and walks the thermal node only where de-rating can bite: when a
+    and walks the thermal node only where it can pass t_derate_c: when a
     proven bound on the node (shaving._node_bound_c) stays at or below
     t_derate_c, every de-rating factor is exactly 1.0, so the useful
     energy is the served energy, and the walk would change no bit.

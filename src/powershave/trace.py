@@ -749,8 +749,6 @@ def synthesize_trace(config: SynthConfig) -> PowerTrace:
             dur = min(max((energy - edge_j) / excess, plateau_lo), plateau_hi)
         i0 = max(0, math.floor((t0 - edge) / config.dt_s))
         i1 = min(n_steps, math.ceil((t0 + dur + edge) / config.dt_s) + 1)
-        if i0 >= i1:
-            continue
         seg_t = t[i0:i1]
         xp = np.array([t0 - edge, t0, t0 + dur, t0 + dur + edge])
         fp = np.array([0.0, peak, peak, 0.0])

@@ -7,7 +7,8 @@ invariants are exercised by every suite run, not just by one dedicated
 test.
 
 Every command-line test should start the program through run_cli(), which
-runs ``python -m powershave`` on the same package this suite imported.
+runs ``python -m powershave`` on the same package this suite imported, with
+every warning an error, as pytest makes one in this process.
 """
 
 import dataclasses
@@ -108,6 +109,9 @@ def run_cli(args, cwd, env_extra=None):
 
     The child gets this process's environment without POWERSHAVE_OUT, plus
     env_extra, with PACKAGE_ROOT ahead of any inherited PYTHONPATH entries.
+    It runs with -W error, so a warning fails the command, and with
+    -X warn_default_encoding, so text I/O that takes the locale's encoding
+    warns.
     """
     env = os.environ.copy()
     env.pop("POWERSHAVE_OUT", None)
@@ -116,7 +120,8 @@ def run_cli(args, cwd, env_extra=None):
                          else PACKAGE_ROOT)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "powershave", *args],
+    return subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error",
+                           "-m", "powershave", *args],
                           cwd=str(cwd), env=env, capture_output=True, text=True,
                           encoding="utf-8")
 

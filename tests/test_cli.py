@@ -742,6 +742,17 @@ def test_non_finite_number_in_a_flag_list_is_refused_by_its_position(
     assert not out.exists()
 
 
+def test_as_flags_re_raises_an_unmapped_field_unchanged():
+    # "seeds" only starts like the mapped "seed": its word is not a field
+    # that flags maps, so the refusal is not renamed.
+    exc = ValueError("seeds must be x")
+    with pytest.raises(ValueError) as err:
+        with cli._as_flags({"seed": "--seed"}):
+            raise exc
+    assert err.value is exc
+    assert str(err.value) == "seeds must be x"
+
+
 # A command that takes each flag of parser.value_flags, the flags it needs
 # besides, and a value it runs with.
 FLAG_USES = {

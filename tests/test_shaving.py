@@ -318,6 +318,13 @@ def test_node_bound_gives_up_on_negative_or_nan_input(bad):
     assert shaving._node_bound_c(g, cfg, 0.005) == math.inf
 
 
+def test_node_bound_gives_up_on_block_sums_that_overflow():
+    # Each 100-step block of 1e308 sums past the largest double: the bound
+    # is inf, with no overflow warning (pytest makes one an error).
+    g = np.full(200, 1e308)
+    assert shaving._node_bound_c(g, SimConfig(), 0.005) == math.inf
+
+
 def test_node_bound_is_tight_on_the_shipped_trace(preset_results):
     # The bound sits within a degree of the walk's maximum, below the
     # de-rating knee: this is why compare walks no node by default.

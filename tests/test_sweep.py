@@ -644,14 +644,18 @@ def test_compare_rows_equal_direct_simulations(cmp_setup, listing):
                for row, (_, kind) in zip(rows, listing) if kind == "none")
 
 
-@pytest.mark.parametrize("t_derate_c, walks", [(70.0, 0), (63.0, 2), (25.0, 5)],
-                         ids=["bites-nowhere", "bites-battery-and-ideal", "bites-everywhere"])
+@pytest.mark.parametrize("t_derate_c, derate_slope_per_c, walks", [
+    (70.0, SimConfig.derate_slope_per_c, 0), (63.0, SimConfig.derate_slope_per_c, 2),
+    (25.0, SimConfig.derate_slope_per_c, 5), (25.0, 0.0, 5),
+], ids=["bites-nowhere", "bites-battery-and-ideal", "bites-everywhere", "zero-slope"])
 def test_compare_rows_equal_direct_simulations_where_derating_bites(
-        default_trace, monkeypatch, t_derate_c, walks):
+        default_trace, monkeypatch, t_derate_c, derate_slope_per_c, walks):
     # On the shipped trace the nodes peak at 62.1 C (none, capacitor,
     # supercap) and 64.2 C (battery, ideal), so at 63 C compare walks two
-    # nodes and skips three.
-    cfg = SimConfig(t_derate_c=t_derate_c)
+    # nodes and skips three.  A zero slope takes the same path: at 25 C,
+    # t_ambient_c, every node passes t_derate_c and is walked, and every
+    # factor is 1.0.
+    cfg = SimConfig(t_derate_c=t_derate_c, derate_slope_per_c=derate_slope_per_c)
     pairs = [(name, strategy_spec(name)) for name in STRATEGIES]
     walked = []
     walk = shaving._thermal_walk

@@ -11,6 +11,7 @@ Covers:
 """
 
 import functools
+import hashlib
 import io
 import math
 import re
@@ -1016,6 +1017,18 @@ def test_synth_two_samples_is_the_least():
     buf = io.StringIO()
     ps.write_trace(tr, buf)
     assert ps.load_trace(io.StringIO(buf.getvalue())).n_samples == 2
+
+
+def test_synth_burst_after_the_last_sample_changes_nothing():
+    # Two inference bursts start at t0 = 10.012 s and 10.031 s, so their
+    # windows begin after the last sample, at 9.9 s: each still takes its
+    # random draws and touches no sample.  The digest pins the samples.
+    cfg = replace(ps.DEFAULT_SYNTH_CONFIG, n_accelerators=4, dt_s=0.1, duration_s=10.04,
+                  inference_rate_hz=100.0, seed=7)
+    tr = ps.synthesize_trace(cfg)
+    assert tr.n_samples == 100
+    assert hashlib.sha256(tr.samples.tobytes()).hexdigest() == (
+        "acb55f4502142d2cbb5dc6265ecd95c6ae0700acba7e0e583ac13b1a1834c517")
 
 
 def test_synth_power_ordering_validated():

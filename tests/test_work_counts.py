@@ -5,8 +5,8 @@ Each expected count is a relation to the result's own series, so a change
 that keeps every output but does more work fails here.  A change that
 moves a count on purpose says why in CHANGES.md.
 
- 1. compare walks the thermal node only where de-rating can bite;
-    simulate walks it once
+ 1. compare walks the thermal node where its bound passes t_derate_c,
+    whatever the slope; simulate walks it once
  2. the device halves are called only on the steps that discharge or
     charge the device
  3. the battery is walked over the runs above the threshold and the
