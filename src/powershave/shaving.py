@@ -33,14 +33,15 @@ served energy in the computational-gain metric (the simulation itself
 never throttles).  Because nothing in the step loop reads the
 temperature, the node is integrated after the loop, over the finished
 served and dummy series, by _thermal_walk, which thermal_step runs for
-one step.  simulate_shaving walks every step, as it exports the series.
-compare_strategies needs only the useful energy, so it first takes a
-proven upper bound on the node (_node_bound_c, a few array passes) and
-walks only where that bound passes t_derate_c: below it every de-rating
-factor is exactly 1.0 and the walk could change no bit of the energy.
-Both run one series pass, _simulate_series, which also takes the ramp
-check and the curtailed GPU-seconds; simulate_shaving adds the
-temperature series.
+one step.  simulate_shaving runs the loop, the grid feed, the ramp check
+and the curtailed GPU-seconds, and walks no node: a ShavingResult walks
+its own node the first time its temperature_c is read, as write_result_csv
+does, and keeps it.  useful_compute_j first takes a proven upper bound on
+the node (_node_bound_c, a few array passes) and reads the temperature
+only where that bound passes t_derate_c: below it every de-rating factor
+is exactly 1.0 and the walk could change no bit of the energy.  So
+compare_strategies, which needs only the summaries, walks no node on a
+trace that stays below the knee.
 
 Only the steps that can change state run as scalar code.  The ideal
 device delivers the whole deficit, so it is array code.  Every other
@@ -73,6 +74,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +115,10 @@ _BALANCE_TOL_FRAC = 1e-6
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The simulation's settings, and the one home of the default threshold
+    (0.7 of rack max) and accelerator unit (700 W), which analyze,
+    simulate, gpus_saved, sweep_gpus_saved and --gpu-unit-w take from it."""
+
     threshold: ThresholdSpec = ThresholdSpec(fraction_of_max=0.7)
     p_infra_w: float = field(default=20000.0, metadata=NON_NEGATIVE)
     # One tenth of the default rack scale per second: the feed follows
@@ -278,15 +284,17 @@ def derate_factor(temp_c, config: SimConfig):
 
 
 @dataclass(frozen=True)
-class _Series:
-    """What the series pass gives, for simulate and compare alike: every
-    field of a ShavingResult but the thermal node's temperature, which
-    only simulate_shaving adds.  A run's scalar figures are _figures of
-    it, so a new figure is a new field here.  All series share the trace
+class ShavingResult:
+    """Per-step series plus run totals.  All series share the trace
     length; stored_j is identically zero for the "none" and "ideal"
     strategies (nothing finite to track).  p_comp_demand is the trace's
-    samples array itself, so it is read-only.  ramp_violation_steps
-    holds the steps whose feed moved by more than the ramp limit allows."""
+    samples array itself, so it is read-only.  ramp_violation_steps holds
+    the steps whose feed moved by more than the ramp limit allows.
+
+    temperature_c, the thermal node at the end of each step, is not a
+    field: the first read walks the node over the record's own served and
+    dummy series and keeps the array.  So replace() gives a record that
+    walks its own series."""
 
     strategy: str
     threshold_w: float
@@ -314,31 +322,23 @@ class _Series:
 
     @property
     def peak_grid_w(self) -> float:
-        return float(self.p_grid.max()) if self.n_steps else 0.0
+        return float(self.p_grid.max())
 
     @property
     def final_stored_j(self) -> float:
-        return float(self.stored_j[-1]) if self.n_steps else 0.0
+        return float(self.stored_j[-1])
 
     @property
     def ramp_violation_count(self) -> int:
         return int(self.ramp_violation_steps.shape[0])
 
-
-def _figures(series: _Series) -> dict:
-    """A run's scalar figures: _Series' scalar fields plus n_steps,
-    final_stored_j, peak_grid_w and ramp_violation_count."""
-    names = [f.name for f in fields(_Series) if f.type in ("str", "float", "int")]
-    names += ["n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count"]
-    return {name: getattr(series, name) for name in names}
-
-
-@dataclass(frozen=True)
-class ShavingResult(_Series):
-    """Per-step series plus run totals: the series pass's _Series and the
-    temperature of the thermal node."""
-
-    temperature_c: np.ndarray
+    @cached_property
+    def temperature_c(self) -> np.ndarray:
+        temp = _node_input(self.p_comp_served, self.p_dummy, self.config,
+                           np.empty(self.n_steps))
+        _thermal_walk(memoryview(temp), self.config.t_ambient_c, self.config,
+                      self.dt_s)
+        return temp
 
 
 def _check_gpu_unit_w(rack_max_w: float, gpu_unit_w) -> float:
@@ -364,19 +364,11 @@ def _strategy_label(spec) -> str:
 
 def simulate_shaving(trace: PowerTrace, spec, config: SimConfig) -> ShavingResult:
     """Run the step-by-step co-simulation; see the module docstring for
-    the feed policies.  spec is a DeviceSpec, "none", or "ideal"."""
-    series = _simulate_series(trace, spec, config)
-    temp_a = _node_input(series.p_comp_served, series.p_dummy, config,
-                         np.empty(series.n_steps))
-    _thermal_walk(memoryview(temp_a), config.t_ambient_c, config, series.dt_s)
-    return ShavingResult(**vars(series), temperature_c=temp_a)
-
-
-def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
-    """The series pass of simulate_shaving: its checks, the step loop (or
-    the ideal device's array code), the grid feed, the ramp check and the
-    run totals.  Its one scratch series ends as curtailed_w, so the pass
-    holds no series beyond the ones it returns."""
+    the feed policies.  spec is a DeviceSpec, "none", or "ideal".  The
+    checks, the step loop (or the ideal device's array code), the grid
+    feed, the ramp check and the run totals; the thermal node waits for
+    the first read of temperature_c.  Its one scratch series ends as
+    curtailed_w, so the run holds no series beyond the ones it returns."""
     if not isinstance(trace, PowerTrace):
         raise ValueError("trace must be a PowerTrace")
     if not isinstance(config, SimConfig):
@@ -457,7 +449,7 @@ def _simulate_series(trace: PowerTrace, spec, config: SimConfig) -> _Series:
     curtailed_a -= 1e-9
     gpu_seconds = float(np.ceil(curtailed_a, out=curtailed_a).sum() * dt)
     np.subtract(demand_a, served_a, out=curtailed_a)
-    return _Series(
+    return ShavingResult(
         strategy=strategy,
         threshold_w=theta,
         dt_s=dt,
@@ -720,29 +712,19 @@ def _step_loop(demand_a, served_a, feed_a, discharge_a, charge_a, dummy_a,
 
 
 def useful_compute_j(result: ShavingResult) -> float:
-    """Served energy weighted by the thermal de-rating capacity factor."""
-    return _derated_j(result.p_comp_served, result.temperature_c, result.config,
-                      result.dt_s)
-
-
-def _derated_j(served, temp, config: SimConfig, dt: float) -> float:
-    """The one useful-energy formula."""
-    return float(np.sum(served * derate_factor(temp, config)) * dt)
-
-
-def _useful_j(served, dummy, config: SimConfig, dt: float) -> float:
-    """useful_compute_j of the result simulate_shaving builds from a series
-    pass's served and dummy power, bit for bit, walking the thermal node
-    only when it can pass t_derate_c.
+    """Served energy weighted by the thermal de-rating capacity factor,
+    reading temperature_c only where the node can pass t_derate_c.
 
     Where _node_bound_c shows that no temperature passes t_derate_c, every
     factor is exactly 1.0, and served * 1.0 is served, so the sum of
     served * dt has the formula's bits.  A zero derate_slope_per_c takes
     the same path: its factors are 1.0 wherever the walk goes."""
-    g = _node_input(served, dummy, config, np.empty(served.shape[0]))
-    if _node_bound_c(g, config, dt) > config.t_derate_c:
-        _thermal_walk(memoryview(g), config.t_ambient_c, config, dt)
-        return _derated_j(served, g, config, dt)
+    served, config, dt = result.p_comp_served, result.config, result.dt_s
+    # The node's input is dropped before a walk allocates the temperature.
+    bound = _node_bound_c(_node_input(served, result.p_dummy, config,
+                                      np.empty(result.n_steps)), config, dt)
+    if bound > config.t_derate_c:
+        return float(np.sum(served * derate_factor(result.temperature_c, config)) * dt)
     return float(np.sum(served) * dt)
 
 
@@ -769,8 +751,13 @@ def _gain_pct(useful_j: float, useful_base_j: float) -> float:
 # ---------------------------------------------------------------------------
 
 def result_summary_dict(result: ShavingResult) -> dict:
-    """The run's figures (_figures) and its useful_compute_j."""
-    return _figures(result) | {"useful_compute_j": useful_compute_j(result)}
+    """The run's figures, ShavingResult's scalar fields plus n_steps,
+    final_stored_j, peak_grid_w and ramp_violation_count, and its
+    useful_compute_j.  So a new figure is a new scalar field."""
+    names = [f.name for f in fields(ShavingResult) if f.type in ("str", "float", "int")]
+    names += ["n_steps", "final_stored_j", "peak_grid_w", "ramp_violation_count"]
+    return ({name: getattr(result, name) for name in names}
+            | {"useful_compute_j": useful_compute_j(result)})
 
 
 def write_result_csv(result: ShavingResult, dest) -> None:

@@ -11,9 +11,9 @@ One axis check (_check_axes) serves SweepGrid, sweep_gpus_saved,
 gpus_saved and the sweep command, whose refusals name each axis by its
 field; the command line puts the flag's name in the field's place.
 
-compare_strategies runs the shaving simulation once per named strategy
-on one trace and reports each against the device-free baseline, holding
-one simulation's series at a time.
+compare_strategies runs simulate_shaving once per named strategy on one
+trace and reports each run's result_summary_dict against the device-free
+baseline's, holding one simulation's series at a time.
 
 write_grid_csv, write_grid_json and write_comparison_csv write through
 _textio, to a path or a stream: the grid CSV through its column writer
@@ -34,10 +34,8 @@ from ._textio import (NON_NEGATIVE, check_fields, increasing_numbers, plain_int,
                       write_json, write_text)
 from .trace import PowerTrace
 from .spikes import ThresholdSpec, _runs_above
-from .shaving import (SimConfig, _check_gpu_unit_w, _figures, _gain_pct,
-                      _simulate_series, _units, _useful_j)
-# Unused here; bench/tracer.py patches sweep.simulate_shaving.
-from .shaving import simulate_shaving  # noqa: F401
+from .shaving import (SimConfig, _check_gpu_unit_w, _gain_pct, _units,
+                      result_summary_dict, simulate_shaving)
 
 __all__ = [
     "DEFAULT_THRESHOLD_FRACS",
@@ -172,6 +170,7 @@ class ComparisonRow:
 
 # (ComparisonRow field and CSV column, run figure) of each number after the
 # gain, in the row's field order; every figure is a result_summary_dict key.
+# A new column is one ComparisonRow field and one entry here.
 _ROW_FIGURES = (("dummy_energy_j", "total_dummy_energy_j"),
                 ("total_unserved_energy_j", "total_unserved_energy_j"),
                 ("device_energy_throughput_j", "device_energy_throughput_j"),
@@ -186,17 +185,12 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
     to the device-free run, which is computed regardless of whether it
     is listed.  Duplicate names, and names that ComparisonRow refuses
     (_check_strategy_name), are rejected before any simulation.  Each row
-    is the name, the gain and the _ROW_FIGURES of the run's summary
-    (_summary).  One simulation is alive at a time: the baseline's series
-    are dropped once its summary is taken, and every "none" row is built
-    from that summary.
-
-    Each row's numbers are those of simulate_shaving's result, bit for
-    bit, but compare runs only the series pass (shaving._simulate_series)
-    and walks the thermal node only where it can pass t_derate_c: when a
-    proven bound on the node (shaving._node_bound_c) stays at or below
-    t_derate_c, every de-rating factor is exactly 1.0, so the useful
-    energy is the served energy, and the walk would change no bit.
+    is the name, the gain and the _ROW_FIGURES of the run's
+    result_summary_dict.  One simulation is alive at a time: each result
+    is dropped once its summary is taken, and every "none" row is built
+    from the baseline's summary.  A summary reads no temperature where the
+    node stays at or below t_derate_c (useful_compute_j), so compare walks
+    the thermal node only where de-rating can bite.
     """
     pairs = [(name, spec) for name, spec in (
         strategies.items() if hasattr(strategies, "items") else strategies)]
@@ -209,29 +203,18 @@ def compare_strategies(trace: PowerTrace, strategies, config: SimConfig) -> list
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate strategy names: {dupes}")
 
-    base = _summary(trace, "none", config)
+    base = result_summary_dict(simulate_shaving(trace, "none", config))
     rows = []
     for name, spec in pairs:
         try:
-            summary = base if spec == "none" else _summary(trace, spec, config)
+            summary = (base if spec == "none" else
+                       result_summary_dict(simulate_shaving(trace, spec, config)))
             gain = _gain_pct(summary["useful_compute_j"], base["useful_compute_j"])
         except ValueError as exc:
             raise ValueError(f"strategy {name!r}: {exc}") from None
         rows.append(ComparisonRow(name, gain, **{
             column: summary[figure] for column, figure in _ROW_FIGURES}))
     return rows
-
-
-def _summary(trace, spec, config) -> dict:
-    """result_summary_dict of simulate_shaving(trace, spec, config), bit for
-    bit, from the series pass alone.  Of the series only the served and
-    dummy power outlive the figures, so the thermal node's input is never
-    held beside a whole run."""
-    series = _simulate_series(trace, spec, config)
-    figures = _figures(series)
-    served, dummy = series.p_comp_served, series.p_dummy
-    del series
-    return figures | {"useful_compute_j": _useful_j(served, dummy, config, trace.dt_s)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ block that array code refuses, and only names its first bad line: array
 code keeps the same rules, so a block of valid lines never reaches the
 walk, and the walk never has to hand back parsed values.
 
+PowerTrace refuses a time axis that load_trace's gap rule would refuse
+(one helper, _check_time_axis, serves both), and write_trace always
+writes the '# dt_s=' line that a one-sample file needs: every trace that
+constructs survives write_trace and load_trace, one sample included.
+
 A trace is a uniformly sampled power series for one accelerator rack.  The
 synthetic generator builds a rack trace as the sum of per-accelerator
 training cycles (compute burst, communication phase, idle tail, with

@@ -1,6 +1,7 @@
-"""The package's public names: each module lists its own, once.  The data
-files the package reads ship with it.  Only _textio names the UTF-8
-codec."""
+"""The package's public names: each module lists its own, once, and the
+README's package table names them.  The data files the package reads ship
+with it.  Only _textio names the UTF-8 codec, and the private names one
+module takes from another are pinned."""
 
 import ast
 import fnmatch
@@ -15,6 +16,7 @@ from conftest import PACKAGE_ROOT
 
 MODULES = ("trace", "spikes", "devices", "shaving", "sweep")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -52,3 +54,36 @@ def test_only_textio_names_the_utf8_codec():
     modules = sorted((Path(PACKAGE_ROOT) / "powershave").glob("*.py"))
     assert len(modules) > 5
     assert [path.name for path in modules if names_utf8(path)] == ["_textio.py"]
+
+
+def test_readme_package_table_names_each_modules_public_names():
+    rows = {line.split("|")[1].strip(): line for line in
+            README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `powershave.")}
+    for name in MODULES:
+        row = rows[f"`powershave.{name}`"]
+        missing = [entry for entry in importlib.import_module(f"powershave.{name}").__all__
+                   if f"`{entry}`" not in row]
+        assert missing == [], name
+
+
+# (module, sibling.name) of every private name that a package module
+# imports from a sibling: a new coupling is an edit here.
+PRIVATE_IMPORTS = {
+    ("shaving", "spikes._runs_above"),
+    ("sweep", "spikes._runs_above"),
+    ("sweep", "shaving._check_gpu_unit_w"),
+    ("sweep", "shaving._gain_pct"),
+    ("sweep", "shaving._units"),
+    ("cli", "sweep._check_axes"),
+}
+
+
+def test_private_names_taken_from_sibling_modules_are_pinned():
+    taken = set()
+    for path in sorted((Path(PACKAGE_ROOT) / "powershave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                taken.update((path.stem, f"{node.module}.{alias.name}")
+                             for alias in node.names if alias.name.startswith("_"))
+    assert taken == PRIVATE_IMPORTS

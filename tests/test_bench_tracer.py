@@ -1,8 +1,9 @@
 """bench/tracer.py's contract with the CLI: the benchmark's span tracer
 wraps the library functions in cli's namespace when a traced pass starts,
 and counts bytes from their arguments.  The CLI must look each loader up at
-call time and pass load_trace the path first, or the traced figures go
-wrong while every output stays right.  The tracer is loaded by path and
+call time and pass load_trace the path first, and compare_strategies must
+run through sweep.simulate_shaving, or the traced figures go wrong while
+every output stays right.  The tracer is loaded by path and
 run as the benchmark runs it."""
 
 import importlib.util
@@ -44,3 +45,7 @@ def test_traced_commands_count_every_load_and_export(tmp_path, capsys):
     assert totals["trace.load_trace"][0] == 4
     assert tracer.counts["trace.csv_bytes"] == 4 * os.path.getsize(trace)
     assert tracer.counts["shaving.csv_bytes"] == os.path.getsize(out / "shaving.csv")
+    # compare's five runs go through sweep.simulate_shaving, so the tracer
+    # spans them beside simulate's own run.
+    assert tracer.counts["sweep.simulations"] == 5
+    assert totals["shaving.simulate_shaving"][0] == 6

@@ -569,7 +569,7 @@ def test_compare_empty_rejected(spiky_trace):
 def test_strategy_name_the_csv_cannot_hold_is_refused_before_any_simulation(
         spiky_trace, monkeypatch, name):
     # comparison.csv would split such a name over two fields or two lines.
-    monkeypatch.setattr(sweep, "_simulate_series", None)
+    monkeypatch.setattr(sweep, "simulate_shaving", None)
     message = f"strategy name {name!r} must not hold ',', '\"' or a line break"
     with pytest.raises(ValueError) as err:
         ps.compare_strategies(spiky_trace, [("none", "none"), (name, "ideal")], SimConfig())
@@ -584,7 +584,7 @@ def test_strategy_name_that_is_not_text_is_refused_before_any_simulation(
         spiky_trace, monkeypatch, name):
     # A row named 5 would build, and write_comparison_csv then fail on it.
     calls = []
-    monkeypatch.setattr(sweep, "_simulate_series", lambda *args: calls.append(args))
+    monkeypatch.setattr(sweep, "simulate_shaving", lambda *args: calls.append(args))
     message = f"strategy name must be a string, got {name!r}"
     with pytest.raises(ValueError) as err:
         ps.compare_strategies(spiky_trace, [(name, "none")], SimConfig())
@@ -690,8 +690,8 @@ def test_compare_takes_a_mapping(cmp_setup):
 
 def test_compare_holds_one_simulation_at_a_time(cmp_setup, monkeypatch):
     trace, cfg, _ = cmp_setup
-    simulate = sweep._simulate_series
-    results = []        # a weak reference to each simulation's series
+    simulate = sweep.simulate_shaving
+    results = []        # a weak reference to each simulation's result
     alive_at_start = []
 
     def recording(*args):
@@ -700,7 +700,7 @@ def test_compare_holds_one_simulation_at_a_time(cmp_setup, monkeypatch):
         results.append(weakref.ref(result))
         return result
 
-    monkeypatch.setattr(sweep, "_simulate_series", recording)
+    monkeypatch.setattr(sweep, "simulate_shaving", recording)
     pairs = [(name, strategy_spec(name)) for name in STRATEGIES]
     rows = ps.compare_strategies(trace, pairs, cfg)
     assert len(rows) == len(STRATEGIES)
@@ -761,15 +761,13 @@ def test_comparison_csv_layout(cmp_setup):
 
 
 def test_row_figures_are_summary_figures_in_the_csv_columns(cmp_setup):
-    # Each row number after the gain is a figure of the run's summary, and
-    # compare's summary is simulate's, bit for bit.
+    # Each row number after the gain is a figure of the run's summary.
     trace, cfg, rows = cmp_setup
-    for name in STRATEGIES:
-        spec = strategy_spec(name)
-        want = ps.result_summary_dict(ps.simulate_shaving(trace, spec, cfg))
-        got = sweep._summary(trace, spec, cfg)
-        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
-    assert {figure for _, figure in sweep._ROW_FIGURES} <= set(want)
+    for row in rows:
+        want = ps.result_summary_dict(
+            ps.simulate_shaving(trace, strategy_spec(row.strategy_name), cfg))
+        assert [repr(getattr(row, column)) for column, _ in sweep._ROW_FIGURES] == [
+            repr(want[figure]) for _, figure in sweep._ROW_FIGURES], row.strategy_name
     buf = io.StringIO()
     ps.write_comparison_csv(rows, buf)
     assert buf.getvalue().splitlines()[0] == ",".join(

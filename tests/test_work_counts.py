@@ -5,8 +5,9 @@ Each expected count is a relation to the result's own series, so a change
 that keeps every output but does more work fails here.  A change that
 moves a count on purpose says why in CHANGES.md.
 
- 1. compare walks the thermal node where its bound passes t_derate_c,
-    whatever the slope; simulate walks it once
+ 1. a result walks its thermal node on the first read of temperature_c,
+    once; compare reads it only where its bound passes t_derate_c,
+    whatever the slope, and simulate once, to write shaving.csv
  2. the device halves are called only on the steps that discharge or
     charge the device
  3. the battery is walked over the runs above the threshold and the
@@ -56,25 +57,61 @@ def test_compare_walks_no_node_where_derating_cannot_bite(default_trace, monkeyp
     # On the shipped trace no node comes near t_derate_c (70 C): the
     # bound reads 62-65 C for every strategy.
     walks = _counting(monkeypatch, shaving, "_thermal_walk")
-    series = _counting(monkeypatch, sweep, "_simulate_series")
+    runs = _counting(monkeypatch, sweep, "simulate_shaving")
     ps.compare_strategies(default_trace, DEFAULT_PAIRS, SimConfig())
-    assert len(series) == len(STRATEGIES)
+    assert len(runs) == len(STRATEGIES)
     assert walks == []
 
 
-def test_simulate_walks_the_node_once(default_trace, monkeypatch):
+def test_simulate_walks_the_node_once_to_write_its_csv(default_trace, monkeypatch):
     walks = _counting(monkeypatch, shaving, "_thermal_walk")
-    ps.simulate_shaving(default_trace, builtin_device_spec("supercap"), SimConfig())
+    result = ps.simulate_shaving(default_trace, builtin_device_spec("supercap"), SimConfig())
+    assert walks == []
+    # The simulate command's two outputs, in its order.
+    ps.write_result_csv(result, io.StringIO())
+    ps.write_result_summary_json(result, io.StringIO())
     assert [len(args[0]) for args in walks] == [default_trace.n_samples]
 
 
 def test_compare_walks_each_simulation_where_derating_bites(default_trace, monkeypatch):
     walks = _counting(monkeypatch, shaving, "_thermal_walk")
-    series = _counting(monkeypatch, sweep, "_simulate_series")
+    runs = _counting(monkeypatch, sweep, "simulate_shaving")
     cfg = SimConfig(t_derate_c=SimConfig.t_ambient_c)
     ps.compare_strategies(default_trace, DEFAULT_PAIRS, cfg)
-    assert len(series) == len(STRATEGIES)
-    assert [len(args[0]) for args in walks] == [default_trace.n_samples] * len(series)
+    assert len(runs) == len(STRATEGIES)
+    assert [len(args[0]) for args in walks] == [default_trace.n_samples] * len(runs)
+
+
+def _walked_node(served, dummy, config, dt) -> np.ndarray:
+    temp = shaving._node_input(served, dummy, config, np.empty(served.shape[0]))
+    shaving._thermal_walk(memoryview(temp), config.t_ambient_c, config, dt)
+    return temp
+
+
+def test_temperature_is_walked_on_first_read_and_kept(short_trace, monkeypatch):
+    cfg = SimConfig()
+    want_walk = shaving._thermal_walk
+    walks = _counting(monkeypatch, shaving, "_thermal_walk")
+    result = ps.simulate_shaving(short_trace, builtin_device_spec("capacitor"), cfg)
+    assert walks == []
+    first = result.temperature_c
+    assert len(walks) == 1
+    assert result.temperature_c is first
+    assert len(walks) == 1
+    monkeypatch.setattr(shaving, "_thermal_walk", want_walk)
+    want = _walked_node(result.p_comp_served, result.p_dummy, cfg, result.dt_s)
+    assert first.tobytes() == want.tobytes()
+
+
+def test_replaced_series_walk_their_own_node(short_trace):
+    cfg = SimConfig()
+    result = ps.simulate_shaving(short_trace, "none", cfg)
+    stale = result.temperature_c
+    served = result.p_comp_served * 0.5
+    moved = dataclasses.replace(result, p_comp_served=served)
+    want = _walked_node(served, result.p_dummy, cfg, result.dt_s)
+    assert moved.temperature_c.tobytes() == want.tobytes()
+    assert not np.array_equal(moved.temperature_c, stale)
 
 
 # ---------------------------------------------------------------------------
