@@ -18,6 +18,14 @@ as a binary stream, so it holds the same bytes as one.  The CLI's
 hashing sink is a binary stream: write_text encodes every writer's text
 for it.
 
+read_config is the one reader of every JSON record (the synth config,
+the sim config, a device spec, the grid), and _config checks each level
+of a record, the top one and every nested config, in one function.  It
+refuses, in this order and naming the record (a nested one by its
+field): text that is not UTF-8 or not JSON, a value that is not an
+object, unknown fields, then missing required ones; each value is the
+dataclass's own check.
+
 Every number read from text, in a trace, a grid CSV or a CLI flag, keeps
 one rule (plain): it is ASCII and holds no '_'; within that, it is
 what float() or int() accepts.  A number in a list of fields (a grid CSV
@@ -226,24 +234,12 @@ def plain_numbers(fields, what: str, kind=plain_float, first: int = 1) -> tuple:
     return tuple(values)
 
 
-def read_json_object(source, what: str) -> dict:
-    """The JSON object in source (see read_text).  Raises ValueError,
-    naming what, for text that is not UTF-8 or not JSON, or whose value is
-    not an object."""
-    text = read_text(source, what)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad {what} JSON: {exc}") from None
+def _config(cls, data, what: str):
+    """The dataclass cls from the JSON value data, refused as read_config
+    says; a field whose default is a config is read the same way, named
+    by its field."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
-    return data
-
-
-def check_json_fields(cls, data: dict, what: str) -> None:
-    """Raise ValueError naming the fields of a JSON object that the
-    dataclass cls does not declare, or requires and lacks.  Their values
-    are the dataclass's own check."""
     declared = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(declared)
     if unknown:
@@ -252,25 +248,26 @@ def check_json_fields(cls, data: dict, what: str) -> None:
                if f.default is MISSING and f.default_factory is MISSING} - set(data)
     if missing:
         raise ValueError(f"missing {what} fields: {sorted(missing)}")
-
-
-def _config(cls, data: dict, what: str):
-    check_json_fields(cls, data, what)
-    data = dict(data)
-    for f in fields(cls):
-        if is_dataclass(f.default) and f.name in data:
-            if not isinstance(data[f.name], dict):
-                raise ValueError(f"{f.name} must be a JSON object")
-            data[f.name] = _config(type(f.default), data[f.name], f.name)
-    return cls(**data)
+    return cls(**{f.name: _config(type(f.default), data[f.name], f.name)
+                  if is_dataclass(f.default) else data[f.name]
+                  for f in fields(cls) if f.name in data})
 
 
 def read_config(cls, source, what: str):
     """The config dataclass cls from the JSON object in source, in the form
-    write_config writes.  A field that the object lacks takes its default;
-    an unknown field, a missing required one or a value the dataclass
-    refuses raises ValueError naming it."""
-    return _config(cls, read_json_object(source, what), what)
+    write_config writes; the one reader of every JSON record.  A field
+    that the object lacks takes its default.  Raises ValueError, in this
+    order, for text that is not UTF-8 ("<what> line N: not UTF-8 text"),
+    text that is not JSON ("bad <what> JSON: ..."), a value that is not an
+    object ("<what> must be a JSON object"), an unknown field ("unknown
+    <what> fields: [...]"), a missing required one ("missing <what>
+    fields: [...]"); then each nested config is read the same way, named
+    by its field, before any value the dataclass itself refuses."""
+    try:
+        data = json.loads(read_text(source, what))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad {what} JSON: {exc}") from None
+    return _config(cls, data, what)
 
 
 def _config_dict(obj) -> dict:

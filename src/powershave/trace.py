@@ -119,9 +119,14 @@ class PowerTrace:
                 or label != label.strip()):
             raise ValueError("source_label must be text with no line break and no "
                              f"outer blanks, got {label!r}")
-        arr = np.array(self.samples, dtype=float)
+        arr = np.asarray(self.samples)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
+        # A float copy would drop imaginary parts, read bools as 0 and 1,
+        # and refuse a string or None without naming the field.
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"samples must be real numbers, got an array of {arr.dtype}")
+        arr = np.array(arr, dtype=float)
         if np.any(~np.isfinite(arr)):
             raise ValueError("samples must be finite")
         if np.any(arr < 0.0):

@@ -56,6 +56,22 @@ def test_only_textio_names_the_utf8_codec():
     assert [path.name for path in modules if names_utf8(path)] == ["_textio.py"]
 
 
+def test_json_codec_lives_in_textio_and_the_cli_digest():
+    # read_config and write_json are the one JSON reader and writer; the
+    # only other use is the CLI's compact dump (_write_compact_json).  A
+    # second reader or writer is an edit here.
+    uses = set()
+    for path in sorted((Path(PACKAGE_ROOT) / "powershave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                uses.update((path.stem, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "json"):
+                uses.add((path.stem, node.attr))
+    assert uses == {("_textio", "dumps"), ("_textio", "loads"),
+                    ("_textio", "JSONDecodeError"), ("cli", "dumps")}
+
+
 def test_readme_package_table_names_each_modules_public_names():
     rows = {line.split("|")[1].strip(): line for line in
             README.read_text(encoding="utf-8").splitlines()

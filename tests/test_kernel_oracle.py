@@ -16,6 +16,13 @@ valid batteries and passive devices (SOC windows, efficiency below 1, zero
 charge rating, switch latency that is not a multiple of dt).  Every series
 must match bit for bit, every total by repr, and the ramp-violation steps
 exactly.
+
+device_step is checked against reference_device_step on its own, step by
+step, over seeded sequences of discharge requests, charge offers and idle
+steps for every kind: battery switch latencies of zero, below dt, equal
+to dt and not a multiple of dt, efficiency below 1, a zero charge rating
+and narrowed SOC windows.  Each step's (delivered, absorbed, DeviceState)
+must match by repr.
 """
 
 import math
@@ -489,6 +496,29 @@ def test_cases_reach_every_branch(cases):
     assert min(seen.values()) >= 10, seen
 
 
+def _steps_match(spec, state, dt, rng, n_steps, label):
+    """Step device_step and reference_device_step side by side from state
+    through runs of discharge requests, charge offers and idle steps, in
+    random order and length, until a run ends at or past n_steps.  Each
+    step's (delivered, absorbed, new state) must match by repr, so bit
+    for bit and type for type.  Returns each step's (delivered, absorbed,
+    new state)."""
+    ref = state
+    out = []
+    while len(out) < n_steps:
+        side = rng.integers(3)
+        for _ in range(int(rng.integers(1, 12))):
+            amount = float(rng.uniform(0.0, 1.5 * spec.max_discharge_w))
+            request, offer = ((amount, 0.0) if side == 0 else
+                              (0.0, amount) if side == 1 else (0.0, 0.0))
+            *got, state = ps.device_step(spec, state, request, offer, dt)
+            *want, ref = reference_device_step(spec, ref, request, offer, dt)
+            assert repr((got, state)) == repr((want, ref)), (
+                f"{label} step {len(out)}: {got, state} != {want, ref}")
+            out.append((*got, state))
+    return out
+
+
 @pytest.mark.parametrize("kind", DEVICE_KINDS)
 def test_device_step_matches_reference(kind):
     # simulate_shaving never offers a battery charge (its feed stops at
@@ -502,16 +532,64 @@ def test_device_step_matches_reference(kind):
         state = init_state(spec)
         if rng.random() < 0.5:
             state = replace(state, mode="discharging")
-        ref = state
-        steps = 0
-        while steps < 200:
-            side = rng.integers(3)
-            for _ in range(int(rng.integers(1, 12))):
-                amount = float(rng.uniform(0.0, 1.5 * spec.max_discharge_w))
-                request, offer = ((amount, 0.0) if side == 0 else
-                                  (0.0, amount) if side == 1 else (0.0, 0.0))
-                *got, state = ps.device_step(spec, state, request, offer, dt)
-                *want, ref = reference_device_step(spec, ref, request, offer, dt)
-                assert repr((got, state)) == repr((want, ref)), (
-                    f"{kind} case {k} step {steps}: {got, state} != {want, ref}")
-                steps += 1
+        _steps_match(spec, state, dt, rng, 200, f"{kind} case {k}")
+
+
+# Battery switch latencies in steps of dt: none, below one step, exactly
+# one step, and two that are not a whole number of steps.
+_LATENCY_STEPS = (0.0, 0.4, 1.0, 2.5, 3.7)
+
+
+def _step_case(k, kind):
+    """(spec, starting state, dt, rng) of seeded device-step case k.  A
+    battery's latency cycles through _LATENCY_STEPS; odd cases raise
+    soc_min_frac and cases not divisible by 3 lower soc_max_frac; every
+    fourth case keeps the default efficiency (battery) or lag (passive),
+    the others draw one; every fifth has a zero charge rating."""
+    rng = np.random.default_rng([20261022, k])
+    dt = float(rng.choice([0.001, 0.005, 0.01, 0.05, rng.uniform(0.001, 0.05)]))
+    lo = float(rng.uniform(0.0, 0.4)) if k % 2 else 0.0
+    hi = float(rng.uniform(lo + 0.1, 1.0)) if k % 3 else 1.0
+    spec = dict(kind=kind, energy_capacity_j=float(1e4 * dt * rng.uniform(0.2, 8.0)),
+                max_discharge_w=float(rng.uniform(500.0, 6000.0)),
+                max_charge_w=0.0 if k % 5 == 0 else float(rng.uniform(100.0, 5000.0)),
+                soc_min_frac=lo, soc_max_frac=hi)
+    if kind == "battery":
+        spec["switch_latency_s"] = _LATENCY_STEPS[k % len(_LATENCY_STEPS)] * dt
+        if k % 4:
+            spec["round_trip_efficiency"] = float(rng.uniform(0.6, 1.0))
+    elif k % 4:
+        spec["response_tau_s"] = float(rng.uniform(0.001, 0.5))
+    spec = DeviceSpec(**spec)
+    mode = str(rng.choice(["idle", "discharging", "charging"]))
+    return spec, replace(init_state(spec), mode=mode), dt, rng
+
+
+@pytest.mark.parametrize("kind", DEVICE_KINDS)
+def test_device_step_matches_reference_on_seeded_sequences(kind):
+    # The switch machine at every kind of latency, lossy charging, a zero
+    # charge rating and narrowed SOC windows, 60 steps a case; the counts
+    # show that the cases reach each of them.
+    seen = dict(switching=0, lossy_charge=0, zero_charge_rating=0, at_floor=0,
+                at_ceiling=0, **{f"turn at {m} dt": 0 for m in _LATENCY_STEPS})
+    for k in range(300):
+        spec, state, dt, rng = _step_case(k, kind)
+        steps = _steps_match(spec, state, dt, rng, 60, f"{kind} case {k}")
+        modes = [state.mode] + [s.mode for *_, s in steps]
+        floor = spec.soc_min_frac * spec.energy_capacity_j
+        ceiling = spec.soc_max_frac * spec.energy_capacity_j
+        seen["switching"] += "switching" in modes
+        seen["lossy_charge"] += spec.round_trip_efficiency < 1.0 and any(
+            absorbed > 0.0 for _, absorbed, _ in steps)
+        seen["zero_charge_rating"] += spec.max_charge_w == 0.0
+        seen["at_floor"] += floor > 0.0 and any(s.stored_j <= floor for *_, s in steps)
+        seen["at_ceiling"] += ceiling < spec.energy_capacity_j and any(
+            absorbed > 0.0 and s.stored_j >= ceiling for _, absorbed, s in steps)
+        latency = _LATENCY_STEPS[k % len(_LATENCY_STEPS)]
+        seen[f"turn at {latency} dt"] += any(
+            {a, b} == {"charging", "discharging"} or "switching" in (a, b)
+            for a, b in zip(modes, modes[1:]))
+    # A passive device has no switch machine and charges without loss.
+    reached = [n for name, n in seen.items() if kind == "battery"
+               or name not in ("switching", "lossy_charge") and not name.startswith("turn")]
+    assert min(reached) >= 10, seen

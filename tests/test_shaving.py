@@ -73,6 +73,10 @@ _REFUSALS = [
      "t_derate_c must be at least t_ambient_c"),
     (lambda: ps.load_sim_config(io.StringIO('{"threshold": 0.7}')), "threshold",
      "threshold must be a JSON object"),
+    (lambda: ps.load_sim_config(io.StringIO('{"threshold": {"fraction_of_max": 0.5, "x": 1}}')),
+     "threshold", "unknown threshold fields: ['x']"),
+    (lambda: ps.load_sim_config(io.StringIO('{"threshold": {}}')), "absolute_w",
+     "set exactly one of absolute_w or fraction_of_max"),
     (lambda: ps.simulate_shaving(_TRACE.samples, "none", SimConfig()), "trace",
      "trace must be a PowerTrace"),
     (lambda: ps.simulate_shaving(_TRACE, "none", {}), "config",

@@ -55,10 +55,23 @@ def test_trace_rejects_bad_inputs():
         ps.PowerTrace(dt_s=0.01, samples=np.array([1.0]), rack_max_w=0.0)
 
 
+def _trace_of(samples):
+    # PowerTrace with samples as given: make_trace would convert them to float.
+    return ps.PowerTrace(dt_s=0.01, samples=samples, rack_max_w=10.0)
+
+
 # (call, the field its refusal names, the refusal).
 _REFUSALS = [
     (lambda: make_trace([1.0, math.nan], rack_max=10.0), "samples", "samples must be finite"),
     (lambda: make_trace([1.0, math.inf], rack_max=10.0), "samples", "samples must be finite"),
+    (lambda: _trace_of(np.array([1 + 2j, 3 + 0j])), "samples",
+     "samples must be real numbers, got an array of complex128"),
+    (lambda: _trace_of(np.array([True, False])), "samples",
+     "samples must be real numbers, got an array of bool"),
+    (lambda: _trace_of(["a"]), "samples", "samples must be real numbers, got an array of <U1"),
+    (lambda: _trace_of([1 + 2j]), "samples",
+     "samples must be real numbers, got an array of complex128"),
+    (lambda: _trace_of([None]), "samples", "samples must be real numbers, got an array of object"),
     (lambda: replace(ps.DEFAULT_SYNTH_CONFIG, burst_duration_s=(0.0, 0.3)), "burst_duration_s",
      "burst_duration_s range must satisfy 0 < low <= high, got (0.0, 0.3)"),
     (lambda: replace(ps.DEFAULT_SYNTH_CONFIG, burst_duration_s=(0.4, 0.3)), "burst_duration_s",
